@@ -10,13 +10,13 @@ tolerance; ``--tol`` overrides both.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from .errors import PTHamilError
 from .fockdemo import divergence_witness, expand_position_state, oscillator_contrast
+from .jsontext import dumps
 from .matio import format_complex_cell
 from .pipeline import (
     AnalysisConfig,
@@ -41,10 +41,22 @@ def _fmt_res(x: float) -> str:
 
 
 def _fmt_matrix(d: dict, indent: str = "  ") -> str:
-    m = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-    return "\n".join(
-        indent + "  ".join(f"{format_complex_cell(z):>22}" for z in row) for row in m
-    )
+    """Rows of ``format_complex_cell`` cells, each right-aligned to 22
+    characters; a row's numbers are formatted by one ``%`` operation each for
+    the real and the imaginary parts (``"%.12g"`` is ``f"{x:.12g}"``)."""
+    lines = []
+    for xs, ys in zip(d["re"], d["im"]):
+        n = len(xs)
+        res = ("%.12g\n" * n % tuple(xs)).split("\n")
+        ims = ("%.12g\n" * n % tuple(map(abs, ys))).split("\n")
+        cells = tuple([
+            r if y == 0.0
+            else (("-" if y < 0 else "") + a + "i" if x == 0.0
+                  else r + ("+" if y > 0 else "-") + a + "i")
+            for x, y, r, a in zip(xs, ys, res, ims)
+        ])
+        lines.append(indent + ("%22s  " * n % cells)[:-2])
+    return "\n".join(lines)
 
 
 def _print_section(title: str) -> None:
@@ -215,7 +227,7 @@ def _cmd_batch(args) -> int:
                         base_cfg=AnalysisConfig(source_path="-", tol=args.tol)
                         if args.tol else None)
     if args.output == "json":
-        print(json.dumps(entries, indent=2, sort_keys=True))
+        print(dumps(entries))
     else:
         for entry in entries:
             status = "ok" if "report" in entry else f"error: {entry['error']['message']}"
@@ -242,7 +254,7 @@ def _cmd_two_level(args) -> int:
         "pipeline_max_residual": comparison.max_residual,
     }
     if args.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(dumps(payload))
         return EXIT_OK
     print(f"two-level model: alpha={_fmt(model.alpha)} beta={_fmt(model.beta)}"
           f" ({model.phase()} phase)")
@@ -274,7 +286,7 @@ def _cmd_fock_demo(args) -> int:
         "fitted_tail_exponent": witness.fitted_tail_exponent if witness else None,
     }
     if args.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(dumps(payload))
         return EXIT_OK
     print(f"position eigenstate at x = {_fmt(args.x)}, truncated at n = {args.nmax}")
     head = min(8, args.nmax)
@@ -301,7 +313,7 @@ def _cmd_evolve(args) -> int:
         "flags": {"time_independent": report.flags["time_independent"]},
     }
     if args.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(dumps(payload))
         return EXIT_OK
     print(f"times: {[_fmt(t) for t in payload['times']]}")
     print(f"max drift of <R_n(t)|V|R_m(t)>: {_fmt_res(payload['max_drift'])}")
@@ -334,7 +346,7 @@ def main(argv=None) -> int:
         entry = error_entry(exc)
         output = getattr(args, "output", "text")
         if output == "json":
-            print(json.dumps({"error": entry}, indent=2, sort_keys=True))
+            print(dumps({"error": entry}))
         else:
             print(f"error: {entry['message']}", file=sys.stderr)
             if "note" in entry:

@@ -42,15 +42,6 @@ def mat_norm(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def approx_equal(a, b, tol: float = DEFAULT_TOL, scale: float | None = None) -> bool:
-    """Tolerance-based matrix equality: ``|a - b| <= tol * scale``."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if scale is None:
-        scale = max(1.0, mat_norm(a), mat_norm(b))
-    return mat_norm(a - b) <= tol * scale
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T

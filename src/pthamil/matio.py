@@ -70,8 +70,11 @@ def matrix_from_dict(d, name: str = "matrix") -> np.ndarray:
         im = np.asarray(im, dtype=float) if _is_numeric_table(im) else None
         if im is None or im.shape != re.shape:
             raise ParseError(f"{name}: 'im' must match the shape of 're'")
-    if "dim" in d and int(d["dim"]) != re.shape[0]:
-        raise ParseError(f"{name}: declared dim {d['dim']} does not match data {re.shape}")
+    dim = d.get("dim", re.shape[0])
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ParseError(f"{name}: 'dim' must be an integer, got {dim!r}")
+    if dim != re.shape[0]:
+        raise ParseError(f"{name}: declared dim {dim} does not match data {re.shape}")
     try:
         return as_matrix(re + 1j * im, name)
     except ValueError as exc:
@@ -79,10 +82,16 @@ def matrix_from_dict(d, name: str = "matrix") -> np.ndarray:
 
 
 def _is_numeric_table(rows) -> bool:
+    # JSON true/false load as bool, a subclass of int, and are not numbers
     return (
         isinstance(rows, list)
         and rows
-        and all(isinstance(r, list) and all(isinstance(x, (int, float)) for x in r) for r in rows)
+        and all(
+            isinstance(r, list)
+            and bool not in set(map(type, r))
+            and all(isinstance(x, (int, float)) for x in r)
+            for r in rows
+        )
     )
 
 
@@ -91,8 +100,13 @@ def load_matrix(path: str) -> np.ndarray:
     content sniff fallback)."""
     if not os.path.exists(path):
         raise ParseError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read ({exc})") from exc
     ext = os.path.splitext(path)[1].lower()
     if ext == ".json" or (ext not in (".csv",) and text.lstrip().startswith("{")):
         try:

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .fockdemo import truncated_position_matrix
 from .intertwiner import build_metric, build_similarity, v_gram, verify_time_independence
+from .jsontext import dumps
 from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, eigendecompose, identity
 from .matio import load_matrix, matrix_to_dict
 from .spectra import SpectrumKind, antilinear_symmetry_check, classify
@@ -210,9 +211,9 @@ class AnalysisReport:
 
 
 def emit_report(report: AnalysisReport) -> str:
-    import json
-
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    """The report as JSON text: 2-space indentation, sorted keys, shortest
+    round-trip floats (:func:`pthamil.jsontext.dumps`)."""
+    return dumps(report.to_dict())
 
 
 def parse_report(text: str) -> AnalysisReport:

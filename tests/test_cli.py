@@ -3,9 +3,13 @@
 import json
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pthamil.cli import main
-from pthamil.matio import save_matrix
+from pthamil.cli import _fmt_matrix, main
+from pthamil.matio import format_complex_cell, save_matrix
+from pthamil.pipeline import AnalysisConfig, run_analyze
 from pthamil.twolevel import TwoLevelModel, hamiltonian
 
 
@@ -98,6 +102,56 @@ class TestAnalyze:
         assert "1.23456789012" in out
 
 
+def reference_matrix_text(d: dict, indent: str) -> str:
+    """The text layout cell by cell: ``format_complex_cell`` right-aligned to 22."""
+    return "\n".join(
+        indent + "  ".join(f"{format_complex_cell(complex(x, y)):>22}" for x, y in zip(xs, ys))
+        for xs, ys in zip(d["re"], d["im"])
+    )
+
+
+entries = st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e300, -1e300, 1e-300, -1e-300, 0.1]) | st.floats()
+
+
+@st.composite
+def matrix_dicts(draw):
+    n = draw(st.integers(1, 5))
+    rows = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    return {"dim": n, "re": draw(rows), "im": draw(rows)}
+
+
+class TestOutputLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_dicts(), st.sampled_from(["  ", "    "]))
+    def test_matrix_text_matches_cell_reference(self, d, indent):
+        assert _fmt_matrix(d, indent) == reference_matrix_text(d, indent)
+
+    def test_matrix_text_special_cells(self):
+        # zero, signed zero, pure imaginary, integral and extreme cells
+        d = {"dim": 3,
+             "re": [[0.0, -0.0, 0.0], [2.0, -0.0, 1e300], [1e-300, -7.0, 0.5]],
+             "im": [[0.0, 0.0, -1.0], [-0.0, 2.0, -1e-300], [1e300, 0.0, -0.5]]}
+        assert _fmt_matrix(d, "  ") == reference_matrix_text(d, "  ")
+        assert _fmt_matrix(d, "  ").splitlines()[0] == "  " + "  ".join(
+            f"{c:>22}" for c in ("0", "-0", "-1i"))
+
+    @pytest.mark.parametrize(
+        "argv,cfg",
+        [
+            (["--model", "two-level", "--alpha", "5", "--beta", "3"],
+             AnalysisConfig(model="two-level", alpha=5.0, beta=3.0)),
+            (["--model", "two-level", "--alpha", "3", "--beta", "5"],
+             AnalysisConfig(model="two-level", alpha=3.0, beta=5.0)),
+            (["--model", "fock-x", "--nmax", "12"], AnalysisConfig(model="fock-x", nmax=12)),
+        ],
+    )
+    def test_json_report_matches_json_dumps(self, capsys, argv, cfg):
+        code, out, _ = run_cli(capsys, "analyze", *argv, "--format", "json")
+        assert code == 0
+        expected = json.dumps(run_analyze(cfg).to_dict(), indent=2, sort_keys=True)
+        assert out == expected + "\n"
+
+
 class TestExitCodes:
     def test_no_antilinear_symmetry(self, capsys, tmp_path):
         path = tmp_path / "h.json"
@@ -167,6 +221,18 @@ class TestBatchCommand:
         code, out, _ = run_cli(capsys, "batch", *paths, "--parallelism", "2")
         assert code == 0
         assert len(json.loads(out)) == 2
+
+    def test_non_utf8_file_is_one_error_line(self, capsys, tmp_path):
+        good = tmp_path / "good.json"
+        save_matrix(str(good), hamiltonian(TwoLevelModel(5, 3)))
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe1,2\n3,4\n")
+        code, out, _ = run_cli(capsys, "batch", str(good), str(bad), str(good),
+                               "--format", "text")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == f"{good}: ok" and lines[2] == f"{good}: ok"
+        assert lines[1].startswith(f"{bad}: error: {bad}: not UTF-8 text")
 
     def test_empty_batch(self, capsys):
         code, out, _ = run_cli(capsys, "batch")

@@ -77,6 +77,39 @@ def test_json_dim_mismatch(tmp_path):
         load_matrix(str(path))
 
 
+@pytest.mark.parametrize("dim", ['"x"', '"2"', "2.5", "true", "null"])
+def test_json_dim_not_an_integer(tmp_path, dim):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"dim": {dim}, "re": [[1, 0], [0, 2]]}}')
+    with pytest.raises(ParseError, match="'dim' must be an integer"):
+        load_matrix(str(path))
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"re": [[True, 0], [0, 1]]},
+        {"re": [[1, 0], [0, 1]], "im": [[0, False], [0, 0]]},
+        {"re": [[1.0, "2"], [0, 1]]},
+    ],
+)
+def test_non_numeric_entries_rejected(d):
+    with pytest.raises(ParseError):
+        matrix_from_dict(d)
+
+
+def test_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("1,2\n3,\u00e9\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_matrix(str(path))
+
+
+def test_directory_is_not_a_matrix_file(tmp_path):
+    with pytest.raises(ParseError, match="cannot read"):
+        load_matrix(str(tmp_path))
+
+
 def test_non_square_rejected(tmp_path):
     path = tmp_path / "rect.csv"
     path.write_text("1,2,3\n4,5,6\n")

@@ -221,6 +221,25 @@ class TestBatch:
         assert entries[1]["error"]["exit_code"] == 3
         assert "note" in entries[1]["error"]
 
+    @pytest.mark.parametrize(
+        "name,content",
+        [
+            ("latin1.csv", b"\xff\xfe1,2\n3,4\n"),
+            ("dim.json", b'{"dim": "x", "re": [[1, 0], [0, 2]]}'),
+            ("bools.json", b'{"re": [[true, false], [false, true]]}'),
+        ],
+    )
+    def test_unreadable_file_between_good_ones(self, files, tmp_path, name, content):
+        good, _ = files
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        paths = [good[0], str(bad), good[1]]
+        entries = run_batch(paths, parallelism=2)
+        assert [e["path"] for e in entries] == paths
+        assert "report" in entries[0] and "report" in entries[2]
+        assert entries[1]["error"]["type"] == "ParseError"
+        assert entries[1]["error"]["exit_code"] == 2
+
     def test_empty_batch(self):
         assert run_batch([], parallelism=4) == []
 
