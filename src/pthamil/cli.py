@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .errors import PTHamilError
 from .fockdemo import divergence_witness, expand_position_state, oscillator_contrast
 from .jsontext import dumps
@@ -22,7 +20,6 @@ from .pipeline import (
     AnalysisConfig,
     DEFAULT_TIMES,
     EXIT_OK,
-    EXIT_PARSE,
     AnalysisReport,
     emit_report,
     error_entry,
@@ -125,9 +122,9 @@ def _render_csv(report: AnalysisReport) -> None:
     print(f"spectrum,kind,{d['spectrum']['kind']}")
     for i, (re, im) in enumerate(d["eigen"]["values"]):
         print(f"eigen,value_{i},{format_complex_cell(complex(re, im))}")
-    m = np.asarray(d["V"]["re"]) + 1j * np.asarray(d["V"]["im"])
-    for i, row in enumerate(m):
-        print(f"V,row_{i},\"{','.join(format_complex_cell(z) for z in row)}\"")
+    for i, (xs, ys) in enumerate(zip(d["V"]["re"], d["V"]["im"])):
+        cells = ",".join(format_complex_cell(complex(x, y)) for x, y in zip(xs, ys))
+        print(f"V,row_{i},\"{cells}\"")
     print(f"time_independence,max_drift,{_fmt_res(d['time_independence']['max_drift'])}")
     for name, flag in sorted(d["flags"].items()):
         print(f"flags,{name},{'pass' if flag['passed'] else 'fail'}")
@@ -342,7 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PTHamilError as exc:
+    except (PTHamilError, ValueError) as exc:
         entry = error_entry(exc)
         output = getattr(args, "output", "text")
         if output == "json":
@@ -352,9 +349,6 @@ def main(argv=None) -> int:
             if "note" in entry:
                 print(f"note: {entry['note']}", file=sys.stderr)
         return entry["exit_code"]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 def console_main() -> None:

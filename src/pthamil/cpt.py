@@ -125,14 +125,12 @@ def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL
         if len(signs) != es.dim:
             raise ValueError(f"need one sign per eigenstate ({es.dim}), got {len(signs)}")
         weights[:] = signs
-    elif cls.kind is SpectrumKind.CONJUGATE_PAIRS:
+    else:
         if len(signs) != len(cls.pairs):
             raise ValueError(f"need one sign per pair ({len(cls.pairs)}), got {len(signs)}")
         for (n_plus, n_minus), s in zip(cls.pairs, signs):
             weights[n_plus] = s
             weights[n_minus] = -s
-    else:
-        raise PTHamilError("no C operator for an exceptional spectrum")
     c = es.right @ np.diag(weights) @ es.left
     eye = np.eye(es.dim)
     h = es.reconstruct()

@@ -57,6 +57,15 @@ def expand_position_state(x: float, c0: float = 1.0, nmax: int = 100) -> FockExp
     return FockExpansion(float(x), float(c0), c, np.cumsum(c * c))
 
 
+def _monic_hermite(x: Fraction, nmax: int):
+    """Yield ``p_0(x), ..., p_nmax(x)`` of the monic-Hermite recursion
+    ``p_n = x p_{n-1} - (n-1) p_{n-2}`` with ``p_0 = 1`` and ``p_1 = x``."""
+    p_before, p = Fraction(0), Fraction(1)
+    for n in range(nmax + 1):
+        yield p
+        p_before, p = p, x * p - n * p_before
+
+
 def scaled_coefficient_exact(n: int, x: Fraction) -> Fraction:
     """``c_n * sqrt(n!) / c0`` in exact rational arithmetic.
 
@@ -64,31 +73,18 @@ def scaled_coefficient_exact(n: int, x: Fraction) -> Fraction:
     monic-Hermite recursion ``p_n = x p_{n-1} - (n-1) p_{n-2}``, so the scaled
     coefficient is an integer-coefficient polynomial evaluated exactly.
     """
-    x = Fraction(x)
     if n < 0:
         raise ValueError("n must be non-negative")
-    p_prev, p = Fraction(1), x
-    if n == 0:
-        return p_prev
-    for k in range(2, n + 1):
-        p_prev, p = p, x * p - (k - 1) * p_prev
+    for p in _monic_hermite(Fraction(x), n):
+        pass
     return p
 
 
 def squared_terms_exact(nmax: int, x: Fraction = Fraction(0)) -> list:
     """Exact ``c_n^2`` for ``c0 = 1``: ``p_n(x)^2 / n!`` as Fractions."""
-    x = Fraction(x)
     terms = []
     factorial = 1
-    p_before, p_last = None, None
-    for n in range(nmax + 1):
-        if n == 0:
-            p = Fraction(1)
-        elif n == 1:
-            p = x
-        else:
-            p = x * p_last - (n - 1) * p_before
-        p_before, p_last = p_last, p
+    for n, p in enumerate(_monic_hermite(Fraction(x), nmax)):
         if n > 0:
             factorial *= n
         terms.append(p * p / factorial)

@@ -81,7 +81,7 @@ def build_metric(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL) 
         v = s.conj().T @ s
         v = 0.5 * (v + v.conj().T)
         positive = bool(np.all(np.linalg.eigvalsh(v) > 0.0))
-    elif cls.kind is SpectrumKind.CONJUGATE_PAIRS:
+    else:
         s = None
         v = np.zeros((es.dim, es.dim), dtype=complex)
         for n in cls.real_indices:
@@ -91,8 +91,6 @@ def build_metric(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL) 
             v += np.outer(np.conj(es.left[n_plus]), es.left[n_minus])
         v = 0.5 * (v + v.conj().T)
         positive = False
-    else:
-        raise PTHamilError("no metric is constructed for an exceptional spectrum")
     hermitian = mat_norm(v - v.conj().T) <= tol * max(1.0, mat_norm(v))
     denom = mat_norm(v) * mat_norm(h)
     residual = mat_norm(v @ h - h.conj().T @ v) / denom if denom > 0.0 else 0.0
@@ -210,12 +208,10 @@ def verify_time_independence(
     threshold = tol * max(1.0, mat_norm(gram0))
     passed = (drift <= threshold) | ~present
 
+    # entry (n, m) may be present only when E_m = conj(E_n); row-major order
+    mismatch = np.abs(es.values[np.newaxis, :] - np.conj(es.values)[:, np.newaxis])
     scale = spectral_scale(es.values)
-    violations = []
-    for n in range(es.dim):
-        for m in range(es.dim):
-            if present[n, m] and abs(es.values[m] - np.conj(es.values[n])) > tol * scale:
-                violations.append((n, m))
+    violations = [tuple(nm) for nm in np.argwhere(present & (mismatch > tol * scale)).tolist()]
     max_drift = float(np.max(drift[present])) if np.any(present) else 0.0
     max_shadow = float(np.max(drift[~present])) if np.any(~present) else 0.0
     return TimeIndependence(

@@ -34,7 +34,7 @@ from .errors import (
     UnpairedComplexEigenvalue,
 )
 from .fockdemo import truncated_position_matrix
-from .intertwiner import build_metric, build_similarity, v_gram, verify_time_independence
+from .intertwiner import Flag, build_metric, build_similarity, v_gram, verify_time_independence
 from .jsontext import dumps
 from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, eigendecompose, identity
 from .matio import load_matrix, matrix_to_dict
@@ -156,14 +156,6 @@ def _complex_list(values) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex)]
 
 
-def _flags_dict(flags) -> dict:
-    return {
-        name: {"passed": bool(f.passed), "residual": float(f.residual),
-               "threshold": float(f.threshold)}
-        for name, f in flags.items()
-    }
-
-
 @dataclass
 class AnalysisReport:
     """Plain-data analysis report; ``to_dict`` fixes the JSON key layout."""
@@ -232,6 +224,8 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     reason instead of aborting the analysis.
     """
     tol = resolve_tol(cfg)
+    gram_tol = max(tol, 1e-9)
+    check_tol = max(gram_tol, 1e-8)
     h, source_info = _load_hamiltonian(cfg)
     notes: list = []
 
@@ -242,42 +236,38 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     p_spec, t_spec = _default_frame_specs(cfg)
     p = _resolve_p(p_spec, es.dim) if p_spec else None
     t_op = _resolve_t(t_spec, es.dim) if t_spec else None
-    frame = None
-    if p is not None and t_op is not None:
-        frame = make_frame(p, t_op, max(tol, 1e-8))  # may raise InvalidFrame
+    frame = make_frame(p, t_op, check_tol) if p is not None and t_op is not None else None
 
-    p_intertwines = False
-    if p is not None:
-        p_intertwines = check_p_intertwines(h, p, max(tol, 1e-8))
-        if p_intertwines and real_case:
-            es, skipped = p_normalize(es, p, tol)
-            if skipped:
-                notes.append(
-                    f"parity calibration skipped for states {skipped}: "
-                    "parity overlap below tolerance (degenerate PV eigenvalue)"
-                )
-        elif not p_intertwines:
-            notes.append("P does not intertwine H with its adjoint; PV and C norms skipped")
+    p_intertwines = p is not None and check_p_intertwines(h, p, check_tol)
+    if p is not None and not p_intertwines:
+        notes.append("P does not intertwine H with its adjoint; PV and C norms skipped")
+    elif p_intertwines and real_case:
+        es, skipped = p_normalize(es, p, tol)
+        if skipped:
+            notes.append(
+                f"parity calibration skipped for states {skipped}: "
+                "parity overlap below tolerance (degenerate PV eigenvalue)"
+            )
 
     pt_section: dict = {}
     phases = None
-    if frame is not None:
-        symmetric = antilinear_symmetry_check(h, frame.pt, max(tol, 1e-8))
+    if frame is None:
+        pt_section["skipped"] = "no parity/time-reversal frame supplied"
+    else:
+        symmetric = antilinear_symmetry_check(h, frame.pt, check_tol)
         pt_section["symmetry_check"] = bool(symmetric)
         if not symmetric:
             notes.append("H is not PT symmetric under the supplied frame")
-        if real_case:
-            try:
-                phases = fix_pt_phases(frame.pt, es, cls, p=p, tol=tol)
-            except NotPTEigenstate as exc:
-                pt_section["skipped"] = f"PT phases unavailable: {exc}"
-        else:
+        if not real_case:
             pt_section["skipped"] = (
                 "complex-pair spectrum: PT maps each state onto its partner, "
                 "so per-state PT phases do not exist"
             )
-    else:
-        pt_section["skipped"] = "no parity/time-reversal frame supplied"
+        else:
+            try:
+                phases = fix_pt_phases(frame.pt, es, cls, p=p, tol=tol)
+            except NotPTEigenstate as exc:
+                pt_section["skipped"] = f"PT phases unavailable: {exc}"
 
     if phases is not None and phases.degenerate_groups:
         # recombining a degenerate eigenspace changes the basis; keep every
@@ -289,83 +279,56 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         )
 
     itw = build_metric(es, cls, tol)
-    s_matrix = build_similarity(es, cls) if real_case else None
-
+    norm_report = v_gram(es, itw, cls, p=p, frame=frame, phases=phases, tol=gram_tol)
     if phases is not None:
         pt_section.update(
-            {
-                "eta": _complex_list(phases.eta),
-                "phase_fix": _complex_list(phases.phase_fix),
-                "gram": matrix_to_dict(pt_gram(frame, phases)),
-                "degenerate_groups": [list(g) for g in phases.degenerate_groups],
-            }
+            eta=_complex_list(phases.eta),
+            phase_fix=_complex_list(phases.phase_fix),
+            gram=matrix_to_dict(norm_report.ptnorm),
+            degenerate_groups=[list(g) for g in phases.degenerate_groups],
         )
 
-    norm_report = v_gram(es, itw, cls, p=p, frame=frame, phases=phases, tol=max(tol, 1e-9))
-
-    pv_section: dict = {}
-    c_section: dict = {}
-    diagnostic: str | dict = {"skipped": "no C operator was built"}
-    commutant = None
-    if real_case and p is not None and p_intertwines:
-        pv = build_pv(p, itw.v, es, max(tol, 1e-8))
+    # the C signs: the given ones, else the defaults, else None with the reason
+    if not real_case:
+        pv_section = {"skipped": "complex-pair spectrum: PV plays no role"}
+        signs = cfg.c_signs or tuple(1 for _ in cls.pairs)
+    elif p_intertwines:
+        pv = build_pv(p, itw.v, es, check_tol)
         pv_section = {
             "matrix": matrix_to_dict(pv.matrix),
             "alphas": _complex_list(pv.alphas),
             "squares_to_identity": bool(pv.squares_to_identity),
         }
         signs = cfg.c_signs or tuple(1 if a.real >= 0.0 else -1 for a in pv.alphas)
-        commutant = build_c(es, cls, signs, tol)
-        c_section = {"matrix": matrix_to_dict(commutant.matrix),
-                     "signs": [int(s) for s in signs]}
-    elif real_case:
+    else:
         reason = ("P does not intertwine H with its adjoint"
                   if p is not None else "no parity supplied")
         pv_section = {"skipped": f"{reason}; the V norm remains available"}
-        if cfg.c_signs is not None:
-            commutant = build_c(es, cls, cfg.c_signs, tol)
-            c_section = {"matrix": matrix_to_dict(commutant.matrix),
-                         "signs": [int(s) for s in cfg.c_signs]}
-        else:
-            c_section = {"skipped": f"{reason}; supply c_signs to build C anyway"}
+        signs = cfg.c_signs
+
+    if signs is None:
+        c_section = {"skipped": f"{reason}; supply c_signs to build C anyway"}
+        diagnostic = {"skipped": "no C operator was built"}
     else:
-        pv_section = {"skipped": "complex-pair spectrum: PV plays no role"}
-        signs = cfg.c_signs or tuple(1 for _ in cls.pairs)
         commutant = build_c(es, cls, signs, tol)
         c_section = {"matrix": matrix_to_dict(commutant.matrix),
                      "signs": [int(s) for s in signs]}
+        if frame is None:
+            diagnostic = {"skipped": "no frame supplied for the [C, PT] diagnostic"}
+        else:
+            diagnostic = c_pt_diagnostic(commutant, frame.pt, check_tol).value
+            c_section["commutes_with_pt"] = diagnostic == "real_spectrum"
+            if diagnostic_is_degenerate(commutant, tol):
+                notes.append("diagnostic degenerate: C is proportional to the identity")
 
-    if commutant is not None and frame is not None:
-        verdict = c_pt_diagnostic(commutant, frame.pt, max(tol, 1e-8))
-        diagnostic = verdict.value
-        c_section["commutes_with_pt"] = verdict.value == "real_spectrum"
-        if diagnostic_is_degenerate(commutant, tol):
-            notes.append("diagnostic degenerate: C is proportional to the identity")
-    elif commutant is not None:
-        diagnostic = {"skipped": "no frame supplied for the [C, PT] diagnostic"}
-
-    drift_tol = max(tol, 1e-8)
-    tic = verify_time_independence(h, itw.v, cfg.times, drift_tol, es=es)
-
-    flags = _flags_dict(norm_report.flags)
-    flags["metric_intertwines"] = {
-        "passed": itw.residual <= max(tol, 1e-9),
-        "residual": itw.residual,
-        "threshold": max(tol, 1e-9),
-    }
-    flags["time_independent"] = {
-        "passed": bool(np.all(tic.passed)),
-        "residual": tic.max_drift,
-        "threshold": drift_tol,
+    tic = verify_time_independence(h, itw.v, cfg.times, check_tol, es=es)
+    flags = {
+        **norm_report.flags,
+        "metric_intertwines": Flag(itw.residual <= gram_tol, itw.residual, gram_tol),
+        "time_independent": Flag(bool(np.all(tic.passed)), tic.max_drift, check_tol),
     }
 
-    v_section = dict(
-        matrix_to_dict(itw.v),
-        hermitian=bool(itw.hermitian),
-        positive=bool(itw.positive),
-        residual=float(itw.residual),
-    )
-    report = AnalysisReport(
+    return AnalysisReport(
         provenance={
             "tool": "pthamil",
             "version": __version__,
@@ -388,8 +351,13 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "left": matrix_to_dict(es.left),
             "condition": es.condition,
         },
-        s=matrix_to_dict(s_matrix) if s_matrix is not None else None,
-        v=v_section,
+        s=matrix_to_dict(build_similarity(es, cls)) if real_case else None,
+        v=dict(
+            matrix_to_dict(itw.v),
+            hermitian=bool(itw.hermitian),
+            positive=bool(itw.positive),
+            residual=float(itw.residual),
+        ),
         gram={
             "dirac": matrix_to_dict(norm_report.dirac),
             "v": matrix_to_dict(norm_report.vnorm),
@@ -406,10 +374,13 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "max_zero_entry_shadow": tic.max_shadow,
         },
         selection_rule_violations=[list(vio) for vio in tic.selection_violations],
-        flags=flags,
+        flags={
+            name: {"passed": bool(f.passed), "residual": float(f.residual),
+                   "threshold": float(f.threshold)}
+            for name, f in flags.items()
+        },
         notes=notes,
     )
-    return report
 
 
 #: exit codes shared by the CLI and batch entries
@@ -451,7 +422,6 @@ def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = Non
 
     Per-file failures become error entries instead of aborting the batch.
     """
-    paths = list(paths)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 
@@ -468,9 +438,5 @@ def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = Non
         except PTHamilError as exc:
             return {"path": path, "error": error_entry(exc)}
 
-    if not paths:
-        return []
-    if parallelism == 1:
-        return [one(p) for p in paths]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(one, paths))

@@ -2,7 +2,8 @@
 
 An antilinear symmetry forces every eigenvalue to be real or to belong to a
 complex-conjugate pair; a complex eigenvalue without a partner proves no such
-symmetry exists. Defective (Jordan) matrices form the third, exceptional class.
+symmetry exists. Defective (Jordan) matrices form the third, exceptional class,
+signalled by :func:`~pthamil.linalg.eigendecompose` raising ``NonDiagonalizable``.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import UnpairedComplexEigenvalue
-from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm
+from .errors import NonDiagonalizable, UnpairedComplexEigenvalue
+from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, eigendecompose, mat_norm
 
 
 class SpectrumKind(str, Enum):
     ALL_REAL = "all_real"
     CONJUGATE_PAIRS = "conjugate_pairs"
-    EXCEPTIONAL = "exceptional"
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class SpectrumClass:
     ``pairs`` holds index pairs ``(n_plus, n_minus)`` with
     ``values[n_plus] == conj(values[n_minus])`` and ``Im values[n_plus] >= 0``;
     ``real_indices`` lists the remaining (real) eigenvalues. Together they
-    partition all indices whenever the kind is not exceptional.
+    partition all indices.
     """
 
     kind: SpectrumKind
@@ -39,10 +39,6 @@ class SpectrumClass:
     @classmethod
     def all_real(cls, dim: int) -> "SpectrumClass":
         return cls(SpectrumKind.ALL_REAL, (), tuple(range(dim)))
-
-    @classmethod
-    def exceptional(cls) -> "SpectrumClass":
-        return cls(SpectrumKind.EXCEPTIONAL, (), ())
 
 
 def spectral_scale(values) -> float:
@@ -94,11 +90,12 @@ def classify(es: EigenSystem, tol: float = DEFAULT_TOL) -> SpectrumClass:
 
 def detect_exceptional(h, tol: float = DEFAULT_TOL) -> bool:
     """True iff the eigenvector-matrix condition number exceeds ``1/tol``
-    (near-defective matrix)."""
-    h = as_matrix(h, "H")
-    _, r = np.linalg.eig(h)
-    condition = float(np.linalg.cond(r))
-    return not np.isfinite(condition) or condition > 1.0 / tol
+    (near-defective matrix), the test :func:`eigendecompose` applies."""
+    try:
+        eigendecompose(h, tol)
+    except NonDiagonalizable:
+        return True
+    return False
 
 
 def antilinear_symmetry_check(h, a, tol: float = DEFAULT_TOL) -> bool:

@@ -1,13 +1,14 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pthamil.cli import _fmt_matrix, main
+from pthamil.cli import _fmt_matrix, _render_csv, main
 from pthamil.matio import format_complex_cell, save_matrix
 from pthamil.pipeline import AnalysisConfig, run_analyze
 from pthamil.twolevel import TwoLevelModel, hamiltonian
@@ -126,7 +127,7 @@ class TestOutputLayout:
     def test_matrix_text_matches_cell_reference(self, d, indent):
         assert _fmt_matrix(d, indent) == reference_matrix_text(d, indent)
 
-    def test_matrix_text_special_cells(self):
+    def test_matrix_text_special_cells(self, capsys):
         # zero, signed zero, pure imaginary, integral and extreme cells
         d = {"dim": 3,
              "re": [[0.0, -0.0, 0.0], [2.0, -0.0, 1e300], [1e-300, -7.0, 0.5]],
@@ -134,6 +135,17 @@ class TestOutputLayout:
         assert _fmt_matrix(d, "  ") == reference_matrix_text(d, "  ")
         assert _fmt_matrix(d, "  ").splitlines()[0] == "  " + "  ".join(
             f"{c:>22}" for c in ("0", "-0", "-1i"))
+        # the CSV rows of the same matrix, as the metric V of a report
+        report = replace(run_analyze(AnalysisConfig(model="two-level", alpha=5.0, beta=3.0)),
+                         v=d)
+        _render_csv(report)
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("V,")]
+        assert rows == [
+            f'V,row_{i},"' + ",".join(format_complex_cell(complex(x, y))
+                                      for x, y in zip(xs, ys)) + '"'
+            for i, (xs, ys) in enumerate(zip(d["re"], d["im"]))
+        ]
+        assert rows[0] == 'V,row_0,"0,-0,-1i"'
 
     @pytest.mark.parametrize(
         "argv,cfg",
@@ -197,6 +209,21 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["error"]["type"] == "NonDiagonalizable"
         assert "exceptional" in payload["error"]["note"]
+
+    def test_configuration_error_as_json(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--model", "two-level", "--alpha", "5",
+                                 "--beta", "3", "--tol", "-1", "--format", "json")
+        assert code == 2
+        assert json.loads(out) == {"error": {"type": "ValueError", "exit_code": 2,
+                                             "message": "tolerance must be positive"}}
+        assert err == ""
+
+    def test_configuration_error_as_text(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--model", "two-level", "--alpha", "5",
+                                 "--beta", "3", "--tol", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: tolerance must be positive\n"
 
 
 class TestBatchCommand:

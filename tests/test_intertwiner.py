@@ -146,6 +146,22 @@ class TestTimeIndependence:
         gram = evolved.conj().T @ itw.v @ evolved
         assert abs(gram[n_plus, n_minus] - tic.gram0[n_plus, n_minus]) <= 1e-9
 
+    @pytest.mark.parametrize("seed,n", [(1, 2), (2, 5), (3, 8)])
+    def test_selection_violations_match_entry_loop(self, seed, n):
+        # the Dirac product (V = I) breaks the selection rule off the diagonal;
+        # reference: the entry-by-entry loop, in row-major order
+        h = random_real(rng(seed), n)
+        es = eigendecompose(h)
+        tol = 1e-8
+        tic = verify_time_independence(h, identity(n), (0.0, 0.5), tol, es=es)
+        scale = max(np.abs(es.values))
+        expected = tuple(
+            (i, j) for i in range(n) for j in range(n)
+            if tic.present[i, j] and abs(es.values[j] - np.conj(es.values[i])) > tol * scale
+        )
+        assert expected and tic.selection_violations == expected
+        assert all(type(k) is int for vio in tic.selection_violations for k in vio)
+
     def test_time_zero_trivially_constant(self):
         h, es, cls = _system(2, 1)
         itw = build_metric(es, cls)

@@ -171,6 +171,79 @@ class TestFockModel:
         assert any("diagnostic degenerate" in note for note in report.notes)
 
 
+_NO_PARITY = "no parity supplied"
+_NOT_INTERTWINED = "P does not intertwine H with its adjoint"
+_NO_FRAME = "no parity/time-reversal frame supplied"
+_PAIRS_PV = "complex-pair spectrum: PV plays no role"
+_NO_C = {"skipped": "no C operator was built"}
+
+
+class TestSkipReasons:
+    """Every skip reason and note ``run_analyze`` can give, one case per branch."""
+
+    @pytest.mark.parametrize(
+        "cfg,notes,pt,pv,c,diagnostic",
+        [
+            (
+                dict(model="two-level", alpha=3.0, beta=1.0, p_spec="none"),
+                [],
+                _NO_FRAME,
+                f"{_NO_PARITY}; the V norm remains available",
+                f"{_NO_PARITY}; supply c_signs to build C anyway",
+                _NO_C,
+            ),
+            (
+                dict(model="two-level", alpha=1.0, beta=3.0, p_spec="none"),
+                [],
+                _NO_FRAME,
+                _PAIRS_PV,
+                None,
+                {"skipped": "no frame supplied for the [C, PT] diagnostic"},
+            ),
+            (
+                dict(model="two-level", alpha=1.0, beta=3.0),
+                [],
+                "complex-pair spectrum: PT maps each state onto its partner, "
+                "so per-state PT phases do not exist",
+                _PAIRS_PV,
+                None,
+                "complex_pairs",
+            ),
+            (
+                dict(model="fock-x", nmax=40),
+                [f"{_NOT_INTERTWINED}; PV and C norms skipped",
+                 "H is not PT symmetric under the supplied frame"],
+                "PT phases unavailable: state 0 is not a PT eigenstate (residual 1.000e+00)",
+                f"{_NOT_INTERTWINED}; the V norm remains available",
+                f"{_NOT_INTERTWINED}; supply c_signs to build C anyway",
+                _NO_C,
+            ),
+            (
+                dict(source_path="identity", p_spec="sigma1"),
+                ["parity calibration skipped for states [0, 1]: parity overlap below "
+                 "tolerance (degenerate PV eigenvalue)",
+                 "degenerate eigenvalue groups [(0, 1)] recombined into a PT eigenbasis; "
+                 "all sections use that basis"],
+                None,
+                None,
+                None,
+                "real_spectrum",
+            ),
+        ],
+    )
+    def test_notes_and_skipped_sections(self, tmp_path, cfg, notes, pt, pv, c, diagnostic):
+        if cfg.get("source_path") == "identity":
+            path = tmp_path / "identity.json"
+            save_matrix(str(path), np.eye(2))
+            cfg = dict(cfg, source_path=str(path))
+        report = run_analyze(AnalysisConfig(**cfg))
+        assert report.notes == notes
+        assert report.pt.get("skipped") == pt
+        assert report.pv.get("skipped") == pv
+        assert report.c.get("skipped") == c
+        assert report.diagnostic == diagnostic
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "cfg",
