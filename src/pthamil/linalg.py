@@ -98,10 +98,21 @@ class EigenSystem:
                            float(np.linalg.cond(right)))
 
 
-def canonical_order(values: np.ndarray) -> np.ndarray:
+def canonical_order(values: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """Permutation sorting eigenvalues by real part descending, then imaginary
-    part descending."""
-    return np.lexsort((-np.asarray(values).imag, -np.asarray(values).real))
+    part descending.
+
+    Real parts within ``tol`` times the spectral radius of their neighbour in
+    that order count as equal, so rounding in the real parts cannot decide
+    the order of a conjugate pair: its ``Im > 0`` member always comes first.
+    """
+    values = np.asarray(values)
+    by_real = np.argsort(-values.real, kind="stable")
+    radius = float(np.max(np.abs(values))) if values.size else 0.0
+    steps = -np.diff(values.real[by_real]) > tol * radius
+    key = np.empty(values.shape[0])
+    key[by_real] = np.concatenate(([0], np.cumsum(steps)))
+    return np.lexsort((-values.imag, key))
 
 
 def _canonical_phases(r: np.ndarray) -> np.ndarray:
@@ -124,7 +135,8 @@ def _canonical_phases(r: np.ndarray) -> np.ndarray:
 def eigendecompose(h, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Full complex eigendecomposition with biorthogonal left vectors.
 
-    Eigenvalues are sorted (real descending, imaginary descending), right
+    Eigenvalues are sorted (real descending, imaginary descending; real parts
+    within ``tol`` times the spectral radius count as equal), right
     eigenvectors are unit-norm with their largest-magnitude component real and
     positive, and ``left = inv(right)``.
 
@@ -140,7 +152,7 @@ def eigendecompose(h, tol: float = DEFAULT_TOL) -> EigenSystem:
         values, r = np.linalg.eig(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    order = canonical_order(values)
+    order = canonical_order(values, tol)
     values = values[order]
     r = _canonical_phases(r[:, order])
     condition = float(np.linalg.cond(r))

@@ -18,6 +18,7 @@ from pthamil.linalg import (
     identity,
     inverse,
 )
+from pthamil.twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
 from testutil import random_real, rng
 
 
@@ -88,6 +89,27 @@ class TestEigendecompose:
         m = np.diag([1.0 + 1.0j, 1.0 - 1.0j, 1.0 + 2.0j])
         es = eigendecompose(m)
         assert np.allclose(es.values, [1.0 + 2.0j, 1.0 + 1.0j, 1.0 - 1.0j], atol=1e-14)
+
+    @pytest.mark.parametrize("ulps", [-3, -1, 1, 3])
+    def test_conjugate_pair_order_ignores_rounding(self, ulps):
+        # real parts a few ulps apart, in either direction, still list Im > 0 first
+        low = 1.0 + 0.5j
+        high = np.nextafter(1.0, math.copysign(np.inf, ulps))
+        for _ in range(abs(ulps) - 1):
+            high = np.nextafter(high, math.copysign(np.inf, ulps))
+        es = eigendecompose(np.diag([complex(high, -0.5), low, -2.0]))
+        assert [z.imag for z in es.values] == [0.5, -0.5, 0.0]
+
+    def test_real_parts_beyond_tolerance_keep_real_order(self):
+        es = eigendecompose(np.diag([1.0 + 0.5j, 1.0 + 1e-6 - 0.5j]))
+        assert es.values[0].imag == -0.5
+
+    def test_two_level_grid_lists_positive_imaginary_first(self):
+        grid = np.linspace(0.1, 3.0, 40)
+        for alpha in grid:
+            for beta in grid[grid > alpha]:
+                es = eigendecompose(two_level_hamiltonian(TwoLevelModel(alpha, beta)))
+                assert es.values[0].imag > 0.0 > es.values[1].imag, (alpha, beta)
 
     def test_phase_convention(self):
         es = eigendecompose(random_real(rng(3), 5))
