@@ -23,6 +23,7 @@ from .pipeline import (
     AnalysisReport,
     emit_report,
     error_entry,
+    resolve_tol,
     run_analyze,
     run_batch,
 )
@@ -235,7 +236,9 @@ def _cmd_batch(args) -> int:
 def _cmd_two_level(args) -> int:
     model = TwoLevelModel(args.alpha, args.beta)
     cf = closed_forms(model)
-    comparison = compare_with_pipeline(model, tol=args.tol or 1e-10)
+    tol = resolve_tol(AnalysisConfig(model="two-level", alpha=args.alpha, beta=args.beta,
+                                     tol=args.tol))
+    comparison = compare_with_pipeline(model, tol=tol)
     payload = {
         "alpha": model.alpha,
         "beta": model.beta,

@@ -117,6 +117,13 @@ def load_matrix(path: str) -> np.ndarray:
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows:
         raise ParseError(f"{path}: empty matrix file")
+    try:
+        # a row at a time; the same grammar as parse_complex_cell
+        return as_matrix([list(map(complex, "".join(line.split()).replace("i", "j")
+                                   .replace("I", "j").split(","))) for line in rows],
+                         name=path)
+    except ValueError:
+        pass  # cell by cell below, which raises the first error in file order
     cells = [[parse_complex_cell(c) for c in line.split(",")] for line in rows]
     width = len(cells[0])
     if any(len(r) != width for r in cells):

@@ -9,7 +9,6 @@ the matrix file format), so ``parse(emit(report)) == report`` holds exactly.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -94,6 +93,8 @@ class AnalysisConfig:
         if self.output not in ("text", "json", "csv"):
             raise ValueError(f"unknown output format {self.output!r}")
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        if self.c_signs is not None and len(self.c_signs) == 0:
+            object.__setattr__(self, "c_signs", None)  # no signs given: the defaults
 
 
 def resolve_tol(cfg: AnalysisConfig) -> float:
@@ -417,26 +418,53 @@ def error_entry(exc: BaseException) -> dict:
     return entry
 
 
-def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = None) -> list:
-    """Analyze many files concurrently; output order always matches input order.
+#: thread-count variables of the BLAS libraries numpy may be built on
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+
+def _batch_entry(path: str, base_cfg: AnalysisConfig | None) -> dict:
+    cfg = AnalysisConfig(
+        source_path=path,
+        p_spec=base_cfg.p_spec if base_cfg else None,
+        t_spec=base_cfg.t_spec if base_cfg else None,
+        tol=base_cfg.tol if base_cfg else None,
+        times=base_cfg.times if base_cfg else DEFAULT_TIMES,
+    )
+    try:
+        return {"path": path, "report": run_analyze(cfg).to_dict()}
+    except PTHamilError as exc:
+        return {"path": path, "error": error_entry(exc)}
+
+
+def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = None) -> list:
+    """Analyze many files; output order always matches input order.
+
+    ``min(parallelism, len(paths))`` spawned worker processes share the files,
+    each with single-threaded BLAS unless the caller's environment sets the
+    thread count; one worker runs in this process. A script that calls this
+    with ``parallelism > 1`` needs an ``if __name__ == "__main__":`` guard.
     Per-file failures become error entries instead of aborting the batch.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
+    paths = list(paths)
+    workers = min(parallelism, len(paths))
+    if workers <= 1:
+        return [_batch_entry(path, base_cfg) for path in paths]
 
-    def one(path: str) -> dict:
-        cfg = AnalysisConfig(
-            source_path=path,
-            p_spec=base_cfg.p_spec if base_cfg else None,
-            t_spec=base_cfg.t_spec if base_cfg else None,
-            tol=base_cfg.tol if base_cfg else None,
-            times=base_cfg.times if base_cfg else DEFAULT_TIMES,
-        )
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        # a spawned worker loads BLAS while importing numpy, before any
+        # initializer could run, so the cap must be in the environment it
+        # starts with; every worker starts during map's submissions
+        unset = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
+        os.environ.update(dict.fromkeys(unset, "1"))
         try:
-            return {"path": path, "report": run_analyze(cfg).to_dict()}
-        except PTHamilError as exc:
-            return {"path": path, "error": error_entry(exc)}
-
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(one, paths))
+            entries = pool.map(_batch_entry, paths, [base_cfg] * len(paths))
+        finally:
+            for name in unset:
+                os.environ.pop(name, None)
+        return list(entries)

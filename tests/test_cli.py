@@ -1,6 +1,9 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pthamil
 from pthamil.cli import _fmt_matrix, _render_csv, main
 from pthamil.matio import format_complex_cell, save_matrix
 from pthamil.pipeline import AnalysisConfig, run_analyze
 from pthamil.twolevel import TwoLevelModel, hamiltonian
+
+
+def _env_with_src() -> dict:
+    """The environment with this pthamil's source directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(pthamil.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +238,13 @@ class TestExitCodes:
         assert err == "error: tolerance must be positive\n"
 
 
+    def test_two_level_reads_tolerance_from_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("PTHAMIL_TOL", "bogus")
+        code, _, err = run_cli(capsys, "two-level", "--alpha", "5", "--beta", "3")
+        assert code == 2
+        assert err == "error: PTHAMIL_TOL is not a number: 'bogus'\n"
+
+
 class TestBatchCommand:
     def test_mixed_batch(self, capsys, tmp_path):
         good = tmp_path / "good.json"
@@ -265,6 +284,29 @@ class TestBatchCommand:
         code, out, _ = run_cli(capsys, "batch")
         assert code == 0
         assert json.loads(out) == []
+
+
+    def test_module_entry_point_spawns_workers(self, tmp_path):
+        # spawned workers import the parent's main module unless it is a
+        # package's __main__; python -m pthamil must start them and not rerun itself
+        paths = [str(tmp_path / "a.json"), str(tmp_path / "b.csv")]
+        save_matrix(paths[0], hamiltonian(TwoLevelModel(5, 3)))
+        save_matrix(paths[1], hamiltonian(TwoLevelModel(3, 5)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pthamil", "batch", *paths, "--parallelism", "2",
+             "--format", "text"],
+            env=_env_with_src(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "".join(f"{p}: ok\n" for p in paths)
+
+    def test_cli_import_leaves_process_pool_unloaded(self):
+        probe = ("import sys, pthamil.cli; print(sorted(m for m in ('multiprocessing', "
+                 "'concurrent.futures.process') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestTwoLevelCommand:

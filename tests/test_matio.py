@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pthamil.errors import ParseError
 from pthamil.matio import (
@@ -134,3 +136,95 @@ def test_matrix_dict_helpers():
     assert np.array_equal(matrix_from_dict(matrix_to_dict(m)), m)
     with pytest.raises(ParseError):
         matrix_from_dict({"im": [[0.0]]})
+
+
+# --- CSV files in the cell grammar, against the cell-by-cell reference -------------
+
+_WHITESPACE = st.sampled_from(["", " ", "  ", "\t"])
+_UNSIGNED = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(lambda m, e, letter: f"{m}{letter}{e}",
+              st.integers(0, 999), st.integers(-300, 300), st.sampled_from("eE")),
+)
+_SIGN = st.sampled_from(["", "-", "+"])
+_UNIT = st.sampled_from(["i", "I"])
+
+
+@st.composite
+def _cell(draw):
+    real = draw(_SIGN) + draw(_UNSIGNED)
+    imag = draw(st.one_of(_UNSIGNED, st.just(""))) + draw(_UNIT)  # "" is a bare i
+    shape = draw(st.sampled_from(["real", "imag", "both"]))
+    if shape == "real":
+        text = real
+    elif shape == "imag":
+        text = draw(_SIGN) + imag
+    else:
+        text = real + draw(st.sampled_from(["+", "-"])) + imag
+    # whitespace anywhere in a cell is ignored
+    for at in draw(st.lists(st.integers(0, len(text)), max_size=3)):
+        text = text[:at] + draw(_WHITESPACE) + text[at:]
+    return text
+
+
+@st.composite
+def _csv_cells(draw):
+    n = draw(st.integers(1, 5))
+    return [[draw(_cell()) for _ in range(n)] for _ in range(n)]
+
+
+def _csv_text(cells) -> str:
+    return "".join(",".join(row) + "\n" for row in cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=_csv_cells())
+def test_csv_loads_as_cell_reference(tmp_path_factory, cells):
+    path = tmp_path_factory.getbasetemp() / "hypothesis.csv"
+    path.write_text(_csv_text(cells))
+    expected = np.array([[parse_complex_cell(c) for c in row] for row in cells])
+    got = load_matrix(str(path))
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()  # bit for bit, signed zeros too
+
+
+def _reference_csv_error(path: str) -> str:
+    """The message of the cell-by-cell CSV loader: blank lines skipped, every
+    cell parsed in file order, then the row widths and the shape checked."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [line for line in fh.read().splitlines() if line.strip()]
+    try:
+        if not rows:
+            return f"{path}: empty matrix file"
+        cells = [[parse_complex_cell(c) for c in line.split(",")] for line in rows]
+    except ParseError as exc:
+        return str(exc)
+    if any(len(r) != len(cells[0]) for r in cells):
+        return f"{path}: ragged CSV rows"
+    return f"{path} must be a non-empty square matrix, got shape {np.shape(cells)}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=_csv_cells(), data=st.data())
+def test_csv_bad_cell_message_matches_cell_reference(tmp_path_factory, cells, data):
+    n = len(cells)
+    for _ in range(data.draw(st.integers(1, 2))):
+        row, col = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        text = data.draw(st.sampled_from(["", "inf", "nan", "1++2i", "-INF", "1e400"]))
+        cells[row][col] = data.draw(_WHITESPACE) + text + data.draw(_WHITESPACE)
+    if data.draw(st.booleans()):
+        cells[-1] = cells[-1] + ["1"]  # ragged (or, at n=1, not square) as well
+    path = tmp_path_factory.getbasetemp() / "hypothesis.csv"
+    path.write_text(_csv_text(cells))
+    with pytest.raises(ParseError) as got:
+        load_matrix(str(path))
+    assert str(got.value) == _reference_csv_error(str(path))
+
+
+def test_bad_cell_reported_before_ragged_rows(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("1,2\n3,x\n4\n")
+    with pytest.raises(ParseError, match="cannot parse complex cell 'x'"):
+        load_matrix(str(path))
+

@@ -1,6 +1,7 @@
 """Tests for the analysis pipeline, batch mode, and report round-trips."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -193,6 +194,14 @@ class TestSkipReasons:
                 _NO_C,
             ),
             (
+                dict(model="two-level", alpha=3.0, beta=1.0, p_spec="none", c_signs=()),
+                [],
+                _NO_FRAME,
+                f"{_NO_PARITY}; the V norm remains available",
+                f"{_NO_PARITY}; supply c_signs to build C anyway",
+                _NO_C,
+            ),
+            (
                 dict(model="two-level", alpha=1.0, beta=3.0, p_spec="none"),
                 [],
                 _NO_FRAME,
@@ -321,3 +330,66 @@ class TestBatch:
         serial = run_batch(good, parallelism=1)
         parallel = run_batch(good, parallelism=4)
         assert serial == parallel
+
+    def test_environment_unchanged(self, files, monkeypatch):
+        good, _ = files
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        before = dict(os.environ)
+        run_batch(good, parallelism=2)
+        assert dict(os.environ) == before
+
+
+def _pa_matrix(rng, n, definite):
+    """``H = P A`` with P the alternating parity and A Hermitian with
+    ``conj(A) = P A P``; a positive definite A gives a real spectrum, an
+    indefinite one conjugate pairs."""
+    s = rng.normal(size=(n, n))
+    s = (s + s.T) / 2
+    if definite:
+        s += (0.5 - np.linalg.eigvalsh(s)[0]) * np.eye(n)
+    d = 1j ** np.arange(n)
+    return (-1.0) ** np.arange(n)[:, None] * (d[:, None] * s * d.conj()[None, :])
+
+
+def _split_floats(obj):
+    """The structure of ``obj`` with every float replaced by None, and the
+    floats in order."""
+    if isinstance(obj, float):
+        return None, [obj]
+    if isinstance(obj, dict):
+        parts = {k: _split_floats(v) for k, v in obj.items()}
+        return {k: p[0] for k, p in parts.items()}, [x for p in parts.values() for x in p[1]]
+    if isinstance(obj, list):
+        parts = [_split_floats(v) for v in obj]
+        return [p[0] for p in parts], [x for p in parts for x in p[1]]
+    return obj, []
+
+
+class TestBatchWorkers:
+    """Spawned workers run single-threaded BLAS, so their floats may round
+    differently from an in-process run; nothing else may differ. Floats agree
+    to 1e-8 relative; residuals and analytically-zero entries are rounding
+    noise, so values below 1e-10 (the entries here are of order one) only
+    need to stay below it."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        rng = np.random.default_rng(11)
+        root = tmp_path_factory.mktemp("workers")
+        real, pairs = str(root / "real.json"), str(root / "pairs.csv")
+        save_matrix(real, _pa_matrix(rng, 40, definite=True))
+        save_matrix(pairs, _pa_matrix(rng, 24, definite=False))
+        return [real, pairs]
+
+    @pytest.mark.parametrize("frame", [False, True])
+    def test_parallel_matches_in_process(self, files, frame):
+        base = AnalysisConfig(source_path="-", p_spec="alternating", t_spec="k") if frame else None
+        serial = run_batch(files, parallelism=1, base_cfg=base)
+        parallel = run_batch(files, parallelism=2, base_cfg=base)
+        assert [e["report"]["spectrum"]["kind"] for e in serial] == ["all_real", "conjugate_pairs"]
+        for one, other in zip(serial, parallel):
+            shape, floats = _split_floats(one)
+            other_shape, other_floats = _split_floats(other)
+            assert shape == other_shape
+            assert np.allclose(other_floats, floats, rtol=1e-8, atol=1e-10)
+
