@@ -98,7 +98,7 @@ class EigenSystem:
                            float(np.linalg.cond(right)))
 
 
-def canonical_order(values: np.ndarray, tol: float = 0.0) -> np.ndarray:
+def canonical_order(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Permutation sorting eigenvalues by real part descending, then imaginary
     part descending.
 

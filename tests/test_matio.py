@@ -220,11 +220,3 @@ def test_csv_bad_cell_message_matches_cell_reference(tmp_path_factory, cells, da
     with pytest.raises(ParseError) as got:
         load_matrix(str(path))
     assert str(got.value) == _reference_csv_error(str(path))
-
-
-def test_bad_cell_reported_before_ragged_rows(tmp_path):
-    path = tmp_path / "ragged.csv"
-    path.write_text("1,2\n3,x\n4\n")
-    with pytest.raises(ParseError, match="cannot parse complex cell 'x'"):
-        load_matrix(str(path))
-
