@@ -194,14 +194,6 @@ class TestSkipReasons:
                 _NO_C,
             ),
             (
-                dict(model="two-level", alpha=3.0, beta=1.0, p_spec="none", c_signs=()),
-                [],
-                _NO_FRAME,
-                f"{_NO_PARITY}; the V norm remains available",
-                f"{_NO_PARITY}; supply c_signs to build C anyway",
-                _NO_C,
-            ),
-            (
                 dict(model="two-level", alpha=1.0, beta=3.0, p_spec="none"),
                 [],
                 _NO_FRAME,
@@ -237,6 +229,14 @@ class TestSkipReasons:
                 None,
                 None,
                 "real_spectrum",
+            ),
+            (
+                dict(model="two-level", alpha=3.0, beta=1.0, p_spec="none", c_signs=()),
+                [],
+                _NO_FRAME,
+                f"{_NO_PARITY}; the V norm remains available",
+                f"{_NO_PARITY}; supply c_signs to build C anyway",
+                _NO_C,
             ),
         ],
     )
