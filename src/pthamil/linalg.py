@@ -103,8 +103,10 @@ def canonical_order(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     part descending.
 
     Real parts within ``tol`` times the spectral radius of their neighbour in
-    that order count as equal, so rounding in the real parts cannot decide
-    the order of a conjugate pair: its ``Im > 0`` member always comes first.
+    that order count as equal for the imaginary-part sort, so rounding of the
+    real parts below that threshold cannot decide the order of a conjugate
+    pair: its ``Im > 0`` member comes first. Where the imaginary parts tie as
+    well, the larger real part still comes first.
     """
     values = np.asarray(values)
     by_real = np.argsort(-values.real, kind="stable")
@@ -112,7 +114,7 @@ def canonical_order(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     steps = -np.diff(values.real[by_real]) > tol * radius
     key = np.empty(values.shape[0])
     key[by_real] = np.concatenate(([0], np.cumsum(steps)))
-    return np.lexsort((-values.imag, key))
+    return np.lexsort((-values.real, -values.imag, key))
 
 
 def _canonical_phases(r: np.ndarray) -> np.ndarray:
@@ -136,7 +138,8 @@ def eigendecompose(h, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Full complex eigendecomposition with biorthogonal left vectors.
 
     Eigenvalues are sorted (real descending, imaginary descending; real parts
-    within ``tol`` times the spectral radius count as equal), right
+    within ``tol`` times the spectral radius count as equal unless the
+    imaginary parts tie too), right
     eigenvectors are unit-norm with their largest-magnitude component real and
     positive, and ``left = inv(right)``.
 

@@ -104,12 +104,27 @@ class TestEigendecompose:
         es = eigendecompose(np.diag([1.0 + 0.5j, 1.0 + 1e-6 - 0.5j]))
         assert es.values[0].imag == -0.5
 
+    @pytest.mark.parametrize("diag, tol", [
+        ([1.0, 1.0 + 1e-12], DEFAULT_TOL),
+        ([1.0, 1.0005], 1e-3),
+    ])
+    def test_equal_imaginary_parts_keep_real_order(self, diag, tol):
+        # real parts merged by the tolerance still sort larger first
+        es = eigendecompose(np.diag(diag), tol=tol)
+        assert list(es.values.real) == sorted(diag, reverse=True)
+
     def test_two_level_grid_lists_positive_imaginary_first(self):
         grid = np.linspace(0.1, 3.0, 40)
         for alpha in grid:
             for beta in grid[grid > alpha]:
                 es = eigendecompose(two_level_hamiltonian(TwoLevelModel(alpha, beta)))
                 assert es.values[0].imag > 0.0 > es.values[1].imag, (alpha, beta)
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 3.0])
+    def test_two_level_near_exceptional_point(self, alpha):
+        # beta = alpha (1 + 1e-12): eigenvector condition ~1e6, pair still Im > 0 first
+        es = eigendecompose(two_level_hamiltonian(TwoLevelModel(alpha, alpha * (1 + 1e-12))))
+        assert es.values[0].imag > 0.0 > es.values[1].imag
 
     def test_phase_convention(self):
         es = eigendecompose(random_real(rng(3), 5))

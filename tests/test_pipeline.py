@@ -338,6 +338,42 @@ class TestBatch:
         run_batch(good, parallelism=2)
         assert dict(os.environ) == before
 
+    @pytest.mark.parametrize("user_env", [{}, {"OMP_NUM_THREADS": "3"}])
+    def test_blas_caps_only_when_caller_set_none(self, files, monkeypatch, user_env):
+        # the environment the workers start in: every cap, or none if the
+        # caller set any BLAS variable (OpenBLAS reads its own before OMP's)
+        import concurrent.futures.process
+
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, workers, mp_context):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                seen.append({name: os.environ.get(name) for name in names})
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in user_env.items():
+            monkeypatch.setenv(name, value)
+        before = dict(os.environ)
+        good, _ = files
+        entries = run_batch(good, parallelism=2)
+        expected = user_env or dict.fromkeys(names, "1")
+        assert seen == [{name: expected.get(name) for name in names}]
+        assert all("report" in e for e in entries)
+        assert dict(os.environ) == before
+
 
 def _pa_matrix(rng, n, definite):
     """``H = P A`` with P the alternating parity and A Hermitian with
