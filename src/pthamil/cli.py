@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = subs.add_parser("analyze", help="full analysis of one Hamiltonian")
     _add_common(analyze)
-    analyze.add_argument("--times", type=float, nargs="*",
+    analyze.add_argument("--times", type=float, nargs="+",
                          help=f"evolution time samples (default {list(DEFAULT_TIMES)})")
 
     batch = subs.add_parser("batch", help="analyze many matrix files")
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evolve = subs.add_parser("evolve", help="time-independence check of the V inner product")
     _add_common(evolve)
-    evolve.add_argument("--times", type=float, nargs="*", required=True)
+    evolve.add_argument("--times", type=float, nargs="+", required=True)
     return parser
 
 
@@ -221,16 +221,18 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    json_out = args.output == "json"
     entries = run_batch(args.paths, parallelism=args.parallelism,
                         base_cfg=AnalysisConfig(source_path="-", tol=args.tol)
-                        if args.tol else None)
-    if args.output == "json":
+                        if args.tol is not None else None,
+                        reports=json_out)
+    if json_out:
         print(dumps(entries))
     else:
         for entry in entries:
-            status = "ok" if "report" in entry else f"error: {entry['error']['message']}"
+            status = f"error: {entry['error']['message']}" if "error" in entry else "ok"
             print(f"{entry['path']}: {status}")
-    return EXIT_OK if all("report" in e for e in entries) else 1
+    return 1 if any("error" in e for e in entries) else EXIT_OK
 
 
 def _cmd_two_level(args) -> int:

@@ -425,7 +425,7 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 _BLAS_ENV_LOCK = threading.Lock()
 
 
-def _batch_entry(path: str, base_cfg: AnalysisConfig | None) -> dict:
+def _batch_entry(path: str, base_cfg: AnalysisConfig | None, reports: bool = True) -> dict:
     cfg = AnalysisConfig(
         source_path=path,
         p_spec=base_cfg.p_spec if base_cfg else None,
@@ -434,13 +434,22 @@ def _batch_entry(path: str, base_cfg: AnalysisConfig | None) -> dict:
         times=base_cfg.times if base_cfg else DEFAULT_TIMES,
     )
     try:
-        return {"path": path, "report": run_analyze(cfg).to_dict()}
+        report = run_analyze(cfg)
+        return {"path": path, "report": report.to_dict()} if reports else {"path": path}
     except PTHamilError as exc:
         return {"path": path, "error": error_entry(exc)}
 
 
-def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = None) -> list:
+def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = None,
+              reports: bool = True) -> list:
     """Analyze many files; output order always matches input order.
+
+    Each entry is ``{"path": ..., "report": ...}`` for a file whose analysis
+    succeeded and ``{"path": ..., "error": ...}`` (an ``error_entry``) for one
+    that failed. With ``reports=False`` a success is ``{"path": ...}`` alone:
+    every file is still fully analyzed, so the same files fail, but no report
+    is serialized, sent back from a worker or kept. ``batch --format text``
+    asks for statuses only; ``batch --format json`` prints the full reports.
 
     ``min(parallelism, len(paths))`` spawned worker processes share the files,
     each with single-threaded BLAS unless the caller's environment sets any
@@ -458,7 +467,7 @@ def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = Non
     if workers <= 1:
         # a spawned worker costs about 0.3 s of start-up and imports: one
         # n=153 file takes 0.32 s here and 0.61 s through a one-worker pool
-        return [_batch_entry(path, base_cfg) for path in paths]
+        return [_batch_entry(path, base_cfg, reports) for path in paths]
 
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
@@ -475,7 +484,8 @@ def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = Non
             caps = () if user_set else _BLAS_THREAD_VARS
             os.environ.update(dict.fromkeys(caps, "1"))
             try:
-                entries = pool.map(_batch_entry, paths, [base_cfg] * len(paths))
+                entries = pool.map(_batch_entry, paths, [base_cfg] * len(paths),
+                                   [reports] * len(paths))
             finally:
                 for name in caps:
                     os.environ.pop(name, None)

@@ -244,6 +244,14 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: PTHAMIL_TOL is not a number: 'bogus'\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_empty_times_is_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "two-level", "--alpha", "3", "--beta", "1", "--times"])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert "--times: expected at least one argument" in err
+
 
 class TestBatchCommand:
     def test_mixed_batch(self, capsys, tmp_path):
@@ -284,6 +292,34 @@ class TestBatchCommand:
         code, out, _ = run_cli(capsys, "batch")
         assert code == 0
         assert json.loads(out) == []
+
+    def test_text_statuses_same_at_any_parallelism(self, capsys, tmp_path):
+        good = tmp_path / "good.json"
+        save_matrix(str(good), hamiltonian(TwoLevelModel(5, 3)))
+        jordan = tmp_path / "jordan.json"
+        save_matrix(str(jordan), hamiltonian(TwoLevelModel(2, 2)))
+        unpaired = tmp_path / "unpaired.json"
+        save_matrix(str(unpaired), np.diag([1.0, 2.0 + 1.0j]))
+        paths = [str(good), str(jordan), str(good), str(unpaired)]
+        serial = run_cli(capsys, "batch", *paths, "--format", "text")
+        parallel = run_cli(capsys, "batch", *paths, "--parallelism", "2", "--format", "text")
+        assert serial == parallel
+        code, out, _ = serial
+        assert code == 1
+        assert [line.endswith(": ok") for line in out.splitlines()] == [True, False, True, False]
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_zero_tolerance_rejected(self, capsys, tmp_path, output):
+        good = tmp_path / "good.json"
+        save_matrix(str(good), hamiltonian(TwoLevelModel(5, 3)))
+        code, out, err = run_cli(capsys, "batch", str(good), "--tol", "0",
+                                 "--format", output)
+        assert code == 2
+        if output == "json":
+            assert json.loads(out) == {"error": {"type": "ValueError", "exit_code": 2,
+                                                 "message": "tolerance must be positive"}}
+        else:
+            assert (out, err) == ("", "error: tolerance must be positive\n")
 
 
     def test_module_entry_point_spawns_workers(self, tmp_path):

@@ -331,6 +331,16 @@ class TestBatch:
         parallel = run_batch(good, parallelism=4)
         assert serial == parallel
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_statuses_only_match_full_entries(self, files, parallelism):
+        good, bad = files
+        paths = [good[0], bad, good[1], good[2]]
+        full = run_batch(paths, parallelism=parallelism)
+        statuses = run_batch(paths, parallelism=parallelism, reports=False)
+        assert statuses == [{k: v for k, v in e.items() if k != "report"} for e in full]
+        assert "error" in statuses[1]
+        assert not any("report" in e for e in statuses)
+
     def test_environment_unchanged(self, files, monkeypatch):
         good, _ = files
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
