@@ -17,7 +17,6 @@ from .antilinear import (
     fix_pt_phases,
     make_frame,
     make_two_level_frame,
-    pt_conjugate_inner,
     pt_eigenphase,
     pt_gram,
 )
@@ -29,7 +28,6 @@ from .cpt import (
     c_pt_diagnostic,
     check_p_intertwines,
     p_normalize,
-    pair_completeness_check,
 )
 from .errors import (
     CoefficientOverflow,
@@ -42,7 +40,6 @@ from .errors import (
     NotRealSpectrum,
     ParseError,
     PTHamilError,
-    Singular,
     UnpairedComplexEigenvalue,
 )
 from .fockdemo import (
@@ -59,19 +56,15 @@ from .intertwiner import (
     TimeIndependence,
     build_metric,
     build_similarity,
-    evolution_operator,
-    metric_transform,
     v_gram,
     verify_time_independence,
 )
 from .linalg import (
     DEFAULT_TOL,
     EigenSystem,
-    adjoint,
     as_matrix,
     eigendecompose,
     identity,
-    inverse,
 )
 from .pipeline import AnalysisConfig, AnalysisReport, emit_report, parse_report, run_analyze, run_batch
 from .spectra import (
@@ -79,8 +72,7 @@ from .spectra import (
     SpectrumKind,
     antilinear_symmetry_check,
     classify,
-    detect_exceptional,
 )
-from .twolevel import TwoLevelModel, closed_forms, compare_with_pipeline, hamiltonian, pt_symmetry_conditions
+from .twolevel import TwoLevelModel, closed_forms, compare_with_pipeline, hamiltonian
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -58,16 +58,6 @@ class AntilinearOp:
         u2 = np.conj(other.u) if self.conjugates else other.u
         return AntilinearOp(self.u @ u2, self.conjugates ^ other.conjugates)
 
-    def inverse(self) -> "AntilinearOp":
-        ui = np.linalg.inv(self.u)
-        return AntilinearOp(np.conj(ui) if self.conjugates else ui, self.conjugates)
-
-    def square_is_identity(self, tol: float = DEFAULT_TOL) -> bool:
-        sq = self.compose(self)
-        return (not sq.conjugates) and mat_norm(sq.u - np.eye(self.dim)) <= tol * max(
-            1.0, mat_norm(sq.u)
-        )
-
 
 def linear_op(matrix) -> AntilinearOp:
     """Wrap a plain matrix as a non-conjugating operator, for composition."""
@@ -326,14 +316,6 @@ def fix_pt_phases(
         if abs(check - targets[j]) > 1e-6:
             raise NotPTEigenstate(f"phase fix failed to land state {j} on a real branch")
     return PTPhases(targets, fixes, system, tuple(tuple(g) for g in groups))
-
-
-def pt_conjugate_inner(frame: PTFrame, phases: PTPhases, n: int, m: int,
-                       es: EigenSystem | None = None) -> complex:
-    """PT-conjugate inner product ``eta_n^-1 <R_n| P |R_m>`` on phase-fixed states."""
-    system = es if es is not None else phases.system
-    value = np.vdot(system.right[:, n], frame.p @ system.right[:, m])
-    return complex(value / phases.eta[n])
 
 
 def pt_gram(frame: PTFrame, phases: PTPhases, es: EigenSystem | None = None) -> np.ndarray:

@@ -16,9 +16,8 @@ import numpy as np
 
 from .antilinear import AntilinearOp
 from .errors import NotCommuting, PTHamilError
-from .intertwiner import build_metric
 from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm
-from .spectra import SpectrumClass, SpectrumKind, spectral_scale
+from .spectra import SpectrumClass, SpectrumKind
 
 
 @dataclass(frozen=True)
@@ -164,57 +163,3 @@ def diagnostic_is_degenerate(c, tol: float = DEFAULT_TOL) -> bool:
     eye = np.eye(cm.shape[0])
     scale = max(1.0, mat_norm(cm))
     return (mat_norm(cm - eye) <= tol * scale) or (mat_norm(cm + eye) <= tol * scale)
-
-
-def pair_completeness_check(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL) -> bool:
-    """Verify the left/right completeness relations of a conjugate-pair spectrum.
-
-    Checks, in order: the pairing map matches conjugate eigenvalues and
-    partitions the index set; the metric built on that map intertwines H with
-    its adjoint; and the metric-conjugate bras ``<L^s_n| = <R^s_n| V`` pair
-    each state with its partner (``<L^-_n|R^+_m> = <L^+_n|R^-_m> = delta_nm``,
-    same-member overlaps vanishing) while resolving, together with any real
-    eigenstates, both the identity and the Hamiltonian. A broken pairing map
-    fails the energy and intertwining checks.
-    """
-    if cls.kind is not SpectrumKind.CONJUGATE_PAIRS:
-        raise ValueError("pair completeness requires a conjugate-pair classification")
-    scale = max(1.0, spectral_scale(es.values))
-    dim = es.dim
-    check_tol = max(1e-9, tol) * dim
-
-    touched = list(cls.real_indices) + [i for pair in cls.pairs for i in pair]
-    if sorted(touched) != list(range(dim)):
-        return False
-    for n_plus, n_minus in cls.pairs:
-        if abs(es.values[n_plus] - np.conj(es.values[n_minus])) > check_tol * scale:
-            return False
-
-    v = build_metric(es, cls, tol).v
-    h = es.reconstruct()
-    if mat_norm(v @ h - h.conj().T @ v) > check_tol * max(1.0, mat_norm(v) * mat_norm(h)):
-        return False
-
-    identity_sum = np.zeros((dim, dim), dtype=complex)
-    h_sum = np.zeros((dim, dim), dtype=complex)
-    ok = True
-    for n_plus, n_minus in cls.pairs:
-        r_plus, r_minus = es.right[:, n_plus], es.right[:, n_minus]
-        l_plus = np.conj(r_plus) @ v   # <L^+| = <R^+|V
-        l_minus = np.conj(r_minus) @ v
-        for k_plus, k_minus in cls.pairs:
-            delta = 1.0 if (k_plus, k_minus) == (n_plus, n_minus) else 0.0
-            ok &= abs(l_minus @ es.right[:, k_plus] - delta) <= check_tol
-            ok &= abs(l_plus @ es.right[:, k_minus] - delta) <= check_tol
-            ok &= abs(l_minus @ es.right[:, k_minus]) <= check_tol
-            ok &= abs(l_plus @ es.right[:, k_plus]) <= check_tol
-        identity_sum += np.outer(r_plus, l_minus) + np.outer(r_minus, l_plus)
-        h_sum += np.outer(r_plus, l_minus) * es.values[n_plus]
-        h_sum += np.outer(r_minus, l_plus) * es.values[n_minus]
-    for n in cls.real_indices:
-        proj = np.outer(es.right[:, n], es.left[n])
-        identity_sum += proj
-        h_sum += proj * es.values[n]
-    ok &= mat_norm(identity_sum - np.eye(dim)) <= check_tol
-    ok &= mat_norm(h_sum - h) <= check_tol * scale
-    return bool(ok)

@@ -25,10 +25,6 @@ class NonDiagonalizable(PTHamilError):
         )
 
 
-class Singular(PTHamilError):
-    """Inversion requested for a numerically singular matrix."""
-
-
 class UnpairedComplexEigenvalue(PTHamilError):
     """A complex eigenvalue has no conjugate partner, so no antilinear symmetry exists."""
 

@@ -15,29 +15,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .antilinear import PTFrame, PTPhases, pt_gram
-from .errors import NotRealSpectrum, PTHamilError
-from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, eigendecompose, inverse, mat_norm
+from .errors import NotRealSpectrum
+from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, eigendecompose, mat_norm
 from .spectra import SpectrumClass, SpectrumKind, spectral_scale
 
 
 @dataclass(frozen=True)
 class Intertwiner:
-    """Metric data: ``v`` intertwines (``v @ H == H^dagger @ v``); ``s`` is a
-    similarity to Hermitian form (real spectrum only)."""
+    """Metric data: ``v`` intertwines (``v @ H == H^dagger @ v``)."""
 
-    s: np.ndarray | None
     v: np.ndarray
     positive: bool
     hermitian: bool
     residual: float
 
     def __post_init__(self):
-        for name in ("s", "v"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=complex)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        v = np.asarray(self.v, dtype=complex)
+        v.setflags(write=False)
+        object.__setattr__(self, "v", v)
 
 
 @dataclass(frozen=True)
@@ -77,12 +72,10 @@ def build_metric(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL) 
     """
     h = es.reconstruct()
     if cls.kind is SpectrumKind.ALL_REAL:
-        s = np.array(es.left)
-        v = s.conj().T @ s
+        v = es.left.conj().T @ es.left
         v = 0.5 * (v + v.conj().T)
         positive = bool(np.all(np.linalg.eigvalsh(v) > 0.0))
     else:
-        s = None
         v = np.zeros((es.dim, es.dim), dtype=complex)
         for n in cls.real_indices:
             v += np.outer(np.conj(es.left[n]), es.left[n])
@@ -94,7 +87,7 @@ def build_metric(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL) 
     hermitian = mat_norm(v - v.conj().T) <= tol * max(1.0, mat_norm(v))
     denom = mat_norm(v) * mat_norm(h)
     residual = mat_norm(v @ h - h.conj().T @ v) / denom if denom > 0.0 else 0.0
-    return Intertwiner(s, v, positive, hermitian, float(residual))
+    return Intertwiner(v, positive, hermitian, float(residual))
 
 
 def v_gram(
@@ -145,12 +138,6 @@ def v_gram(
         res = mat_norm(ptnorm - vnorm)
         flags["pt_gram_equals_v_gram"] = Flag(res <= tol * es.dim, float(res), tol * es.dim)
     return NormReport(dirac, vnorm, pnorm, ptnorm, flags)
-
-
-def evolution_operator(es: EigenSystem, t: float) -> np.ndarray:
-    """``exp(-iHt)`` assembled from the eigendecomposition (exact on
-    diagonalizable H, never a series)."""
-    return es.right @ np.diag(np.exp(-1j * es.values * t)) @ es.left
 
 
 @dataclass(frozen=True)
@@ -225,25 +212,3 @@ def verify_time_independence(
         tuple(violations),
         bool(np.all(passed)) and not violations,
     )
-
-
-def metric_transform(v, s, h=None, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Transport a metric to the transformed system: ``V' = S^-dagger V S^-1``.
-
-    This is not a similarity transformation; it is the map under which ``V'``
-    keeps intertwining ``H' = S H S^-1`` with its adjoint, which is verified
-    when ``h`` is supplied.
-    """
-    v = as_matrix(v, "V")
-    s_inv = inverse(s, tol)
-    v_prime = s_inv.conj().T @ v @ s_inv
-    if h is not None:
-        h = as_matrix(h, "H")
-        h_prime = as_matrix(s, "S") @ h @ s_inv
-        denom = mat_norm(v_prime) * mat_norm(h_prime)
-        residual = mat_norm(v_prime @ h_prime - h_prime.conj().T @ v_prime)
-        if denom > 0.0 and residual > tol * denom * 1e2:
-            raise PTHamilError(
-                f"transformed metric fails to intertwine (residual {residual:.3e})"
-            )
-    return v_prime

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonDiagonalizable, Singular
+from .errors import ConvergenceFailure, NonDiagonalizable
 
 #: Default relative tolerance for every comparison in the toolkit.
 DEFAULT_TOL = 1e-10
@@ -40,24 +40,6 @@ def identity(dim: int) -> np.ndarray:
 def mat_norm(a) -> float:
     """Frobenius norm, the scale used for all residuals."""
     return float(np.linalg.norm(a))
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def inverse(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse, rejecting inputs whose smallest singular value is below
-    ``tol`` times the largest."""
-    a = as_matrix(a)
-    singular_values = np.linalg.svd(a, compute_uv=False)
-    if singular_values[-1] <= tol * singular_values[0]:
-        raise Singular(
-            f"smallest singular value {singular_values[-1]:.3e} below "
-            f"tol * largest = {tol * singular_values[0]:.3e}"
-        )
-    return np.linalg.inv(a)
 
 
 @dataclass(frozen=True)

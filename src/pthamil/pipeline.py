@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .antilinear import AntilinearOp, fix_pt_phases, make_frame, pt_gram
+from .antilinear import AntilinearOp, fix_pt_phases, make_frame
 from .cpt import (
     build_c,
     build_pv,
@@ -91,9 +91,13 @@ class AnalysisConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.tol is not None and not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
+        if self.tol is not None and not np.isfinite(self.tol):
+            raise ValueError("tolerance must be finite")
         if self.output not in ("text", "json", "csv"):
             raise ValueError(f"unknown output format {self.output!r}")
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("times must be finite")
         if self.c_signs is not None and len(self.c_signs) == 0:
             object.__setattr__(self, "c_signs", None)  # no signs given: the defaults
 
@@ -110,6 +114,8 @@ def resolve_tol(cfg: AnalysisConfig) -> float:
             raise ParseError(f"{TOL_ENV_VAR} is not a number: {env!r}") from exc
         if not value > 0.0:
             raise ParseError(f"{TOL_ENV_VAR} must be positive, got {env!r}")
+        if not np.isfinite(value):
+            raise ParseError(f"{TOL_ENV_VAR} must be finite, got {env!r}")
         return value
     return DEFAULT_TOL
 

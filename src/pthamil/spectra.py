@@ -13,8 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonDiagonalizable, UnpairedComplexEigenvalue
-from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, eigendecompose, mat_norm
+from .errors import UnpairedComplexEigenvalue
+from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm
 
 
 class SpectrumKind(str, Enum):
@@ -86,16 +86,6 @@ def classify(es: EigenSystem, tol: float = DEFAULT_TOL) -> SpectrumClass:
         pairs.append((i, remaining.pop(k)))
     real_indices = tuple(i for i in range(es.dim) if real_mask[i])
     return SpectrumClass(SpectrumKind.CONJUGATE_PAIRS, tuple(pairs), real_indices)
-
-
-def detect_exceptional(h, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the eigenvector-matrix condition number exceeds ``1/tol``
-    (near-defective matrix), the test :func:`eigendecompose` applies."""
-    try:
-        eigendecompose(h, tol)
-    except NonDiagonalizable:
-        return True
-    return False
 
 
 def antilinear_symmetry_check(h, a, tol: float = DEFAULT_TOL) -> bool:

@@ -14,21 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import make_two_level_frame, sigma_dot
-from .cpt import build_pv, p_normalize
 from .errors import NotRealPhase
-from .intertwiner import build_metric, v_gram
-from .linalg import (
-    DEFAULT_TOL,
-    EigenSystem,
-    SIGMA0,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
-    eigendecompose,
-    mat_norm,
-)
-from .spectra import classify
+from .linalg import DEFAULT_TOL, SIGMA0, SIGMA3, mat_norm
+from .matio import matrix_from_dict
 
 #: Relative width of the exceptional strip around alpha == beta.
 EXCEPTIONAL_REL_TOL = 1e-8
@@ -80,6 +68,10 @@ def closed_forms(m: TwoLevelModel) -> ClosedForms:
         )
     alpha, beta = m.alpha, m.beta
     gap = math.sqrt(alpha * alpha - beta * beta)
+    if not 0.0 < gap < math.inf:
+        raise NotRealPhase(
+            f"alpha^2 - beta^2 leaves the float range at alpha={alpha}, beta={beta}"
+        )
     theta = 0.5 * math.atanh(beta / alpha)
     s = math.cosh(theta) * SIGMA0 - math.sinh(theta) * SIGMA3
     cosh2, sinh2 = alpha / gap, beta / gap
@@ -100,45 +92,6 @@ def closed_forms(m: TwoLevelModel) -> ClosedForms:
     )
 
 
-def similarity_conjugation(m: TwoLevelModel, theta: float) -> np.ndarray:
-    """``S(theta) H S(theta)^-1`` in closed form, for any theta:
-    ``(alpha cosh 2t - beta sinh 2t) sigma_1 + (beta cosh 2t - alpha sinh 2t) i sigma_2``."""
-    c2, s2 = math.cosh(2.0 * theta), math.sinh(2.0 * theta)
-    return (m.alpha * c2 - m.beta * s2) * SIGMA1 + (m.beta * c2 - m.alpha * s2) * 1j * SIGMA2
-
-
-def bloch_hamiltonian(h0: complex, h_real, h_imag) -> np.ndarray:
-    """``h0 sigma_0 + sigma . (h_real + i h_imag)`` for real 3-vectors."""
-    h_real = np.asarray(h_real, dtype=float)
-    h_imag = np.asarray(h_imag, dtype=float)
-    return complex(h0) * SIGMA0 + sigma_dot(h_real + 1j * h_imag)
-
-
-def pt_symmetry_conditions(h0, h_real, h_imag, pvec, tvec, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``h0 sigma_0 + sigma . (h_R + i h_I)`` is PT symmetric in the
-    frame built on ``(pvec, tvec)``.
-
-    The constraints are: ``Im h0 = 0``; the in-plane part of ``h_I`` along both
-    frame axes vanishes; and ``h_R`` lies entirely in the plane spanned by the
-    frame axes.
-    """
-    make_two_level_frame(pvec, tvec, tol)  # validates the frame, may raise
-    pvec = np.asarray(pvec, dtype=float)
-    tvec = np.asarray(tvec, dtype=float)
-    h_real = np.asarray(h_real, dtype=float)
-    h_imag = np.asarray(h_imag, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(h_real)), float(np.linalg.norm(h_imag)))
-    if abs(complex(h0).imag) > tol * max(1.0, abs(complex(h0))):
-        return False
-    in_plane_imag = np.dot(h_imag, pvec) * pvec + np.dot(h_imag, tvec) * tvec
-    if np.linalg.norm(in_plane_imag) > tol * scale:
-        return False
-    out_of_plane_real = np.dot(h_real, pvec) * pvec + np.dot(h_real, tvec) * tvec - h_real
-    if np.linalg.norm(out_of_plane_real) > tol * scale:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class PipelineComparison:
     """Residuals of the generic pipeline against the closed forms, after
@@ -149,58 +102,40 @@ class PipelineComparison:
 
 
 def compare_with_pipeline(m: TwoLevelModel, tol: float = DEFAULT_TOL) -> PipelineComparison:
-    """Run the generic pipeline on the model and measure field-by-field
-    residuals against the closed forms.
+    """Run :func:`~pthamil.pipeline.run_analyze` on the model, in its default
+    ``P = sigma_1``, ``T = K i sigma_1`` frame, and measure the report
+    field by field against the closed forms.
 
-    Alignment glue: pipeline eigenvectors are matched to the closed-form ones
-    by maximal overlap and rescaled onto them (after parity calibration the
-    rescale is a pure phase); the metric and all Gram matrices are then
-    rebuilt from the aligned basis before comparison.
+    The report's states are parity-calibrated but keep the phase convention
+    of ``eigendecompose``, so a state may differ from its closed form by a
+    phase: each state is compared through its projection onto the closed
+    form, and the Dirac overlap is read in that rephased basis. Every other
+    field is compared as reported.
     """
+    from .pipeline import AnalysisConfig, run_analyze  # pipeline imports this module
+
     cf = closed_forms(m)
-    h = hamiltonian(m)
-    frame = make_two_level_frame((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-    es = eigendecompose(h, tol)
-    cls = classify(es, tol)
-    es, _ = p_normalize(es, frame.p, tol)
+    report = run_analyze(AnalysisConfig(model="two-level", alpha=m.alpha, beta=m.beta, tol=tol))
+    values = np.array([complex(re, im) for re, im in report.eigen["values"]])
+    right = matrix_from_dict(report.eigen["right"])
+    s = matrix_from_dict(report.s)
+    pv = matrix_from_dict(report.pv["matrix"])
+    gram = {k: matrix_from_dict(report.gram[k]) for k in ("dirac", "v", "p")}
 
-    targets = (cf.u_plus, cf.u_minus)
-    right = np.array(es.right)
-    used = set()
-    order = []
-    for target in targets:
-        overlaps = [
-            abs(np.vdot(right[:, k], target)) / np.linalg.norm(right[:, k])
-            if k not in used else -1.0
-            for k in range(2)
-        ]
-        k = int(np.argmax(overlaps))
-        used.add(k)
-        order.append(k)
-    aligned = np.empty_like(right)
-    for col, (target, k) in enumerate(zip(targets, order)):
-        scale = np.vdot(right[:, k], target) / np.vdot(right[:, k], right[:, k])
-        aligned[:, col] = scale * right[:, k]
-    values = es.values[np.asarray(order)]
-    es = EigenSystem(values, aligned, np.linalg.inv(aligned),
-                     float(np.linalg.cond(aligned)))
-
-    itw = build_metric(es, cls, tol)
-    report = v_gram(es, itw, cls, p=frame.p, tol=tol)
-    pv = build_pv(frame.p, itw.v, es, tol)
-
-    energies = np.array([cf.energies[0], cf.energies[1]])
+    targets = np.column_stack([cf.u_plus, cf.u_minus])
+    rephase = np.sum(right.conj() * targets, axis=0) / np.sum(right.conj() * right, axis=0)
+    aligned = right * rephase
+    conj = s @ hamiltonian(m) @ right
     residuals = {
-        "energies": float(np.max(np.abs(es.values - energies))),
-        "u_plus": float(np.linalg.norm(es.right[:, 0] - cf.u_plus)),
-        "u_minus": float(np.linalg.norm(es.right[:, 1] - cf.u_minus)),
-        "metric": mat_norm(itw.v - cf.v),
-        "dirac_overlap": abs(report.dirac[1, 0] - cf.dirac_overlap),
-        "v_gram_identity": mat_norm(report.vnorm - np.eye(2)),
-        "p_gram_signature": mat_norm(report.pnorm - np.diag([1.0, -1.0])),
-        "pv_squares_to_identity": mat_norm(pv.matrix @ pv.matrix - np.eye(2)),
-        "similarity_hermitian": mat_norm(
-            (es.left @ h @ es.right) - (es.left @ h @ es.right).conj().T
-        ),
+        "energies": float(np.max(np.abs(values - np.array(cf.energies)))),
+        "u_plus": float(np.linalg.norm(aligned[:, 0] - cf.u_plus)),
+        "u_minus": float(np.linalg.norm(aligned[:, 1] - cf.u_minus)),
+        "metric": mat_norm(matrix_from_dict(report.v) - cf.v),
+        "dirac_overlap": float(abs(np.conj(rephase[1]) * gram["dirac"][1, 0] * rephase[0]
+                                   - cf.dirac_overlap)),
+        "v_gram_identity": mat_norm(gram["v"] - np.eye(2)),
+        "p_gram_signature": mat_norm(gram["p"] - np.diag([1.0, -1.0])),
+        "pv_squares_to_identity": mat_norm(pv @ pv - np.eye(2)),
+        "similarity_hermitian": mat_norm(conj - conj.conj().T),
     }
     return PipelineComparison(residuals, max(residuals.values()))

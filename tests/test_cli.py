@@ -244,6 +244,36 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: PTHAMIL_TOL is not a number: 'bogus'\n"
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("times", [["nan"], ["inf", "1"]])
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_non_finite_times_rejected(self, capsys, command, times, output):
+        code, out, err = run_cli(capsys, command, "--model", "two-level", "--alpha", "5",
+                                 "--beta", "3", "--times", *times, "--format", output)
+        assert code == 2
+        if output == "json":
+            assert (json.loads(out), err) == ({"error": {"type": "ValueError", "exit_code": 2,
+                                                         "message": "times must be finite"}}, "")
+        else:
+            assert (out, err) == ("", "error: times must be finite\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--model", "two-level", "--alpha", "5", "--beta", "3", "--tol", "inf"],
+        ["two-level", "--alpha", "5", "--beta", "3", "--tol", "inf"],
+        ["batch", "unused.json", "--tol", "inf", "--format", "text"],
+    ])
+    def test_infinite_tolerance_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert (out, err) == ("", "error: tolerance must be finite\n")
+
+    @pytest.mark.parametrize("command", [["analyze", "--model", "two-level"], ["two-level"]])
+    def test_infinite_tolerance_from_environment_rejected(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("PTHAMIL_TOL", "inf")
+        code, out, err = run_cli(capsys, *command, "--alpha", "5", "--beta", "3")
+        assert code == 2
+        assert (out, err) == ("", "error: PTHAMIL_TOL must be finite, got 'inf'\n")
+
     @pytest.mark.parametrize("command", ["analyze", "evolve"])
     def test_empty_times_is_usage_error(self, capsys, command):
         with pytest.raises(SystemExit) as exc:

@@ -11,11 +11,10 @@ from pthamil.cpt import (
     check_p_intertwines,
     diagnostic_is_degenerate,
     p_normalize,
-    pair_completeness_check,
     parity_overlaps,
 )
 from pthamil.errors import NotCommuting
-from pthamil.intertwiner import build_metric
+from pthamil.intertwiner import build_metric, v_gram
 from pthamil.linalg import SIGMA1, eigendecompose, identity
 from pthamil.spectra import SpectrumClass, SpectrumKind, classify
 from pthamil.twolevel import TwoLevelModel, hamiltonian
@@ -189,16 +188,20 @@ class TestDiagnostic:
 
 
 class TestPairCompleteness:
-    def test_two_level_complex(self):
-        h = hamiltonian(TwoLevelModel(3, 5))
-        es = eigendecompose(h)
-        cls = classify(es)
-        assert pair_completeness_check(es, cls)
+    """The completeness relations of a conjugate-pair spectrum, through the
+    metric built on the pairing map: ``<L^-_n|R^+_m> = <L^+_n|R^-_m> = delta``
+    with ``<L^s_n| = <R^s_n| V`` is the pair-swap V Gram, and a wrong map
+    shows in the intertwining residual."""
 
-    def test_all_real_rejected(self):
-        _, es, cls, _ = _real_system()
-        with pytest.raises(ValueError):
-            pair_completeness_check(es, cls)
+    @staticmethod
+    def _assert_complete(es, cls):
+        itw = build_metric(es, cls)
+        assert itw.residual <= 1e-12
+        assert v_gram(es, itw, cls).flags["v_gram_pair_swap"].passed
+
+    def test_two_level_complex(self):
+        es = eigendecompose(hamiltonian(TwoLevelModel(3, 5)))
+        self._assert_complete(es, classify(es))
 
     def test_broken_pairing_detected(self):
         # two distinct pairs, partners deliberately exchanged
@@ -207,14 +210,18 @@ class TestPairCompleteness:
         h[2:, 2:] = hamiltonian(TwoLevelModel(2, 7))
         es = eigendecompose(h)
         cls = classify(es)
-        assert pair_completeness_check(es, cls)
+        self._assert_complete(es, cls)
         (a_plus, a_minus), (b_plus, b_minus) = cls.pairs
         broken = SpectrumClass(
             SpectrumKind.CONJUGATE_PAIRS,
             ((a_plus, b_minus), (b_plus, a_minus)),
             cls.real_indices,
         )
-        assert not pair_completeness_check(es, broken)
+        itw = build_metric(es, broken)
+        # the pair-swap Gram holds for any map by construction; the residual
+        # is what catches the wrong one
+        assert v_gram(es, itw, broken).flags["v_gram_pair_swap"].passed
+        assert itw.residual > 1e-3
 
     def test_mixed_spectrum(self):
         h = np.zeros((3, 3), dtype=complex)
@@ -223,7 +230,7 @@ class TestPairCompleteness:
         es = eigendecompose(h)
         cls = classify(es)
         assert cls.real_indices != ()
-        assert pair_completeness_check(es, cls)
+        self._assert_complete(es, cls)
 
 
 class TestCommutantInvariant:

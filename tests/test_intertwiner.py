@@ -5,12 +5,10 @@ import pytest
 import scipy.linalg
 
 from pthamil.cpt import p_normalize
-from pthamil.errors import NotRealSpectrum, Singular
+from pthamil.errors import NotRealSpectrum
 from pthamil.intertwiner import (
     build_metric,
     build_similarity,
-    evolution_operator,
-    metric_transform,
     v_gram,
     verify_time_independence,
 )
@@ -78,7 +76,6 @@ class TestBuildMetric:
         h, es, cls = _system(3, 5)
         itw = build_metric(es, cls)
         assert itw.hermitian and not itw.positive
-        assert itw.s is None
         assert itw.residual <= 1e-12
         h_dag = h.conj().T
         assert np.allclose(itw.v @ h @ np.linalg.inv(itw.v), h_dag, atol=1e-10)
@@ -169,11 +166,14 @@ class TestTimeIndependence:
         assert tic.ok and tic.max_drift == 0.0
 
     def test_evolution_operator_matches_expm(self):
+        # verify_time_independence evolves eigenvectors by their phases alone
         h = random_real(rng(31), 5, unit_radius=True)
         es = eigendecompose(h)
         for t in (0.4, 1.3):
             assert np.allclose(
-                evolution_operator(es, t), scipy.linalg.expm(-1j * h * t), atol=1e-9
+                es.right * np.exp(-1j * es.values * t),
+                scipy.linalg.expm(-1j * h * t) @ es.right,
+                atol=1e-9,
             )
 
     def test_converse_theorem(self):
@@ -191,39 +191,6 @@ class TestTimeIndependence:
         direct = itw.v @ h - h.conj().T @ itw.v
         assert np.allclose(rebuilt, direct, atol=1e-10)
         assert np.linalg.norm(direct) <= 1e-10
-
-
-class TestMetricTransform:
-    def test_own_similarity_gives_identity(self):
-        h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls)
-        s = build_similarity(es, cls)
-        assert np.allclose(metric_transform(itw.v, s, h=h), identity(2), atol=1e-12)
-
-    def test_identity_similarity(self):
-        h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls)
-        assert np.allclose(metric_transform(itw.v, identity(2), h=h), itw.v, atol=1e-14)
-
-    def test_closed_form_similarity(self):
-        # oracle: direct substitution of the closed-form S and V matrices
-        m = TwoLevelModel(5, 3)
-        cf = closed_forms(m)
-        transformed = metric_transform(cf.v, cf.s, h=hamiltonian(m))
-        assert np.allclose(transformed, identity(2), atol=1e-12)
-
-    def test_singular_similarity_rejected(self):
-        with pytest.raises(Singular):
-            metric_transform(identity(2), np.zeros((2, 2)))
-
-    def test_wrong_hamiltonian_rejected(self):
-        # transported metric must keep intertwining the transported matrix
-        h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls)
-        from pthamil.errors import PTHamilError
-
-        with pytest.raises(PTHamilError):
-            metric_transform(itw.v, identity(2), h=np.array([[1.0, 1.0], [0.0, 2.0]]))
 
 
 class TestMetricProperties:

@@ -4,64 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from pthamil.errors import NonDiagonalizable, Singular
+from pthamil.errors import NonDiagonalizable
 from pthamil.linalg import (
     DEFAULT_TOL,
-    SIGMA3,
-    adjoint,
     as_matrix,
     eigendecompose,
     identity,
-    inverse,
 )
 from pthamil.twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
 from testutil import random_real, rng
-
-
-class TestAdjoint:
-    def test_real_matrix_is_transpose(self):
-        a, b = 1.7, 0.4
-        m = np.array([[0.0, a + b], [a - b, 0.0]])
-        assert np.array_equal(adjoint(m), m.T)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            adjoint(np.array([[0.0, 1.0j]]))
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        arrays(np.float64, (4, 4), elements=st.floats(-10, 10)),
-        arrays(np.float64, (4, 4), elements=st.floats(-10, 10)),
-    )
-    def test_involution(self, re, im):
-        m = re + 1j * im
-        assert np.array_equal(adjoint(adjoint(m)), m)
-
-
-class TestInverse:
-    def test_diagonal(self):
-        assert np.allclose(inverse(np.diag([0.5, 2.0])), np.diag([2.0, 0.5]), atol=1e-14)
-
-    def test_two_level_similarity_closed_form(self):
-        # S = cosh(t) I - sinh(t) sigma_3 inverts to cosh(t) I + sinh(t) sigma_3
-        t = 0.731
-        s = math.cosh(t) * identity(2) - math.sinh(t) * SIGMA3
-        expected = math.cosh(t) * identity(2) + math.sinh(t) * SIGMA3
-        assert np.allclose(inverse(s), expected, atol=1e-13)
-
-    def test_zero_matrix_singular(self):
-        with pytest.raises(Singular):
-            inverse(np.zeros((3, 3)))
-
-    def test_near_singular_by_tolerance(self):
-        m = np.diag([1.0, 1e-13])
-        with pytest.raises(Singular):
-            inverse(m, tol=1e-10)
-        assert np.allclose(inverse(m, tol=1e-15) @ m, identity(2), atol=1e-9)
 
 
 class TestEigendecompose:

@@ -34,12 +34,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             AnalysisConfig(model="two-level", alpha=1, beta=0, tol=-1e-9)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"tol": float("inf")}, "tolerance must be finite"),
+        ({"tol": float("nan")}, "tolerance must be positive"),
+        ({"times": (0.0, float("nan"))}, "times must be finite"),
+        ({"times": (float("-inf"),)}, "times must be finite"),
+    ], ids=["tol-inf", "tol-nan", "times-nan", "times-minus-inf"])
+    def test_non_finite_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AnalysisConfig(model="two-level", alpha=5, beta=3, **kwargs)
+
     def test_env_override(self, monkeypatch):
         cfg = AnalysisConfig(model="two-level", alpha=1, beta=0)
         monkeypatch.setenv("PTHAMIL_TOL", "1e-8")
         assert resolve_tol(cfg) == 1e-8
         monkeypatch.setenv("PTHAMIL_TOL", "bogus")
         with pytest.raises(ParseError):
+            resolve_tol(cfg)
+        monkeypatch.setenv("PTHAMIL_TOL", "inf")
+        with pytest.raises(ParseError, match="must be finite"):
             resolve_tol(cfg)
         monkeypatch.delenv("PTHAMIL_TOL")
         assert resolve_tol(cfg) == 1e-10
