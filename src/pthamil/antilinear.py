@@ -1,12 +1,12 @@
 """Antilinear operators, parity/time-reversal frames, and intrinsic PT phases.
 
-An antilinear operator is stored as ``(u, conjugates)`` and acts as
-``v -> u @ conj(v)`` when ``conjugates`` is set. Time reversal and the combined
-PT operation are always of this form; parity is an ordinary Hermitian
-involution. On a real spectrum every eigenstate carries an intrinsic PT phase
-``eta`` which can be rotated onto the real axis by rephasing the state; keeping
-that phase in the PT conjugate of a state is what turns the parity overlap
-into a positive inner product.
+An antilinear operator is stored as the matrix ``u`` of its action
+``v -> u @ conj(v)``, so products of operators are matrix products: ``A B``
+acts as ``u_A conj(u_B)``. Time reversal and PT are of this form; parity is an
+ordinary Hermitian involution. On a real spectrum every eigenstate carries an
+intrinsic PT phase ``eta`` which can be rotated onto the real axis by
+rephasing the state; keeping that phase in the PT conjugate of a state is what
+turns the parity overlap into a positive inner product.
 """
 
 from __future__ import annotations
@@ -16,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidFrame, NotPTEigenstate, NotRealSpectrum
-from .linalg import (
-    DEFAULT_TOL,
-    EigenSystem,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
-    as_matrix,
-    mat_norm,
-)
+from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, EigenSystem, as_matrix, mat_norm
 from .spectra import SpectrumClass, SpectrumKind, spectral_scale
 
 _SIGMA = (SIGMA1, SIGMA2, SIGMA3)
@@ -32,11 +24,9 @@ _SIGMA = (SIGMA1, SIGMA2, SIGMA3)
 
 @dataclass(frozen=True)
 class AntilinearOp:
-    """Operator ``v -> u @ conj(v)`` (or plain ``u @ v`` when ``conjugates`` is
-    False, for uniform composition)."""
+    """Antilinear operator ``v -> u @ conj(v)``."""
 
     u: np.ndarray
-    conjugates: bool = True
 
     def __post_init__(self):
         u = as_matrix(self.u, "u")
@@ -48,20 +38,9 @@ class AntilinearOp:
         return int(self.u.shape[0])
 
     def apply(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        return self.u @ (np.conj(v) if self.conjugates else v)
+        return self.u @ np.conj(np.asarray(v, dtype=complex))
 
     __call__ = apply
-
-    def compose(self, other: "AntilinearOp") -> "AntilinearOp":
-        """self o other: apply ``other`` first."""
-        u2 = np.conj(other.u) if self.conjugates else other.u
-        return AntilinearOp(self.u @ u2, self.conjugates ^ other.conjugates)
-
-
-def linear_op(matrix) -> AntilinearOp:
-    """Wrap a plain matrix as a non-conjugating operator, for composition."""
-    return AntilinearOp(matrix, conjugates=False)
 
 
 @dataclass(frozen=True)
@@ -82,34 +61,32 @@ def make_frame(p, t, tol: float = DEFAULT_TOL) -> PTFrame:
     """Build and validate a PT frame from a parity matrix and a time-reversal
     operator (an :class:`AntilinearOp`, or the matrix ``u`` of ``v -> u conj(v)``).
 
-    Enforces ``P^2 = I``, ``P = P^dagger``, ``T^2 = I`` and ``(PT)^2 = I`` as
-    antilinear squares, and ``[P, T] = 0``.
+    Enforces ``P^2 = I``, ``P = P^dagger``, ``T^2 = I``, ``[P, T] = 0`` and
+    ``(PT)^2 = I``; with ``T = u_T K`` these are the matrix identities
+    ``u_T conj(u_T) = I``, ``P u_T = u_T conj(P)`` and ``u_PT conj(u_PT) = I``
+    for ``u_PT = P u_T``.
     """
     p = as_matrix(p, "P")
     if not isinstance(t, AntilinearOp):
         t = AntilinearOp(t)
-    if not t.conjugates:
-        raise InvalidFrame("time reversal must be antilinear")
     n = p.shape[0]
     if t.dim != n:
         raise InvalidFrame(f"P is {n}x{n} but T acts on dimension {t.dim}")
     eye = np.eye(n)
+    u_pt = p @ t.u
     checks = {
         "P^2 = I": mat_norm(p @ p - eye),
         "P = P^dagger": mat_norm(p - p.conj().T),
-        "T^2 = I": mat_norm(t.compose(t).u - eye),
+        "T^2 = I": mat_norm(t.u @ np.conj(t.u) - eye),
+        "[P, T] = 0": mat_norm(u_pt - t.u @ np.conj(p)),
+        "(PT)^2 = I": mat_norm(u_pt @ np.conj(u_pt) - eye),
     }
-    p_op = linear_op(p)
-    pt = p_op.compose(t)
-    tp = t.compose(p_op)
-    checks["[P, T] = 0"] = mat_norm(pt.u - tp.u)
-    checks["(PT)^2 = I"] = mat_norm(pt.compose(pt).u - eye)
     scale = max(1.0, mat_norm(p), mat_norm(t.u))
     bad = {k: v for k, v in checks.items() if v > tol * scale}
     if bad:
         detail = ", ".join(f"{k} (residual {v:.3e})" for k, v in bad.items())
         raise InvalidFrame(f"frame constraints violated: {detail}")
-    return PTFrame(p, t, pt)
+    return PTFrame(p, t, AntilinearOp(u_pt))
 
 
 def make_two_level_frame(pvec, tvec, tol: float = DEFAULT_TOL) -> PTFrame:
@@ -202,49 +179,59 @@ def _degenerate_groups(values, tol):
 def _pt_plus_basis(a, tol):
     """Basis of the +1 eigenspace of the antilinear involution c -> a conj(c).
 
-    Candidates ``e + a conj(e)`` and ``i e + a conj(i e)`` are all fixed points;
-    a greedy real-linear selection extracts k independent ones.
+    On ``(Re c, Im c)`` the involution is the real matrix
+    ``M = [[Re a, Im a], [Im a, -Re a]]``, whose fixed points are the range of
+    the projector ``(I + M) / 2``: its top k left singular vectors. Fixed
+    points independent over the reals are independent over the complex
+    numbers, since ``sum z_j c_j = 0`` and its image under the involution give
+    ``sum Re(z_j) c_j = sum Im(z_j) c_j = 0``.
     """
     k = a.shape[0]
     if mat_norm(a @ np.conj(a) - np.eye(k)) > max(1e-8, tol) * max(1.0, mat_norm(a) ** 2):
         raise NotPTEigenstate("PT does not square to one on the degenerate subspace")
-    candidates = []
-    for j in range(k):
-        e = np.zeros(k, dtype=complex)
-        e[j] = 1.0
-        candidates.append(e + a @ np.conj(e))
-        candidates.append(1j * e + a @ np.conj(1j * e))
-    candidates.sort(key=lambda v: -np.linalg.norm(v))
-    picked = []
-    for w in candidates:
-        if len(picked) == k:
-            break
-        nw = np.linalg.norm(w)
-        if nw < 1e-12:
-            continue
-        w = w / nw
-        if picked:
-            # real-linear independence: project out span_R(picked)
-            basis = np.concatenate([np.column_stack(picked).real,
-                                    np.column_stack(picked).imag])
-            target = np.concatenate([w.real, w.imag])
-            coeff, *_ = np.linalg.lstsq(basis, target, rcond=None)
-            residual = target - basis @ coeff
-            if np.linalg.norm(residual) < 1e-6:
-                continue
-        picked.append(w)
-    if len(picked) != k:
+    m = np.block([[a.real, a.imag], [a.imag, -a.real]])
+    vectors, singular, _ = np.linalg.svd(0.5 * (np.eye(2 * k) + m))
+    # a projector's nonzero singular values are at least one
+    if singular[k - 1] < 0.5:
         raise NotPTEigenstate("could not build a PT eigenbasis on the degenerate subspace")
-    return np.column_stack(picked)
+    return vectors[:k, :k] + 1j * vectors[k:, :k]
 
 
-def fix_pt_phases(
-    pt: AntilinearOp,
-    es: EigenSystem,
-    cls: SpectrumClass,
-    p=None,
-    tol: float = DEFAULT_TOL,
-) -> PTPhases:
+def parity_overlaps(es: EigenSystem, p) -> np.ndarray:
+    """Diagonal parity matrix elements ``<R_n|P|R_n>``."""
+    p = as_matrix(p, "P")
+    return np.einsum("in,ij,jn->n", np.conj(es.right), p, es.right)
+
+
+def _recombine_degenerate(pt, es, groups, p, tol) -> np.ndarray:
+    """Right vectors with each degenerate group replaced by a PT-fixed basis.
+
+    The parity form ``W^dagger P W`` is real on PT-fixed vectors, so a real
+    rotation, which keeps them PT-fixed, diagonalizes it; the columns are then
+    scaled to ``|<w|P|w>| = 1``. Without ``p``, or when the form has an
+    eigenvalue at or below the parity-calibration floor, they are unit-norm.
+    """
+    right = np.array(es.right)
+    for group in groups:
+        idx = np.asarray(group)
+        # antilinear action on the group span, in the group's own basis
+        images = pt.apply(right[:, idx])
+        a = es.left[idx, :] @ images
+        leak = images - right[:, idx] @ a
+        if mat_norm(leak) > max(1e-8, tol) * max(1.0, mat_norm(images)):
+            raise NotPTEigenstate("PT does not preserve a degenerate eigenspace")
+        cols = right[:, idx] @ _pt_plus_basis(a, tol)
+        if p is not None:
+            form, rotation = np.linalg.eigh((cols.conj().T @ p @ cols).real)
+            if np.min(np.abs(form)) > tol * max(1.0, mat_norm(p)):
+                right[:, idx] = (cols @ rotation) / np.sqrt(np.abs(form))
+                continue
+        right[:, idx] = cols / np.linalg.norm(cols, axis=0)  # real rescale keeps eta
+    return right
+
+
+def fix_pt_phases(pt: AntilinearOp, es: EigenSystem, cls: SpectrumClass, p=None,
+                  tol: float = DEFAULT_TOL) -> PTPhases:
     """Rephase a real-spectrum eigenbasis so every PT eigenvalue is +1 or -1.
 
     The raw phase of state ``n`` is read off with the left-vector (metric)
@@ -254,72 +241,48 @@ def fix_pt_phases(
     choice that makes the phase-corrected PT norm positive; without ``p`` an
     already-real phase is kept (a ``-1`` is never flipped) and anything else is
     rotated to +1. Degenerate eigenvalue groups are first recombined so PT acts
-    diagonally on them; such groups are recorded.
+    diagonally on them, P-orthonormally when ``p`` is supplied; such groups are
+    recorded.
     """
     if cls.kind is not SpectrumKind.ALL_REAL:
         raise NotRealSpectrum("PT phases exist per-state only for an all-real spectrum")
-    right = np.array(es.right)
-    values = es.values
-    n = es.dim
-
-    groups = _degenerate_groups(values, tol)
+    p = as_matrix(p, "P") if p is not None else None
+    groups = _degenerate_groups(es.values, tol)
     if groups:
-        left = np.linalg.inv(right)
-        for group in groups:
-            idx = np.asarray(group)
-            # antilinear action on the group span, in the group's own basis
-            images = pt.apply(right[:, idx])
-            a = left[idx, :] @ images
-            leak = images - right[:, idx] @ a
-            if mat_norm(leak) > max(1e-8, tol) * max(1.0, mat_norm(images)):
-                raise NotPTEigenstate("PT does not preserve a degenerate eigenspace")
-            w = _pt_plus_basis(a, tol)
-            new_cols = right[:, idx] @ w
-            new_cols /= np.linalg.norm(new_cols, axis=0)  # real rescale keeps eta
-            right[:, idx] = new_cols
-    left = np.linalg.inv(right)
+        es = es.with_right(_recombine_degenerate(pt, es, groups, p, tol))
+    right, left = es.right, es.left
 
-    eta_raw = np.empty(n, dtype=complex)
-    for j in range(n):
-        image = pt.apply(right[:, j])
-        coeff = left[j, :] @ image
-        residual = np.linalg.norm(image - coeff * right[:, j])
-        if abs(coeff) < 0.5 or residual > max(1e-8, tol) * max(1.0, np.linalg.norm(image)):
-            raise NotPTEigenstate(
-                f"state {j} is not a PT eigenstate (residual {residual:.3e})"
-            )
-        eta_raw[j] = coeff / abs(coeff)
+    images = pt.apply(right)
+    coeff = np.einsum("ij,ji->i", left, images)
+    residual = np.linalg.norm(images - coeff * right, axis=0)
+    bound = max(1e-8, tol) * np.maximum(1.0, np.linalg.norm(images, axis=0))
+    bad = (np.abs(coeff) < 0.5) | (residual > bound)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise NotPTEigenstate(f"state {j} is not a PT eigenstate (residual {residual[j]:.3e})")
+    eta_raw = coeff / np.abs(coeff)
 
-    targets = np.empty(n, dtype=complex)
-    p_matrix = as_matrix(p, "P") if p is not None else None
-    p_floor = tol * max(1.0, mat_norm(p_matrix)) if p_matrix is not None else 0.0
-    for j in range(n):
-        target = None
-        if p_matrix is not None:
-            overlap = complex(np.vdot(right[:, j], p_matrix @ right[:, j]))
-            if abs(overlap) > p_floor and abs(overlap.imag) <= 1e-6 * abs(overlap):
-                target = 1.0 if overlap.real > 0.0 else -1.0
-        if target is None:
-            if abs(eta_raw[j].imag) <= tol:
-                target = 1.0 if eta_raw[j].real >= 0.0 else -1.0
-            else:
-                target = 1.0
-        targets[j] = target
+    # without a usable parity overlap: keep a real phase, rotate the rest to +1
+    targets = np.where((np.abs(eta_raw.imag) <= tol) & (eta_raw.real < 0.0), -1.0, 1.0)
+    if p is not None:
+        overlaps = parity_overlaps(es, p)
+        usable = ((np.abs(overlaps) > tol * max(1.0, mat_norm(p)))
+                  & (np.abs(overlaps.imag) <= 1e-6 * np.abs(overlaps)))
+        targets = np.where(usable, np.where(overlaps.real > 0.0, 1.0, -1.0), targets)
 
     fixes = np.exp(0.5j * (np.angle(eta_raw) - np.angle(targets)))
     right = right * fixes[np.newaxis, :]
     left = left / fixes[:, np.newaxis]
-    system = EigenSystem(values.copy(), right, left, float(np.linalg.cond(right)))
+    system = EigenSystem(es.values.copy(), right, left, float(np.linalg.cond(right)))
 
-    for j in range(n):  # re-read each phase as the final consistency check
+    for j in range(es.dim):  # re-read each phase as the final consistency check
         check = pt_eigenphase(pt, system.right[:, j], tol=max(1e-8, tol))
         if abs(check - targets[j]) > 1e-6:
             raise NotPTEigenstate(f"phase fix failed to land state {j} on a real branch")
     return PTPhases(targets, fixes, system, tuple(tuple(g) for g in groups))
 
 
-def pt_gram(frame: PTFrame, phases: PTPhases, es: EigenSystem | None = None) -> np.ndarray:
+def pt_gram(frame: PTFrame, phases: PTPhases) -> np.ndarray:
     """Full matrix of PT-conjugate inner products."""
-    system = es if es is not None else phases.system
-    raw = system.right.conj().T @ frame.p @ system.right
+    raw = phases.system.right.conj().T @ frame.p @ phases.system.right
     return np.diag(1.0 / phases.eta) @ raw

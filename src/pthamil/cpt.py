@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .antilinear import AntilinearOp
+from .antilinear import AntilinearOp, parity_overlaps
 from .errors import NotCommuting, PTHamilError
 from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm
 from .spectra import SpectrumClass, SpectrumKind
@@ -50,12 +50,6 @@ def check_p_intertwines(h, p, tol: float = DEFAULT_TOL) -> bool:
     if mat_norm(p @ p - eye) > tol * max(1.0, mat_norm(p) ** 2):
         raise ValueError("P must square to the identity")
     return mat_norm(p @ h @ p - h.conj().T) <= tol * max(1.0, mat_norm(h))
-
-
-def parity_overlaps(es: EigenSystem, p) -> np.ndarray:
-    """Diagonal parity matrix elements ``<R_n|P|R_n>``."""
-    p = as_matrix(p, "P")
-    return np.einsum("in,ij,jn->n", np.conj(es.right), p, es.right)
 
 
 def p_normalize(es: EigenSystem, p, tol: float = DEFAULT_TOL):

@@ -45,6 +45,8 @@ def expand_position_state(x: float, c0: float = 1.0, nmax: int = 100) -> FockExp
     """Forward recurrence for the expansion coefficients up to ``n = nmax``."""
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
+    if not (math.isfinite(x) and math.isfinite(c0)):
+        raise ValueError(f"x and c0 must be finite, got x={x}, c0={c0}")
     c = np.zeros(nmax + 1, dtype=float)
     c[0] = c0
     c[1] = x * c0

@@ -92,11 +92,9 @@ def antilinear_symmetry_check(h, a, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``A H A^-1 == H`` for the antilinear operator ``A = U K``.
 
     ``a`` may be an :class:`~pthamil.antilinear.AntilinearOp` or a bare matrix,
-    which is then taken as the linear part of a conjugating operator.
+    which is then taken as its matrix ``U``.
     """
     h = as_matrix(h, "H")
     u = as_matrix(getattr(a, "u", a), "U")
-    conjugates = bool(getattr(a, "conjugates", True))
-    target = np.conj(h) if conjugates else h
-    transformed = u @ target @ np.linalg.inv(u)
+    transformed = u @ np.conj(h) @ np.linalg.inv(u)
     return mat_norm(transformed - h) <= tol * max(1.0, mat_norm(h))

@@ -110,7 +110,9 @@ def compare_with_pipeline(m: TwoLevelModel, tol: float = DEFAULT_TOL) -> Pipelin
     of ``eigendecompose``, so a state may differ from its closed form by a
     phase: each state is compared through its projection onto the closed
     form, and the Dirac overlap is read in that rephased basis. Every other
-    field is compared as reported.
+    field is compared as reported. Every residual is relative: ``energies`` to
+    the gap and ``similarity_hermitian`` to ``||S H S^-1||``; the others
+    compare dimensionless quantities.
     """
     from .pipeline import AnalysisConfig, run_analyze  # pipeline imports this module
 
@@ -127,7 +129,7 @@ def compare_with_pipeline(m: TwoLevelModel, tol: float = DEFAULT_TOL) -> Pipelin
     aligned = right * rephase
     conj = s @ hamiltonian(m) @ right
     residuals = {
-        "energies": float(np.max(np.abs(values - np.array(cf.energies)))),
+        "energies": float(np.max(np.abs(values - np.array(cf.energies)))) / cf.energies[0],
         "u_plus": float(np.linalg.norm(aligned[:, 0] - cf.u_plus)),
         "u_minus": float(np.linalg.norm(aligned[:, 1] - cf.u_minus)),
         "metric": mat_norm(matrix_from_dict(report.v) - cf.v),
@@ -136,6 +138,6 @@ def compare_with_pipeline(m: TwoLevelModel, tol: float = DEFAULT_TOL) -> Pipelin
         "v_gram_identity": mat_norm(gram["v"] - np.eye(2)),
         "p_gram_signature": mat_norm(gram["p"] - np.diag([1.0, -1.0])),
         "pv_squares_to_identity": mat_norm(pv @ pv - np.eye(2)),
-        "similarity_hermitian": mat_norm(conj - conj.conj().T),
+        "similarity_hermitian": mat_norm(conj - conj.conj().T) / mat_norm(conj),
     }
     return PipelineComparison(residuals, max(residuals.values()))

@@ -33,12 +33,11 @@ class TestAntilinearOp:
         assert np.allclose(op(v), SIGMA1 @ np.array([-1.0j, 2.0]))
 
     def test_compose_rule(self):
-        a = AntilinearOp(np.array([[0, 1.0], [1.0, 0]]), conjugates=True)
-        b = AntilinearOp(np.array([[1.0j, 0], [0, 2.0]]), conjugates=True)
-        ab = a.compose(b)
-        assert not ab.conjugates
+        # the product of two antilinear operators is the linear u_a conj(u_b)
+        a = AntilinearOp(np.array([[0, 1.0], [1.0, 0]]))
+        b = AntilinearOp(np.array([[1.0j, 0], [0, 2.0]]))
         v = np.array([1.0 + 1.0j, -2.0j])
-        assert np.allclose(ab(v), a(b(v)))
+        assert np.allclose(a(b(v)), a.u @ np.conj(b.u) @ v)
 
 
 class TestTwoLevelFrame:
@@ -69,13 +68,37 @@ class TestTwoLevelFrame:
         assert np.allclose(frame.p @ frame.p, eye, atol=1e-12)
         assert np.allclose(frame.p, frame.p.conj().T, atol=1e-12)
         for op in (frame.t, frame.pt):
-            square = op.compose(op)
-            assert not square.conjugates
-            assert np.allclose(square.u, eye, atol=1e-10)
+            assert np.allclose(op.u @ np.conj(op.u), eye, atol=1e-10)
+        assert np.allclose(frame.pt.u, frame.p @ frame.t.u, atol=1e-12)
 
     def test_make_frame_rejects_broken_pair(self):
         with pytest.raises(InvalidFrame):
             make_frame(np.diag([1.0, 2.0]), AntilinearOp(identity(2)))
+
+    @pytest.mark.parametrize("p, u_t, broken", [
+        # a Kramers-type T = K sigma_2 squares to minus one
+        (identity(2), SIGMA2, "T^2 = I"),
+        # T = K sigma_1 swaps the eigenspaces of P = sigma_3
+        (SIGMA3, SIGMA1, "[P, T] = 0"),
+        # P = sigma_2 is imaginary, so plain conjugation flips its sign
+        (SIGMA2, identity(2), "(PT)^2 = I"),
+    ])
+    def test_make_frame_names_each_broken_identity(self, p, u_t, broken):
+        # oracle: each identity's residual from the operators' action on a basis
+        t = AntilinearOp(u_t)
+        actions = {
+            "T^2 = I": lambda v: t(t(v)) - v,
+            "[P, T] = 0": lambda v: p @ t(v) - t(p @ v),
+            "(PT)^2 = I": lambda v: p @ t(p @ t(v)) - v,
+        }
+        residuals = {name: np.linalg.norm(np.column_stack([f(e) for e in identity(2)]))
+                     for name, f in actions.items()}
+        with pytest.raises(InvalidFrame) as info:
+            make_frame(p, t)
+        message = str(info.value)
+        assert f"{broken} (residual {residuals[broken]:.3e})" in message
+        for name, residual in residuals.items():
+            assert (f"{name} (residual" in message) == (residual > 1e-10)
 
 
 class TestPTEigenphase:
@@ -127,6 +150,12 @@ class TestFixPTPhases:
         frame, _, cls, phases = _fixed_two_level()
         again = fix_pt_phases(frame.pt, phases.system, cls, p=frame.p)
         assert np.allclose(again.eta, phases.eta, atol=1e-12)
+        assert np.allclose(again.phase_fix, [1.0, 1.0], atol=1e-10)
+
+    def test_already_real_phase_kept_without_parity(self):
+        frame, _, cls, phases = _fixed_two_level()
+        again = fix_pt_phases(frame.pt, phases.system, cls)
+        assert np.allclose(again.eta, [1.0, -1.0], atol=1e-12)
         assert np.allclose(again.phase_fix, [1.0, 1.0], atol=1e-10)
 
     def test_without_parity_lands_on_plus_one(self):

@@ -77,6 +77,22 @@ class TestAnalyze:
         assert payload["diagnostic"] == "real_spectrum"
         assert [e[0] for e in payload["pt"]["eta"]] == [1.0, -1.0]
 
+    def test_degenerate_spectrum_passes_every_flag(self, capsys, tmp_path):
+        # two copies of a 2 x 2 P·A block: both eigenvalues doubly degenerate
+        path = tmp_path / "deg4.csv"
+        path.write_text("2,0.5i,0,0\n0.5i,-1,0,0\n0,0,2,0.5i\n0,0,0.5i,-1\n")
+        code, out, _ = run_cli(capsys, "analyze", "--file", str(path), "--p", "alternating",
+                               "--t", "k", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["pt"]["degenerate_groups"] == [[0, 1], [2, 3]]
+        assert sorted(e[0] for e in payload["pt"]["eta"]) == [-1.0, -1.0, 1.0, 1.0]
+        assert all(flag["passed"] for flag in payload["flags"].values()), payload["flags"]
+        code, out, _ = run_cli(capsys, "analyze", "--file", str(path), "--p", "alternating",
+                               "--t", "k")
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_frame_disabled(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "--model", "two-level", "--alpha", "5", "--beta", "3",
@@ -281,6 +297,20 @@ class TestExitCodes:
         assert exc.value.code == 2
         _, err = capsys.readouterr()
         assert "--times: expected at least one argument" in err
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    @pytest.mark.parametrize("nmax", ["10", "60"])
+    def test_fock_demo_non_finite_x(self, capsys, tmp_path, x, nmax):
+        out_path = tmp_path / "coeffs.csv"
+        code, out, err = run_cli(capsys, "fock-demo", "--x", x, "--nmax", nmax,
+                                 "--csv", str(out_path))
+        assert code == 2
+        assert "must be finite" in err
+        assert not out_path.exists()
+        code, out, _ = run_cli(capsys, "fock-demo", "--x", x, "--nmax", nmax,
+                               "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ValueError"
 
 
 class TestBatchCommand:

@@ -103,6 +103,12 @@ class TestExpansion:
         with pytest.raises(ValueError):
             expand_position_state(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("x, c0", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                       (0.5, float("nan")), (0.5, float("-inf"))])
+    def test_non_finite_input_rejected(self, x, c0):
+        with pytest.raises(ValueError, match="must be finite"):
+            expand_position_state(x, c0, 10)
+
 
 class TestDivergence:
     def test_tail_exponent_at_zero(self):

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pthamil.errors import NonDiagonalizable, ParseError, UnpairedComplexEigenvalue
 from pthamil.matio import save_matrix
@@ -183,6 +185,51 @@ class TestFockModel:
         assert report.diagnostic == "real_spectrum"
         assert np.allclose(_matrix_from(report.c["matrix"]), np.eye(6), atol=1e-9)
         assert any("diagnostic degenerate" in note for note in report.notes)
+
+
+def _pa_block(a, d, c):
+    """``P A`` for ``P = diag(1, -1)`` and the positive definite
+    ``A = [[a, ic], [-ic, d]]``: a real spectrum under the alternating parity."""
+    return np.array([[a, 1j * c], [1j * c, -d]])
+
+
+@st.composite
+def degenerate_direct_sums(draw):
+    """Direct sums of 2 x 2 P·A blocks, each block repeated, so every eigenvalue
+    is at least doubly degenerate; then conjugated by a real orthogonal Q that
+    commutes with the alternating parity, which keeps H PT-symmetric and
+    P-pseudo-Hermitian but mixes the copies inside each eigenspace."""
+    params = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(0, 4)).filter(
+        lambda t: t[0] * t[1] > t[2] ** 2)
+    blocks = draw(st.lists(params, min_size=1, max_size=3))
+    copies = draw(st.integers(2, 3))
+    n = 2 * copies * len(blocks)
+    h = np.zeros((n, n), dtype=complex)
+    for k, block in enumerate(blocks * copies):
+        h[2 * k:2 * k + 2, 2 * k:2 * k + 2] = _pa_block(*block)
+    generator = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.zeros((n, n))
+    for start in (0, 1):  # one rotation on each parity eigenspace
+        rotation, _ = np.linalg.qr(generator.standard_normal((n // 2, n // 2)))
+        q[start::2, start::2] = rotation
+    return q @ h @ q.T
+
+
+class TestDegenerateSpectrum:
+    """Inside a degenerate eigenspace metric orthogonality is a choice: the
+    group is recombined into a P-orthonormal PT eigenbasis, so the PT norm
+    equals the V norm there too."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(degenerate_direct_sums())
+    def test_every_flag_passes(self, tmp_path_factory, h):
+        path = tmp_path_factory.getbasetemp() / "direct_sum.json"
+        save_matrix(str(path), h)
+        report = run_analyze(AnalysisConfig(source_path=str(path), p_spec="alternating",
+                                            t_spec="k"))
+        assert report.pt["degenerate_groups"]
+        assert "pt_gram_equals_v_gram" in report.flags
+        assert all(flag["passed"] for flag in report.flags.values()), report.flags
 
 
 _NO_PARITY = "no parity supplied"

@@ -1,10 +1,12 @@
 """Tests for the closed-form two-level oracle and the pipeline comparison."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pthamil.twolevel
 from pthamil.errors import NotRealPhase
 from pthamil.linalg import SIGMA1, eigendecompose, identity
 from pthamil.twolevel import (
@@ -96,6 +98,18 @@ class TestPipelineComparison:
             comparison = compare_with_pipeline(TwoLevelModel(alpha, beta))
             worst = max(worst, comparison.max_residual)
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e150, 1.0, 1e-150])
+    def test_residuals_are_relative(self, scale, monkeypatch):
+        m = TwoLevelModel(scale, 0.5 * scale)
+        comparison = compare_with_pipeline(m)
+        assert len(comparison.residuals) == 9
+        assert comparison.max_residual <= 1e-12
+        # a relative error in the closed-form energies reads the same at every scale
+        cf = closed_forms(m)
+        shifted = replace(cf, energies=tuple(e * (1.0 + 1e-6) for e in cf.energies))
+        monkeypatch.setattr(pthamil.twolevel, "closed_forms", lambda _: shifted)
+        assert compare_with_pipeline(m).residuals["energies"] == pytest.approx(1e-6, rel=1e-3)
 
     def test_sees_pipeline_defects(self, monkeypatch):
         # the comparison reads run_analyze's report: a pipeline that skips the
