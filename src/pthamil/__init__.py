@@ -55,7 +55,6 @@ from .intertwiner import (
     NormReport,
     TimeIndependence,
     build_metric,
-    build_similarity,
     v_gram,
     verify_time_independence,
 )

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .errors import PTHamilError
 from .fockdemo import divergence_witness, expand_position_state, oscillator_contrast
 from .jsontext import dumps
@@ -39,11 +41,12 @@ def _fmt_res(x: float) -> str:
 
 
 def _fmt_matrix(d: dict, indent: str = "  ") -> str:
-    """Rows of ``format_complex_cell`` cells, each right-aligned to 22
-    characters; a row's numbers are formatted by one ``%`` operation each for
-    the real and the imaginary parts (``"%.12g"`` is ``f"{x:.12g}"``)."""
+    """Rows of ``format_complex_cell`` cells of ``d["re"]`` and ``d["im"]``
+    (arrays, or nested lists), each right-aligned to 22 characters; a row's
+    numbers are formatted by one ``%`` operation each for the real and the
+    imaginary parts (``"%.12g"`` is ``f"{x:.12g}"``)."""
     lines = []
-    for xs, ys in zip(d["re"], d["im"]):
+    for xs, ys in zip(np.asarray(d["re"]).tolist(), np.asarray(d["im"]).tolist()):
         n = len(xs)
         res = ("%.12g\n" * n % tuple(xs)).split("\n")
         ims = ("%.12g\n" * n % tuple(map(abs, ys))).split("\n")
@@ -62,9 +65,8 @@ def _print_section(title: str) -> None:
 
 
 def _render_text(report: AnalysisReport) -> None:
-    d = report.to_dict()
     _print_section("spectrum")
-    spectrum = d["spectrum"]
+    spectrum = report.spectrum
     print(f"  kind: {spectrum['kind']}")
     if spectrum["pairs"]:
         print(f"  conjugate pairs (indices): {spectrum['pairs']}")
@@ -73,61 +75,62 @@ def _render_text(report: AnalysisReport) -> None:
     print(f"  eigenvector condition number: {_fmt_res(spectrum['condition'])}"
           f"  (exceptional beyond {_fmt_res(spectrum['exceptional_threshold'])})")
     _print_section("eigenvalues")
-    for re, im in d["eigen"]["values"]:
+    for re, im in report.eigen["values"]:
         print(f"  {format_complex_cell(complex(re, im))}")
     _print_section("metric V")
-    print(_fmt_matrix(d["V"]))
-    print(f"  hermitian: {d['V']['hermitian']}  positive: {d['V']['positive']}"
-          f"  intertwining residual: {_fmt_res(d['V']['residual'])}")
+    v = report.v
+    print(_fmt_matrix(v))
+    print(f"  hermitian: {v['hermitian']}  positive: {v['positive']}"
+          f"  intertwining residual: {_fmt_res(v['residual'])}")
     _print_section("gram matrices")
     for name in ("dirac", "v", "p", "pt"):
-        block = d["gram"][name]
+        block = report.gram[name]
         if block is None:
             continue
         print(f"  {name}:")
         print(_fmt_matrix(block, indent="    "))
     for key in ("pt", "pv", "c"):
-        section = d[key]
+        section = getattr(report, key)
         _print_section(key)
         if "skipped" in section:
             print(f"  skipped: {section['skipped']}")
-        for k, v in section.items():
-            if k in ("matrix", "gram"):
+        for k, val in section.items():
+            if k == "matrix":
                 print(f"  {k}:")
-                print(_fmt_matrix(v, indent="    "))
+                print(_fmt_matrix(val, indent="    "))
             elif k != "skipped":
-                print(f"  {k}: {v}")
+                print(f"  {k}: {val}")
     _print_section("diagnostic")
-    diag = d["diagnostic"]
+    diag = report.diagnostic
     print(f"  {diag if isinstance(diag, str) else 'skipped: ' + diag['skipped']}")
     _print_section("time independence")
-    ti = d["time_independence"]
+    ti = report.time_independence
     print(f"  times: {[_fmt(t) for t in ti['times']]}")
     print(f"  max drift: {_fmt_res(ti['max_drift'])}")
-    if d["selection_rule_violations"]:
-        print(f"  selection-rule violations: {d['selection_rule_violations']}")
+    if report.selection_rule_violations:
+        print(f"  selection-rule violations: {report.selection_rule_violations}")
     _print_section("flags")
-    for name, flag in sorted(d["flags"].items()):
+    for name, flag in sorted(report.flags.items()):
         status = "pass" if flag["passed"] else "FAIL"
         print(f"  {name}: {status} (residual {_fmt_res(flag['residual'])}"
               f" <= {_fmt_res(flag['threshold'])})")
-    if d["notes"]:
+    if report.notes:
         _print_section("notes")
-        for note in d["notes"]:
+        for note in report.notes:
             print(f"  - {note}")
 
 
 def _render_csv(report: AnalysisReport) -> None:
-    d = report.to_dict()
     print("section,key,value")
-    print(f"spectrum,kind,{d['spectrum']['kind']}")
-    for i, (re, im) in enumerate(d["eigen"]["values"]):
+    print(f"spectrum,kind,{report.spectrum['kind']}")
+    for i, (re, im) in enumerate(report.eigen["values"]):
         print(f"eigen,value_{i},{format_complex_cell(complex(re, im))}")
-    for i, (xs, ys) in enumerate(zip(d["V"]["re"], d["V"]["im"])):
+    rows = zip(np.asarray(report.v["re"]).tolist(), np.asarray(report.v["im"]).tolist())
+    for i, (xs, ys) in enumerate(rows):
         cells = ",".join(format_complex_cell(complex(x, y)) for x, y in zip(xs, ys))
         print(f"V,row_{i},\"{cells}\"")
-    print(f"time_independence,max_drift,{_fmt_res(d['time_independence']['max_drift'])}")
-    for name, flag in sorted(d["flags"].items()):
+    print(f"time_independence,max_drift,{_fmt_res(report.time_independence['max_drift'])}")
+    for name, flag in sorted(report.flags.items()):
         print(f"flags,{name},{'pass' if flag['passed'] else 'fail'}")
 
 
@@ -230,7 +233,9 @@ def _cmd_batch(args) -> int:
         print(dumps(entries))
     else:
         for entry in entries:
-            status = f"error: {entry['error']['message']}" if "error" in entry else "ok"
+            failed = ", ".join(entry.get("failed_flags", ()))
+            status = (f"error: {entry['error']['message']}" if "error" in entry
+                      else f"ok; flags failed: {failed}" if failed else "ok")
             print(f"{entry['path']}: {status}")
     return 1 if any("error" in e for e in entries) else EXIT_OK
 

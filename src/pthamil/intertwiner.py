@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .antilinear import PTFrame, PTPhases, pt_gram
-from .errors import NotRealSpectrum
 from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, eigendecompose, mat_norm
 from .spectra import SpectrumClass, SpectrumKind, spectral_scale
 
@@ -51,14 +50,6 @@ class NormReport:
     pnorm: np.ndarray | None = None
     ptnorm: np.ndarray | None = None
     flags: dict = field(default_factory=dict)
-
-
-def build_similarity(es: EigenSystem, cls: SpectrumClass) -> np.ndarray:
-    """Similarity S with ``S H S^-1 = diag(E)``, Hermitian when the spectrum is
-    real: the left-eigenvector matrix."""
-    if cls.kind is not SpectrumKind.ALL_REAL:
-        raise NotRealSpectrum("similarity to Hermitian form requires a real spectrum")
-    return np.array(es.left)
 
 
 def build_metric(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL) -> Intertwiner:

@@ -1,9 +1,12 @@
 """Analysis orchestration: configuration, the full pipeline, batch mode, and
 the JSON report representation.
 
-A report is plain data (dicts, lists, numbers, strings; complex numbers as
-``[re, im]`` pairs and matrices in the same ``{"dim", "re", "im"}`` layout as
-the matrix file format), so ``parse(emit(report)) == report`` holds exactly.
+A report is data in the JSON layout: dicts, lists, numbers, strings, complex
+numbers as ``[re, im]`` pairs, and matrices in the same ``{"dim", "re", "im"}``
+layout as the matrix file format. Until it is emitted, a matrix's ``re`` and
+``im`` are numpy arrays, converted to nested lists only by ``to_dict``; two
+reports are equal when their emitted forms are, so
+``parse(emit(report)) == report`` holds exactly.
 """
 
 from __future__ import annotations
@@ -34,15 +37,18 @@ from .errors import (
     UnpairedComplexEigenvalue,
 )
 from .fockdemo import truncated_position_matrix
-from .intertwiner import Flag, build_metric, build_similarity, v_gram, verify_time_independence
+from .intertwiner import Flag, build_metric, v_gram, verify_time_independence
 from .jsontext import dumps
 from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, eigendecompose, identity
-from .matio import load_matrix, matrix_to_dict
+from .matio import load_matrix
 from .spectra import SpectrumKind, antilinear_symmetry_check, classify
 from .twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
 
 #: Environment variable overriding the default tolerance.
 TOL_ENV_VAR = "PTHAMIL_TOL"
+
+#: version of the report layout, in ``provenance.schema``
+REPORT_SCHEMA = 2
 
 DEFAULT_TIMES = (0.0, 0.5, 1.7, 4.3)
 
@@ -164,14 +170,26 @@ def _complex_list(values) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex)]
 
 
-@dataclass
+def _matrix(m) -> dict:
+    """A matrix in the report layout, its parts kept as arrays until emitted."""
+    return {"dim": int(m.shape[0]), "re": m.real, "im": m.imag}
+
+
+def _plain(node):
+    """``node`` with every array turned into nested lists."""
+    if isinstance(node, dict):
+        return {k: _plain(v) for k, v in node.items()}
+    return node.tolist() if isinstance(node, np.ndarray) else node
+
+
+@dataclass(eq=False)
 class AnalysisReport:
-    """Plain-data analysis report; ``to_dict`` fixes the JSON key layout."""
+    """Analysis report in the JSON layout; ``to_dict`` fixes the key names and
+    turns the matrices' arrays into lists."""
 
     provenance: dict
     spectrum: dict
     eigen: dict
-    s: dict | None
     v: dict | None
     gram: dict | None
     pt: dict
@@ -184,11 +202,10 @@ class AnalysisReport:
     notes: list
 
     def to_dict(self) -> dict:
-        return {
+        return _plain({
             "provenance": self.provenance,
             "spectrum": self.spectrum,
             "eigen": self.eigen,
-            "S": self.s,
             "V": self.v,
             "gram": self.gram,
             "pt": self.pt,
@@ -199,12 +216,14 @@ class AnalysisReport:
             "selection_rule_violations": self.selection_rule_violations,
             "flags": self.flags,
             "notes": self.notes,
-        }
+        })
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AnalysisReport) and self.to_dict() == other.to_dict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalysisReport":
         renamed = dict(d)
-        renamed["s"] = renamed.pop("S")
         renamed["v"] = renamed.pop("V")
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in renamed.items() if k in known})
@@ -292,7 +311,6 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         pt_section.update(
             eta=_complex_list(phases.eta),
             phase_fix=_complex_list(phases.phase_fix),
-            gram=matrix_to_dict(norm_report.ptnorm),
             degenerate_groups=[list(g) for g in phases.degenerate_groups],
         )
 
@@ -303,7 +321,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     elif p_intertwines:
         pv = build_pv(p, itw.v, es, check_tol)
         pv_section = {
-            "matrix": matrix_to_dict(pv.matrix),
+            "matrix": _matrix(pv.matrix),
             "alphas": _complex_list(pv.alphas),
             "squares_to_identity": bool(pv.squares_to_identity),
         }
@@ -319,7 +337,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         diagnostic = {"skipped": "no C operator was built"}
     else:
         commutant = build_c(es, cls, signs, tol)
-        c_section = {"matrix": matrix_to_dict(commutant.matrix),
+        c_section = {"matrix": _matrix(commutant.matrix),
                      "signs": [int(s) for s in signs]}
         if frame is None:
             diagnostic = {"skipped": "no frame supplied for the [C, PT] diagnostic"}
@@ -345,6 +363,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "times": list(cfg.times),
             "p": p_spec,
             "t": t_spec,
+            "schema": REPORT_SCHEMA,
         },
         spectrum={
             "kind": cls.kind.value,
@@ -355,22 +374,21 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         },
         eigen={
             "values": _complex_list(es.values),
-            "right": matrix_to_dict(es.right),
-            "left": matrix_to_dict(es.left),
+            "right": _matrix(es.right),
+            "left": _matrix(es.left),
             "condition": es.condition,
         },
-        s=matrix_to_dict(build_similarity(es, cls)) if real_case else None,
         v=dict(
-            matrix_to_dict(itw.v),
+            _matrix(itw.v),
             hermitian=bool(itw.hermitian),
             positive=bool(itw.positive),
             residual=float(itw.residual),
         ),
         gram={
-            "dirac": matrix_to_dict(norm_report.dirac),
-            "v": matrix_to_dict(norm_report.vnorm),
-            "p": matrix_to_dict(norm_report.pnorm) if norm_report.pnorm is not None else None,
-            "pt": matrix_to_dict(norm_report.ptnorm) if norm_report.ptnorm is not None else None,
+            "dirac": _matrix(norm_report.dirac),
+            "v": _matrix(norm_report.vnorm),
+            "p": _matrix(norm_report.pnorm) if norm_report.pnorm is not None else None,
+            "pt": _matrix(norm_report.ptnorm) if norm_report.ptnorm is not None else None,
         },
         pt=pt_section,
         pv=pv_section,
@@ -441,9 +459,12 @@ def _batch_entry(path: str, base_cfg: AnalysisConfig | None, reports: bool = Tru
     )
     try:
         report = run_analyze(cfg)
-        return {"path": path, "report": report.to_dict()} if reports else {"path": path}
     except PTHamilError as exc:
         return {"path": path, "error": error_entry(exc)}
+    if reports:
+        return {"path": path, "report": report.to_dict()}
+    failed = sorted(name for name, flag in report.flags.items() if not flag["passed"])
+    return {"path": path, "failed_flags": failed} if failed else {"path": path}
 
 
 def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = None,
@@ -452,10 +473,11 @@ def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = Non
 
     Each entry is ``{"path": ..., "report": ...}`` for a file whose analysis
     succeeded and ``{"path": ..., "error": ...}`` (an ``error_entry``) for one
-    that failed. With ``reports=False`` a success is ``{"path": ...}`` alone:
-    every file is still fully analyzed, so the same files fail, but no report
-    is serialized, sent back from a worker or kept. ``batch --format text``
-    asks for statuses only; ``batch --format json`` prints the full reports.
+    that failed. With ``reports=False`` a success is ``{"path": ...}``, plus
+    ``"failed_flags"`` (their sorted names) when any flag failed: every file is
+    still fully analyzed, so the same files fail, but no report is converted,
+    sent back from a worker or kept. ``batch --format text`` asks for statuses
+    only; ``batch --format json`` prints the full reports.
 
     ``min(parallelism, len(paths))`` spawned worker processes share the files,
     each with single-threaded BLAS unless the caller's environment sets any

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import NotRealPhase
 from .linalg import DEFAULT_TOL, SIGMA0, SIGMA3, mat_norm
-from .matio import matrix_from_dict
 
 #: Relative width of the exceptional strip around alpha == beta.
 EXCEPTIONAL_REL_TOL = 1e-8
@@ -118,11 +117,14 @@ def compare_with_pipeline(m: TwoLevelModel, tol: float = DEFAULT_TOL) -> Pipelin
 
     cf = closed_forms(m)
     report = run_analyze(AnalysisConfig(model="two-level", alpha=m.alpha, beta=m.beta, tol=tol))
+    def matrix(d):
+        return d["re"] + 1j * d["im"]
+
     values = np.array([complex(re, im) for re, im in report.eigen["values"]])
-    right = matrix_from_dict(report.eigen["right"])
-    s = matrix_from_dict(report.s)
-    pv = matrix_from_dict(report.pv["matrix"])
-    gram = {k: matrix_from_dict(report.gram[k]) for k in ("dirac", "v", "p")}
+    right = matrix(report.eigen["right"])
+    s = matrix(report.eigen["left"])  # the similarity to Hermitian form
+    pv = matrix(report.pv["matrix"])
+    gram = {k: matrix(report.gram[k]) for k in ("dirac", "v", "p")}
 
     targets = np.column_stack([cf.u_plus, cf.u_minus])
     rephase = np.sum(right.conj() * targets, axis=0) / np.sum(right.conj() * right, axis=0)
@@ -132,7 +134,7 @@ def compare_with_pipeline(m: TwoLevelModel, tol: float = DEFAULT_TOL) -> Pipelin
         "energies": float(np.max(np.abs(values - np.array(cf.energies)))) / cf.energies[0],
         "u_plus": float(np.linalg.norm(aligned[:, 0] - cf.u_plus)),
         "u_minus": float(np.linalg.norm(aligned[:, 1] - cf.u_minus)),
-        "metric": mat_norm(matrix_from_dict(report.v) - cf.v),
+        "metric": mat_norm(matrix(report.v) - cf.v),
         "dirac_overlap": float(abs(np.conj(rephase[1]) * gram["dirac"][1, 0] * rephase[0]
                                    - cf.dirac_overlap)),
         "v_gram_identity": mat_norm(gram["v"] - np.eye(2)),

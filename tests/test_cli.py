@@ -368,6 +368,19 @@ class TestBatchCommand:
         assert code == 1
         assert [line.endswith(": ok") for line in out.splitlines()] == [True, False, True, False]
 
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_failed_flag_named_in_status_line(self, capsys, tmp_path, parallelism):
+        # V = L^dagger L overflows at this scale, so metric_intertwines FAILs
+        good = tmp_path / "good.json"
+        save_matrix(str(good), hamiltonian(TwoLevelModel(5, 3)))
+        big = tmp_path / "big.csv"
+        big.write_text("0,8e300\n2e300,0\n")
+        code, out, _ = run_cli(capsys, "batch", str(good), str(big),
+                               "--parallelism", parallelism, "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [f"{good}: ok",
+                                    f"{big}: ok; flags failed: metric_intertwines"]
+
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_zero_tolerance_rejected(self, capsys, tmp_path, output):
         good = tmp_path / "good.json"

@@ -5,10 +5,8 @@ import pytest
 import scipy.linalg
 
 from pthamil.cpt import p_normalize
-from pthamil.errors import NotRealSpectrum
 from pthamil.intertwiner import (
     build_metric,
-    build_similarity,
     v_gram,
     verify_time_independence,
 )
@@ -28,10 +26,14 @@ def _system(alpha, beta, calibrate=True):
 
 
 class TestBuildSimilarity:
+    # the similarity to Hermitian form is the left-eigenvector matrix es.left:
+    # L H L^-1 = diag(E), Hermitian exactly when the spectrum is real
+
     def test_two_level_hermitian_conjugation(self):
         h, es, cls = _system(5, 3)
-        s = build_similarity(es, cls)
+        s = es.left
         conj = s @ h @ np.linalg.inv(s)
+        assert np.allclose(conj, np.diag(es.values), atol=1e-12)
         assert np.allclose(conj, conj.conj().T, atol=1e-12)
 
     def test_closed_form_similarity(self):
@@ -44,15 +46,17 @@ class TestBuildSimilarity:
     def test_hermitian_input(self):
         h = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
         es = eigendecompose(h)
-        cls = classify(es)
-        s = build_similarity(es, cls)
+        s = es.left
         conj = s @ h @ np.linalg.inv(s)
+        assert np.allclose(conj, np.diag(es.values), atol=1e-12)
         assert np.allclose(conj, conj.conj().T, atol=1e-12)
 
-    def test_complex_phase_rejected(self):
-        _, es, cls = _system(3, 5)
-        with pytest.raises(NotRealSpectrum):
-            build_similarity(es, cls)
+    def test_complex_phase_diagonal_not_hermitian(self):
+        h, es, cls = _system(3, 5)
+        assert cls.kind is SpectrumKind.CONJUGATE_PAIRS
+        conj = es.left @ h @ np.linalg.inv(es.left)
+        assert np.allclose(conj, np.diag(es.values), atol=1e-12)
+        assert not np.allclose(conj, conj.conj().T, atol=1e-3)
 
 
 class TestBuildMetric:
@@ -62,8 +66,8 @@ class TestBuildMetric:
         assert np.allclose(itw.v, np.diag([0.5, 2.0]), atol=1e-12)
         assert itw.positive and itw.hermitian
         assert itw.residual <= 1e-12
-        # V = S^dagger S for the similarity of this eigensystem
-        s = build_similarity(es, cls)
+        # V = S^dagger S for the similarity S = L of this eigensystem
+        s = es.left
         assert np.allclose(itw.v, s.conj().T @ s, atol=1e-12)
 
     def test_hermitian_input_gives_identity(self):

@@ -12,6 +12,7 @@ from pthamil.errors import NonDiagonalizable, ParseError, UnpairedComplexEigenva
 from pthamil.matio import save_matrix
 from pthamil.pipeline import (
     AnalysisConfig,
+    AnalysisReport,
     emit_report,
     parse_report,
     resolve_tol,
@@ -326,13 +327,26 @@ class TestRoundTrip:
         report = run_analyze(cfg)
         assert parse_report(emit_report(report)) == report
 
+    @pytest.mark.parametrize("definite", [True, False], ids=["real", "pairs"])
+    def test_parse_emit_identity_pa_matrix(self, tmp_path, definite):
+        path = tmp_path / "h.json"
+        save_matrix(str(path), _pa_matrix(np.random.default_rng(12), 12, definite))
+        report = run_analyze(AnalysisConfig(source_path=str(path), p_spec="alternating",
+                                            t_spec="k"))
+        assert isinstance(report.eigen["right"]["re"], np.ndarray)  # arrays until emitted
+        text = emit_report(report)
+        assert parse_report(text) == report
+        assert emit_report(parse_report(text)) == text
+
     def test_emitted_json_is_plain(self):
         report = run_analyze(AnalysisConfig(model="two-level", alpha=2.0, beta=1.0))
         payload = json.loads(emit_report(report))
         assert isinstance(payload, dict)
-        assert set(payload) >= {"spectrum", "eigen", "S", "V", "gram", "pt", "pv",
-                               "c", "diagnostic", "time_independence",
-                               "selection_rule_violations", "flags"}
+        assert set(payload) == {"provenance", "spectrum", "eigen", "V", "gram", "pt",
+                                "pv", "c", "diagnostic", "time_independence",
+                                "selection_rule_violations", "flags", "notes"}
+        assert payload["provenance"]["schema"] == 2
+        assert "gram" not in payload["pt"]
 
 
 class TestBatch:
@@ -400,6 +414,14 @@ class TestBatch:
         assert statuses == [{k: v for k, v in e.items() if k != "report"} for e in full]
         assert "error" in statuses[1]
         assert not any("report" in e for e in statuses)
+
+    def test_statuses_convert_no_report(self, files, monkeypatch):
+        def refuse(report):
+            raise AssertionError("to_dict called")
+
+        monkeypatch.setattr(AnalysisReport, "to_dict", refuse)
+        good, _ = files
+        assert run_batch(good, parallelism=1, reports=False) == [{"path": p} for p in good]
 
     def test_environment_unchanged(self, files, monkeypatch):
         good, _ = files
