@@ -200,7 +200,7 @@ def _pt_plus_basis(a, tol):
 def parity_overlaps(es: EigenSystem, p) -> np.ndarray:
     """Diagonal parity matrix elements ``<R_n|P|R_n>``."""
     p = as_matrix(p, "P")
-    return np.einsum("in,ij,jn->n", np.conj(es.right), p, es.right)
+    return np.sum(np.conj(es.right) * (p @ es.right), axis=0)
 
 
 def _recombine_degenerate(pt, es, groups, p, tol) -> np.ndarray:
@@ -271,9 +271,7 @@ def fix_pt_phases(pt: AntilinearOp, es: EigenSystem, cls: SpectrumClass, p=None,
         targets = np.where(usable, np.where(overlaps.real > 0.0, 1.0, -1.0), targets)
 
     fixes = np.exp(0.5j * (np.angle(eta_raw) - np.angle(targets)))
-    right = right * fixes[np.newaxis, :]
-    left = left / fixes[:, np.newaxis]
-    system = EigenSystem(es.values.copy(), right, left, float(np.linalg.cond(right)))
+    system = es.rescaled(fixes, es.condition)  # unit-modulus factors keep cond
 
     for j in range(es.dim):  # re-read each phase as the final consistency check
         check = pt_eigenphase(pt, system.right[:, j], tol=max(1e-8, tol))
@@ -285,4 +283,4 @@ def fix_pt_phases(pt: AntilinearOp, es: EigenSystem, cls: SpectrumClass, p=None,
 def pt_gram(frame: PTFrame, phases: PTPhases) -> np.ndarray:
     """Full matrix of PT-conjugate inner products."""
     raw = phases.system.right.conj().T @ frame.p @ phases.system.right
-    return np.diag(1.0 / phases.eta) @ raw
+    return raw / phases.eta[:, np.newaxis]

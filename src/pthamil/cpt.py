@@ -60,17 +60,10 @@ def p_normalize(es: EigenSystem, p, tol: float = DEFAULT_TOL):
     tolerance (degenerate PV eigenvalues) are left untouched and returned in
     the skipped list.
     """
-    overlaps = parity_overlaps(es, p)
-    right = np.array(es.right)
-    skipped = []
-    floor = tol * max(1.0, mat_norm(p))
-    for n in range(es.dim):
-        magnitude = abs(overlaps[n])
-        if magnitude <= floor:
-            skipped.append(n)
-            continue
-        right[:, n] /= np.sqrt(magnitude)
-    return es.with_right(right), skipped
+    magnitudes = np.abs(parity_overlaps(es, p))
+    skipped = magnitudes <= tol * max(1.0, mat_norm(p))
+    factors = 1.0 / np.sqrt(np.where(skipped, 1.0, magnitudes))
+    return es.rescaled(factors), np.flatnonzero(skipped).tolist()
 
 
 def build_pv(p, v, es: EigenSystem, tol: float = DEFAULT_TOL) -> CommutantOp:
@@ -124,7 +117,7 @@ def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL
         for (n_plus, n_minus), s in zip(cls.pairs, signs):
             weights[n_plus] = s
             weights[n_minus] = -s
-    c = es.right @ np.diag(weights) @ es.left
+    c = (es.right * weights) @ es.left
     eye = np.eye(es.dim)
     h = es.reconstruct()
     sq = mat_norm(c @ c - eye)

@@ -67,12 +67,11 @@ def build_metric(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL) 
         v = 0.5 * (v + v.conj().T)
         positive = bool(np.all(np.linalg.eigvalsh(v) > 0.0))
     else:
-        v = np.zeros((es.dim, es.dim), dtype=complex)
-        for n in cls.real_indices:
-            v += np.outer(np.conj(es.left[n]), es.left[n])
+        # sum over n of conj(L[partner(n)]) (x) L[n], partner swapping each pair
+        partner = np.arange(es.dim)
         for n_plus, n_minus in cls.pairs:
-            v += np.outer(np.conj(es.left[n_minus]), es.left[n_plus])
-            v += np.outer(np.conj(es.left[n_plus]), es.left[n_minus])
+            partner[n_plus], partner[n_minus] = n_minus, n_plus
+        v = es.left[partner].conj().T @ es.left
         v = 0.5 * (v + v.conj().T)
         positive = False
     hermitian = mat_norm(v - v.conj().T) <= tol * max(1.0, mat_norm(v))
@@ -173,17 +172,16 @@ def verify_time_independence(
         es = eigendecompose(h)
     r = es.right
     gram0 = r.conj().T @ v @ r
-    entry_floor = tol * max(1.0, mat_norm(gram0))
-    present = np.abs(gram0) > entry_floor
+    threshold = tol * max(1.0, mat_norm(gram0))  # also the floor of a present entry
+    present = np.abs(gram0) > threshold
     drift = np.zeros(gram0.shape, dtype=float)
     for t in times:
-        # exp(-iHt) acts on its own eigenvectors by pure phases; forming the
-        # dense propagator first would erase decaying modes by cancellation
+        # exp(-iHt) acts on its own eigenvectors by pure phases D, so the
+        # evolved Gram (R D)^dagger V (R D) is the initial one rescaled;
+        # forming the dense propagator would erase decaying modes by cancellation
         phase = np.exp(-1j * es.values * float(t))
-        evolved = r * phase[np.newaxis, :]
-        gram_t = evolved.conj().T @ v @ evolved
+        gram_t = np.conj(phase)[:, np.newaxis] * gram0 * phase[np.newaxis, :]
         drift = np.maximum(drift, np.abs(gram_t - gram0))
-    threshold = tol * max(1.0, mat_norm(gram0))
     passed = (drift <= threshold) | ~present
 
     # entry (n, m) may be present only when E_m = conj(E_n); row-major order

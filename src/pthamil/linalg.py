@@ -71,13 +71,22 @@ class EigenSystem:
 
     def reconstruct(self) -> np.ndarray:
         """The matrix this system decomposes: ``right @ diag(values) @ left``."""
-        return self.right @ np.diag(self.values) @ self.left
+        return (self.right * self.values) @ self.left
 
     def with_right(self, right: np.ndarray) -> "EigenSystem":
         """New system with replaced right eigenvectors; left recomputed as the inverse."""
         right = np.asarray(right, dtype=complex)
         return EigenSystem(self.values.copy(), right, np.linalg.inv(right),
                            float(np.linalg.cond(right)))
+
+    def rescaled(self, factors, condition: float | None = None) -> "EigenSystem":
+        """New system with column ``n`` of ``right`` times ``factors[n]``, and
+        ``left`` as ``inv(R D) = D^-1 inv(R)``. Pass ``condition`` when the
+        scaling keeps it (unit-modulus factors do); else it is recomputed."""
+        right = self.right * factors
+        condition = float(np.linalg.cond(right)) if condition is None else condition
+        return EigenSystem(self.values.copy(), right,
+                           self.left / np.reshape(factors, (-1, 1)), condition)
 
 
 def canonical_order(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -102,18 +111,14 @@ def canonical_order(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 def _canonical_phases(r: np.ndarray) -> np.ndarray:
     """Unit-normalize each column and rotate its largest-magnitude component to
     the positive real axis."""
-    r = np.array(r, dtype=complex)
-    for j in range(r.shape[1]):
-        col = r[:, j]
-        nrm = np.linalg.norm(col)
-        if nrm > 0.0:
-            col = col / nrm
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if abs(pivot) > 0.0:
-            col = col * (pivot.conjugate() / abs(pivot))
-        r[:, j] = col
-    return r
+    r = np.asarray(r, dtype=complex)
+    norms = np.linalg.norm(r, axis=0)
+    r = r / np.where(norms > 0.0, norms, 1.0)
+    pivots = r[np.argmax(np.abs(r), axis=0), np.arange(r.shape[1])]
+    rotations = np.ones_like(pivots)
+    nonzero = pivots != 0.0
+    rotations[nonzero] = pivots[nonzero].conj() / np.abs(pivots[nonzero])
+    return r * rotations
 
 
 def eigendecompose(h, tol: float = DEFAULT_TOL) -> EigenSystem:

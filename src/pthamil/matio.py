@@ -11,6 +11,7 @@ Two on-disk formats are supported:
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 
@@ -82,16 +83,12 @@ def matrix_from_dict(d, name: str = "matrix") -> np.ndarray:
 
 
 def _is_numeric_table(rows) -> bool:
-    # JSON true/false load as bool, a subclass of int, and are not numbers
-    return (
-        isinstance(rows, list)
-        and rows
-        and all(
-            isinstance(r, list)
-            and bool not in set(map(type, r))
-            and all(isinstance(x, (int, float)) for x in r)
-            for r in rows
-        )
+    # JSON true/false load as bool, a subclass of int, and are not numbers;
+    # a row of plain ints and floats needs no per-entry check
+    return isinstance(rows, list) and rows and all(
+        isinstance(r, list) and (set(map(type, r)) <= {int, float} or (
+            bool not in set(map(type, r)) and all(isinstance(x, (int, float)) for x in r)))
+        for r in rows
     )
 
 
@@ -117,14 +114,18 @@ def load_matrix(path: str) -> np.ndarray:
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows:
         raise ParseError(f"{path}: empty matrix file")
-    try:
-        # a row at a time; the same grammar as parse_complex_cell
-        return as_matrix([list(map(complex, "".join(line.split()).replace("i", "j")
-                                   .replace("I", "j").split(","))) for line in rows],
-                         name=path)
-    except ValueError:
-        pass  # cell by cell below, which raises the first error in file order
-    cells = [[parse_complex_cell(c) for c in line.split(",")] for line in rows]
+    cells = []
+    for line in rows:
+        try:  # a row at a time, in the grammar of parse_complex_cell
+            row = list(map(complex, "".join(line.split()).replace("i", "j")
+                           .replace("I", "j").split(",")))
+        except ValueError:
+            row = None
+        # cell by cell, for its message, a row that fails or holds a non-finite
+        # cell: a sum is finite only if every cell is (an overflow only re-parses)
+        if row is None or not cmath.isfinite(sum(row)):
+            row = [parse_complex_cell(c) for c in line.split(",")]
+        cells.append(row)
     width = len(cells[0])
     if any(len(r) != width for r in cells):
         raise ParseError(f"{path}: ragged CSV rows")

@@ -2,11 +2,10 @@
 the JSON report representation.
 
 A report is data in the JSON layout: dicts, lists, numbers, strings, complex
-numbers as ``[re, im]`` pairs, and matrices in the same ``{"dim", "re", "im"}``
-layout as the matrix file format. Until it is emitted, a matrix's ``re`` and
-``im`` are numpy arrays, converted to nested lists only by ``to_dict``; two
-reports are equal when their emitted forms are, so
-``parse(emit(report)) == report`` holds exactly.
+numbers as ``[re, im]`` pairs, and matrices in the ``{"dim", "re", "im"}``
+layout of the matrix file format, whose ``re`` and ``im`` stay numpy arrays
+until ``to_dict`` converts them. Two reports are equal when their emitted
+forms are, so ``parse(emit(report)) == report`` holds exactly.
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ from .twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
 
 #: Environment variable overriding the default tolerance.
 TOL_ENV_VAR = "PTHAMIL_TOL"
-
-#: version of the report layout, in ``provenance.schema``
-REPORT_SCHEMA = 2
 
 DEFAULT_TIMES = (0.0, 0.5, 1.7, 4.3)
 
@@ -363,7 +359,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "times": list(cfg.times),
             "p": p_spec,
             "t": t_spec,
-            "schema": REPORT_SCHEMA,
+            "schema": 2,  # version of the report layout
         },
         spectrum={
             "kind": cls.kind.value,

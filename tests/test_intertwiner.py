@@ -25,6 +25,23 @@ def _system(alpha, beta, calibrate=True):
     return h, es, cls
 
 
+def _pa(generator, n, shift):
+    """``P A`` with P the alternating parity and A Hermitian with
+    ``conj(A) = P A P``; real spectrum when A is positive definite."""
+    s = generator.normal(size=(n, n))
+    s = (s + s.T) / 2 + shift * np.eye(n)
+    d = 1j ** np.arange(n)
+    return (-1.0) ** np.arange(n)[:, None] * (d[:, None] * s * d.conj()[None, :])
+
+
+def _pa_real(generator, n):
+    return _pa(generator, n, 10.0)
+
+
+def _pa_pairs(generator, n):
+    return _pa(generator, n, 0.0)
+
+
 class TestBuildSimilarity:
     # the similarity to Hermitian form is the left-eigenvector matrix es.left:
     # L H L^-1 = diag(E), Hermitian exactly when the spectrum is real
@@ -75,6 +92,22 @@ class TestBuildMetric:
         es = eigendecompose(h)
         itw = build_metric(es, classify(es))
         assert np.allclose(itw.v, identity(2), atol=1e-10)
+
+    @pytest.mark.parametrize("pa", [True, False], ids=["pa", "random"])
+    def test_pair_metric_matches_outer_products(self, pa):
+        # reference: one outer product of left vectors per state and pair member
+        h = _pa_pairs(rng(44), 8) if pa else random_real(rng(43), 7)
+        es = eigendecompose(h)
+        cls = classify(es)
+        assert len(cls.pairs) >= 2 and cls.real_indices
+        ref = np.zeros((es.dim, es.dim), dtype=complex)
+        for n in cls.real_indices:
+            ref += np.outer(np.conj(es.left[n]), es.left[n])
+        for n_plus, n_minus in cls.pairs:
+            ref += np.outer(np.conj(es.left[n_minus]), es.left[n_plus])
+            ref += np.outer(np.conj(es.left[n_plus]), es.left[n_minus])
+        ref = 0.5 * (ref + ref.conj().T)
+        assert np.linalg.norm(build_metric(es, cls).v - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_complex_pair_metric(self):
         h, es, cls = _system(3, 5)
@@ -162,6 +195,25 @@ class TestTimeIndependence:
         )
         assert expected and tic.selection_violations == expected
         assert all(type(k) is int for vio in tic.selection_violations for k in vio)
+
+    @pytest.mark.parametrize("definite", [True, False], ids=["real", "pairs"])
+    def test_phase_form_matches_matmul_reference(self, definite):
+        # a V that does not intertwine H, so every Gram entry moves; reference:
+        # the Gram of the evolved eigenvectors by two matrix products
+        generator = rng(45)
+        h = _pa_real(generator, 8) if definite else _pa_pairs(generator, 8)
+        es = eigendecompose(h)
+        a = random_real(generator, 8) + 1j * random_real(generator, 8)
+        v = a @ a.conj().T
+        times = (0.0, 0.3, 1.1)
+        tic = verify_time_independence(h, v, times, es=es)
+        gram0 = es.right.conj().T @ v @ es.right
+        drift = np.zeros(gram0.shape)
+        for t in times:
+            evolved = es.right * np.exp(-1j * es.values * t)
+            drift = np.maximum(drift, np.abs(evolved.conj().T @ v @ evolved - gram0))
+        assert tic.present.all() and np.max(drift) > 0.1
+        assert np.linalg.norm(tic.drift - drift) <= 1e-12 * np.linalg.norm(drift)
 
     def test_time_zero_trivially_constant(self):
         h, es, cls = _system(2, 1)

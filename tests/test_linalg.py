@@ -8,6 +8,7 @@ import pytest
 from pthamil.errors import NonDiagonalizable
 from pthamil.linalg import (
     DEFAULT_TOL,
+    _canonical_phases,
     as_matrix,
     eigendecompose,
     identity,
@@ -87,6 +88,20 @@ class TestEigendecompose:
             assert pivot.real > 0.0
             assert abs(pivot.imag) <= 1e-12 * abs(pivot)
 
+    def test_phases_match_column_loop(self):
+        # reference: the column-by-column loop, on eigenvectors and a zero column
+        generator = rng(5)
+        r = np.column_stack([random_real(generator, 6) + 1j * random_real(generator, 6),
+                             np.zeros(6)])
+        ref = r.copy()
+        for j in range(r.shape[1]):
+            col = ref[:, j]
+            nrm = np.linalg.norm(col)
+            col = col / nrm if nrm > 0.0 else col
+            pivot = col[int(np.argmax(np.abs(col)))]
+            ref[:, j] = col * (pivot.conjugate() / abs(pivot)) if abs(pivot) > 0.0 else col
+        assert np.allclose(_canonical_phases(r), ref, rtol=0, atol=1e-15)
+
     def test_jordan_block_raises(self):
         with pytest.raises(NonDiagonalizable):
             eigendecompose(np.array([[0.0, 4.0], [0.0, 0.0]]))
@@ -110,6 +125,20 @@ class TestEigenSystemInvariants:
             scale = np.linalg.norm(a)
             assert np.linalg.norm(es.reconstruct() - a) <= 1e-9 * scale
             assert np.linalg.norm(es.left @ es.right - identity(dim)) <= 1e-9 * es.condition
+
+    @pytest.mark.parametrize("unit_modulus", [False, True])
+    def test_rescaled_keeps_biorthogonality(self, unit_modulus):
+        generator = rng(41)
+        es = eigendecompose(random_real(generator, 6) + 1j * random_real(generator, 6))
+        factors = np.exp(1j * generator.uniform(-np.pi, np.pi, size=6))
+        if not unit_modulus:
+            factors = factors * generator.uniform(0.1, 10.0, size=6)
+        scaled = es.rescaled(factors, es.condition if unit_modulus else None)
+        assert np.array_equal(scaled.values, es.values)
+        assert np.allclose(scaled.right, es.right * factors, rtol=1e-15, atol=0)
+        assert np.linalg.norm(scaled.left @ scaled.right - identity(6)) <= 1e-12 * es.condition
+        cond = np.linalg.cond(scaled.right)
+        assert abs(scaled.condition - cond) <= 1e-12 * cond
 
     def test_hermitian_eigenvalues_real(self):
         generator = rng(7)

@@ -72,6 +72,13 @@ def test_json_im_optional(tmp_path):
     assert np.array_equal(load_matrix(str(path)), np.diag([1.0, 2.0]).astype(complex))
 
 
+def test_json_rows_mixing_int_and_float(tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text('{"re": [[1, 0.5], [0.0, 2]], "im": [[0, -1.5], [2, 0.0]]}')
+    expected = np.array([[1.0, 0.5 - 1.5j], [2.0j, 2.0]])
+    assert np.array_equal(load_matrix(str(path)), expected)
+
+
 def test_json_dim_mismatch(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dim": 3, "re": [[1, 0], [0, 2]]}')
@@ -93,6 +100,7 @@ def test_json_dim_not_an_integer(tmp_path, dim):
         {"re": [[True, 0], [0, 1]]},
         {"re": [[1, 0], [0, 1]], "im": [[0, False], [0, 0]]},
         {"re": [[1.0, "2"], [0, 1]]},
+        {"re": [[1.0, 0.0], [False, 1.0]]},
     ],
 )
 def test_non_numeric_entries_rejected(d):
@@ -123,6 +131,14 @@ def test_ragged_csv_rejected(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1,2\n3\n")
     with pytest.raises(ParseError):
+        load_matrix(str(path))
+
+
+def test_csv_first_bad_cell_in_file_order(tmp_path):
+    # row 2 holds the first bad cell, an infinite one; row 3 an unparseable one
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2,3\n4,1e400,6\n7,abc,9\n")
+    with pytest.raises(ParseError, match="^non-finite cell '1e400'$"):
         load_matrix(str(path))
 
 
