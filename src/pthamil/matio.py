@@ -84,10 +84,10 @@ def matrix_from_dict(d, name: str = "matrix") -> np.ndarray:
 
 def _is_numeric_table(rows) -> bool:
     # JSON true/false load as bool, a subclass of int, and are not numbers;
-    # a row of plain ints and floats needs no per-entry check
+    # a row is checked by its set of entry types, not entry by entry
     return isinstance(rows, list) and rows and all(
-        isinstance(r, list) and (set(map(type, r)) <= {int, float} or (
-            bool not in set(map(type, r)) and all(isinstance(x, (int, float)) for x in r)))
+        isinstance(r, list) and bool not in (types := set(map(type, r)))
+        and all(issubclass(t, (int, float)) for t in types)
         for r in rows
     )
 

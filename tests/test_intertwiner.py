@@ -215,6 +215,22 @@ class TestTimeIndependence:
         assert tic.present.all() and np.max(drift) > 0.1
         assert np.linalg.norm(tic.drift - drift) <= 1e-12 * np.linalg.norm(drift)
 
+    def test_shadow_is_initial_dust_times_growth(self):
+        # an analytically-zero entry's shadow is its t = 0 dust scaled by the
+        # phases, not the fresh dust of a product at each time
+        h = _pa_pairs(rng(46), 8)
+        es = eigendecompose(h)
+        itw = build_metric(es, classify(es))
+        times = (0.5, 2.0)
+        tic = verify_time_independence(h, itw.v, times, es=es)
+        shadow = 0.0
+        for t in times:
+            phase = np.exp(-1j * es.values * t)
+            growth = np.abs(np.conj(phase)[:, None] * phase[None, :] - 1.0)
+            shadow = max(shadow, np.max((np.abs(tic.gram0) * growth)[~tic.present]))
+        assert tic.max_shadow > 0.0
+        assert abs(tic.max_shadow - shadow) <= 1e-12 * shadow
+
     def test_time_zero_trivially_constant(self):
         h, es, cls = _system(2, 1)
         itw = build_metric(es, cls)

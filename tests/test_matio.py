@@ -101,6 +101,7 @@ def test_json_dim_not_an_integer(tmp_path, dim):
         {"re": [[1, 0], [0, 1]], "im": [[0, False], [0, 0]]},
         {"re": [[1.0, "2"], [0, 1]]},
         {"re": [[1.0, 0.0], [False, 1.0]]},
+        {"re": [[1.0, 0.0], [np.bool_(True), 1.0]]},
     ],
 )
 def test_non_numeric_entries_rejected(d):
@@ -150,6 +151,8 @@ def test_missing_file():
 def test_matrix_dict_helpers():
     m = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
     assert np.array_equal(matrix_from_dict(matrix_to_dict(m)), m)
+    # numeric subclasses from Python callers are numbers
+    assert np.array_equal(matrix_from_dict({"re": [[np.float64(1.5), 0], [0, 1.0]]}), np.diag([1.5, 1.0]))
     with pytest.raises(ParseError):
         matrix_from_dict({"im": [[0.0]]})
 
