@@ -128,13 +128,13 @@ def pt_eigenphase(pt: AntilinearOp, state, tol: float = DEFAULT_TOL) -> complex:
         raise ValueError("zero state")
     image = pt.apply(state)
     coeff = np.vdot(state, image) / norm2
-    scale = max(np.linalg.norm(image), np.linalg.norm(state))
+    scale = max(mat_norm(image), mat_norm(state))
     if abs(coeff) < 0.5:
         raise NotPTEigenstate(
             f"PT maps the state mostly off its own ray (|projection| = {abs(coeff):.3e})"
         )
     eta = coeff / abs(coeff)
-    residual = np.linalg.norm(image - eta * state)
+    residual = mat_norm(image - eta * state)
     if residual > tol * max(1.0, scale):
         raise NotPTEigenstate(f"PT eigenstate residual {residual:.3e} exceeds tolerance")
     return complex(eta)
@@ -223,7 +223,7 @@ def _recombine_degenerate(pt, es, groups, p, tol) -> np.ndarray:
         cols = right[:, idx] @ _pt_plus_basis(a, tol)
         if p is not None:
             form, rotation = np.linalg.eigh((cols.conj().T @ p @ cols).real)
-            if np.min(np.abs(form)) > tol * max(1.0, mat_norm(p)):
+            if np.abs(form).min() > tol * max(1.0, mat_norm(p)):
                 right[:, idx] = (cols @ rotation) / np.sqrt(np.abs(form))
                 continue
         right[:, idx] = cols / np.linalg.norm(cols, axis=0)  # real rescale keeps eta
@@ -257,7 +257,7 @@ def fix_pt_phases(pt: AntilinearOp, es: EigenSystem, cls: SpectrumClass, p=None,
     residual = np.linalg.norm(images - coeff * right, axis=0)
     bound = max(1e-8, tol) * np.maximum(1.0, np.linalg.norm(images, axis=0))
     bad = (np.abs(coeff) < 0.5) | (residual > bound)
-    if np.any(bad):
+    if bad.any():
         j = int(np.argmax(bad))
         raise NotPTEigenstate(f"state {j} is not a PT eigenstate (residual {residual[j]:.3e})")
     eta_raw = coeff / np.abs(coeff)

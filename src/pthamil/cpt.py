@@ -85,8 +85,8 @@ def build_pv(p, v, es: EigenSystem, tol: float = DEFAULT_TOL) -> CommutantOp:
     if comm > tol * max(1.0, mat_norm(pv) * mat_norm(h)):
         raise NotCommuting(f"[PV, H] residual {comm:.3e} exceeds tolerance")
     alphas = np.diag(es.left @ pv @ es.right).copy()
-    alpha_scale = max(1.0, float(np.max(np.abs(alphas))))
-    if float(np.max(np.abs(alphas.imag))) > tol * alpha_scale:
+    alpha_scale = max(1.0, float(np.abs(alphas).max()))
+    if float(np.abs(alphas.imag).max()) > tol * alpha_scale:
         raise ValueError(
             "PV eigenvalues are not real; this is expected for a "
             "complex-conjugate-pair spectrum, where PV plays no role"

@@ -65,7 +65,7 @@ def build_metric(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL) 
     if cls.kind is SpectrumKind.ALL_REAL:
         v = es.left.conj().T @ es.left
         v = 0.5 * (v + v.conj().T)
-        positive = bool(np.all(np.linalg.eigvalsh(v) > 0.0))
+        positive = bool((np.linalg.eigvalsh(v) > 0.0).all())
     else:
         # sum over n of conj(L[partner(n)]) (x) L[n], partner swapping each pair
         partner = np.arange(es.dim)
@@ -121,9 +121,10 @@ def v_gram(
         flags["v_gram_zero_diagonal_on_pairs"] = Flag(diag <= tol * es.dim, float(diag), tol * es.dim)
     if pnorm is not None and (cls is None or cls.kind is SpectrumKind.ALL_REAL):
         # reality of the parity overlaps is a real-spectrum theorem only
-        res = float(np.max(np.abs(pnorm.imag[np.abs(pnorm) > tol]))) if np.any(np.abs(pnorm) > tol) else 0.0
-        flags["p_gram_real"] = Flag(res <= tol * max(1.0, mat_norm(pnorm)), res,
-                                    tol * max(1.0, mat_norm(pnorm)))
+        above = np.abs(pnorm) > tol
+        res = float(np.abs(pnorm.imag[above]).max()) if above.any() else 0.0
+        threshold = tol * max(1.0, mat_norm(pnorm))
+        flags["p_gram_real"] = Flag(res <= threshold, res, threshold)
     if ptnorm is not None:
         res = mat_norm(ptnorm - vnorm)
         flags["pt_gram_equals_v_gram"] = Flag(res <= tol * es.dim, float(res), tol * es.dim)
@@ -175,23 +176,25 @@ def verify_time_independence(
     threshold = tol * max(1.0, mat_norm(gram0))  # also the floor of a present entry
     present = np.abs(gram0) > threshold
     drift = np.zeros(gram0.shape, dtype=float)
-    for t in times:
-        # exp(-iHt) acts on its own eigenvectors by pure phases D, so the
-        # evolved Gram (R D)^dagger V (R D) is the initial one rescaled;
-        # forming the dense propagator would erase decaying modes by cancellation
-        phase = np.exp(-1j * es.values * float(t))
+    # exp(-iHt) acts on its own eigenvectors by pure phases D, so the evolved
+    # Gram (R D)^dagger V (R D) is the initial one rescaled; forming the dense
+    # propagator would erase decaying modes by cancellation. One row of phases
+    # per time; the n x n update stays one time at a time to keep memory at n^2
+    times = tuple(float(t) for t in times)
+    phases = np.exp((-1j * es.values)[np.newaxis, :] * np.array(times)[:, np.newaxis])
+    for phase in phases:
         gram_t = np.conj(phase)[:, np.newaxis] * gram0 * phase[np.newaxis, :]
-        drift = np.maximum(drift, np.abs(gram_t - gram0))
+        np.maximum(drift, np.abs(gram_t - gram0), out=drift)
     passed = (drift <= threshold) | ~present
 
     # entry (n, m) may be present only when E_m = conj(E_n); row-major order
     mismatch = np.abs(es.values[np.newaxis, :] - np.conj(es.values)[:, np.newaxis])
     scale = spectral_scale(es.values)
     violations = [tuple(nm) for nm in np.argwhere(present & (mismatch > tol * scale)).tolist()]
-    max_drift = float(np.max(drift[present])) if np.any(present) else 0.0
-    max_shadow = float(np.max(drift[~present])) if np.any(~present) else 0.0
+    max_drift = float(drift[present].max()) if present.any() else 0.0
+    max_shadow = float(drift[~present].max()) if not present.all() else 0.0
     return TimeIndependence(
-        tuple(float(t) for t in times),
+        times,
         gram0,
         drift,
         present,
@@ -199,5 +202,5 @@ def verify_time_independence(
         max_drift,
         max_shadow,
         tuple(violations),
-        bool(np.all(passed)) and not violations,
+        bool(passed.all()) and not violations,
     )

@@ -28,7 +28,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"{name} must be a non-empty square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -38,8 +38,19 @@ def identity(dim: int) -> np.ndarray:
 
 
 def mat_norm(a) -> float:
-    """Frobenius norm, the scale used for all residuals."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, the scale used for all residuals.
+
+    The arithmetic of ``np.linalg.norm(a)``, bit for bit, without its
+    dispatch: memory-order ravel, then ``sqrt(re.re + im.im)``.
+    """
+    x = np.asarray(a)
+    if not issubclass(x.dtype.type, np.inexact):
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return float(np.sqrt(re.dot(re) + im.dot(im)))
+    return float(np.sqrt(x.dot(x)))
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,7 @@ def canonical_order(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     values = np.asarray(values)
     by_real = np.argsort(-values.real, kind="stable")
-    radius = float(np.max(np.abs(values))) if values.size else 0.0
+    radius = float(np.abs(values).max()) if values.size else 0.0
     steps = -np.diff(values.real[by_real]) > tol * radius
     key = np.empty(values.shape[0])
     key[by_real] = np.concatenate(([0], np.cumsum(steps)))

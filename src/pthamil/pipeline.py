@@ -10,6 +10,7 @@ forms are, so ``parse(emit(report)) == report`` holds exactly.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass, fields
@@ -150,16 +151,34 @@ def _default_frame_specs(cfg: AnalysisConfig):
     return p_spec, t_spec
 
 
-def _resolve_p(spec: str, dim: int):
-    if spec in _P_BUILTINS:
-        return _P_BUILTINS[spec](dim)
-    return load_matrix(spec)
+def _build_frame(p_spec, t_spec, dim: int, check_tol: float):
+    p = t_op = None
+    if p_spec:
+        p = _P_BUILTINS[p_spec](dim) if p_spec in _P_BUILTINS else load_matrix(p_spec)
+    if t_spec:
+        u = _T_BUILTINS[t_spec](dim) if t_spec in _T_BUILTINS else load_matrix(t_spec)
+        t_op = AntilinearOp(u)
+    if p is None or t_op is None:
+        return p, t_op, None
+    frame = make_frame(p, t_op, check_tol)
+    return frame.p, t_op, frame  # frame.p: P as a read-only complex array
 
 
-def _resolve_t(spec: str, dim: int) -> AntilinearOp:
-    if spec in _T_BUILTINS:
-        return AntilinearOp(_T_BUILTINS[spec](dim))
-    return AntilinearOp(load_matrix(spec))
+#: built-in frames are constants: one entry per (names, dim, tol), shared
+#: read-only; an error is raised again on every call, never cached
+_builtin_frame = functools.lru_cache(maxsize=32)(_build_frame)
+
+
+def _resolve_frame(p_spec, t_spec, dim: int, check_tol: float):
+    """``(p, t_op, frame)`` for specs that are each a built-in name, a file
+    path or None; ``frame`` is None unless both are given. A built-in frame
+    comes from the per-process cache; a file is read and its frame validated
+    on every call, so a rewritten file takes effect."""
+    named = ((p_spec is None or p_spec in _P_BUILTINS)
+             and (t_spec is None or t_spec in _T_BUILTINS))
+    if named and (p_spec or t_spec):
+        return _builtin_frame(p_spec, t_spec, dim, check_tol)
+    return _build_frame(p_spec, t_spec, dim, check_tol)
 
 
 def _complex_list(values) -> list:
@@ -257,9 +276,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     real_case = cls.kind is SpectrumKind.ALL_REAL
 
     p_spec, t_spec = _default_frame_specs(cfg)
-    p = _resolve_p(p_spec, es.dim) if p_spec else None
-    t_op = _resolve_t(t_spec, es.dim) if t_spec else None
-    frame = make_frame(p, t_op, check_tol) if p is not None and t_op is not None else None
+    p, _, frame = _resolve_frame(p_spec, t_spec, es.dim, check_tol)
 
     p_intertwines = p is not None and check_p_intertwines(h, p, check_tol)
     if p is not None and not p_intertwines:
@@ -347,7 +364,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     flags = {
         **norm_report.flags,
         "metric_intertwines": Flag(itw.residual <= gram_tol, itw.residual, gram_tol),
-        "time_independent": Flag(bool(np.all(tic.passed)), tic.max_drift, check_tol),
+        "time_independent": Flag(bool(tic.passed.all()), tic.max_drift, check_tol),
     }
 
     return AnalysisReport(
@@ -475,10 +492,11 @@ def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = Non
     sent back from a worker or kept. ``batch --format text`` asks for statuses
     only; ``batch --format json`` prints the full reports.
 
-    ``min(parallelism, len(paths))`` spawned worker processes share the files,
-    each with single-threaded BLAS unless the caller's environment sets any
-    of the BLAS thread-count variables; one worker runs in this process. A
-    script that calls this with ``parallelism > 1`` needs an
+    With one worker (``parallelism == 1`` or a single file) the files are
+    analyzed in this process. Otherwise ``min(parallelism, len(paths))``
+    spawned worker processes share the files, each with single-threaded BLAS
+    unless the caller's environment sets any of the BLAS thread-count
+    variables. A script that calls this with ``parallelism > 1`` needs an
     ``if __name__ == "__main__":`` guard. While the workers start, the caps
     are in ``os.environ``, so a subprocess another thread starts then
     inherits them; concurrent calls wait for each other's workers to start.

@@ -43,7 +43,7 @@ class SpectrumClass:
 
 def spectral_scale(values) -> float:
     """Spectral radius, with a unit fallback for the zero spectrum."""
-    radius = float(np.max(np.abs(values))) if len(values) else 0.0
+    radius = float(np.abs(values).max()) if len(values) else 0.0
     return radius if radius > 0.0 else 1.0
 
 
@@ -64,27 +64,29 @@ def classify(es: EigenSystem, tol: float = DEFAULT_TOL) -> SpectrumClass:
     slack = max(tol, np.finfo(float).eps * es.condition)
     imag = values.imag
     real_mask = np.abs(imag) <= slack * scale
-    if bool(np.all(real_mask)):
+    if real_mask.all():
         return SpectrumClass.all_real(es.dim)
 
-    plus = [i for i in range(es.dim) if not real_mask[i] and imag[i] > 0.0]
-    minus = [i for i in range(es.dim) if not real_mask[i] and imag[i] <= 0.0]
+    plus = np.flatnonzero(~real_mask & (imag > 0.0))
+    minus = np.flatnonzero(~real_mask & (imag <= 0.0))
     if len(plus) != len(minus):
         raise UnpairedComplexEigenvalue(
             f"{abs(len(plus) - len(minus))} complex eigenvalue(s) lack conjugate partners"
         )
+    # row i: distance of plus[i] to the conjugate of every minus member; a
+    # used member's column is set to inf, so argmin keeps the first remaining
+    gaps = np.abs(values[plus][:, np.newaxis] - np.conj(values[minus])[np.newaxis, :])
     pairs = []
-    remaining = list(minus)
-    for i in plus:
-        gaps = [abs(values[i] - np.conj(values[j])) for j in remaining]
-        k = int(np.argmin(gaps))
-        if gaps[k] > slack * scale:
+    for row, i in enumerate(plus.tolist()):
+        k = int(np.argmin(gaps[row]))
+        if gaps[row, k] > slack * scale:
             raise UnpairedComplexEigenvalue(
                 f"eigenvalue {values[i]:.6g} has no conjugate partner within tolerance "
-                f"(best mismatch {gaps[k]:.3e})"
+                f"(best mismatch {gaps[row, k]:.3e})"
             )
-        pairs.append((i, remaining.pop(k)))
-    real_indices = tuple(i for i in range(es.dim) if real_mask[i])
+        pairs.append((i, int(minus[k])))
+        gaps[:, k] = np.inf
+    real_indices = tuple(np.flatnonzero(real_mask).tolist())
     return SpectrumClass(SpectrumKind.CONJUGATE_PAIRS, tuple(pairs), real_indices)
 
 

@@ -131,9 +131,9 @@ def compare_with_pipeline(m: TwoLevelModel, tol: float = DEFAULT_TOL) -> Pipelin
     aligned = right * rephase
     conj = s @ hamiltonian(m) @ right
     residuals = {
-        "energies": float(np.max(np.abs(values - np.array(cf.energies)))) / cf.energies[0],
-        "u_plus": float(np.linalg.norm(aligned[:, 0] - cf.u_plus)),
-        "u_minus": float(np.linalg.norm(aligned[:, 1] - cf.u_minus)),
+        "energies": float(np.abs(values - np.array(cf.energies)).max()) / cf.energies[0],
+        "u_plus": mat_norm(aligned[:, 0] - cf.u_plus),
+        "u_minus": mat_norm(aligned[:, 1] - cf.u_minus),
         "metric": mat_norm(matrix(report.v) - cf.v),
         "dirac_overlap": float(abs(np.conj(rephase[1]) * gram["dirac"][1, 0] * rephase[0]
                                    - cf.dirac_overlap)),

@@ -215,6 +215,21 @@ class TestTimeIndependence:
         assert tic.present.all() and np.max(drift) > 0.1
         assert np.linalg.norm(tic.drift - drift) <= 1e-12 * np.linalg.norm(drift)
 
+    def test_phase_rows_match_per_time_loop(self):
+        # the phases of all times come from one exp; the arithmetic of each
+        # entry is the per-time loop's, so the drift is equal bit for bit
+        h = _pa_pairs(rng(47), 8)
+        es = eigendecompose(h)
+        v = build_metric(es, classify(es)).v
+        times = (0.0, 0.5, 1.7, 4.3)
+        tic = verify_time_independence(h, v, times, es=es)
+        drift = np.zeros((8, 8))
+        for t in times:
+            phase = np.exp(-1j * es.values * float(t))
+            gram_t = np.conj(phase)[:, np.newaxis] * tic.gram0 * phase[np.newaxis, :]
+            drift = np.maximum(drift, np.abs(gram_t - tic.gram0))
+        assert np.array_equal(tic.drift, drift)
+
     def test_shadow_is_initial_dust_times_growth(self):
         # an analytically-zero entry's shadow is its t = 0 dust scaled by the
         # phases, not the fresh dust of a product at each time
@@ -236,6 +251,15 @@ class TestTimeIndependence:
         itw = build_metric(es, cls)
         tic = verify_time_independence(h, itw.v, (0.0,), es=es)
         assert tic.ok and tic.max_drift == 0.0
+
+    @pytest.mark.parametrize("alpha, beta", [(5, 3), (3, 5)], ids=["real", "pair"])
+    def test_no_times_no_drift(self, alpha, beta):
+        h, es, cls = _system(alpha, beta)
+        tic = verify_time_independence(h, build_metric(es, cls).v, (), es=es)
+        assert tic.times == ()
+        assert tic.drift.shape == (2, 2) and not tic.drift.any()
+        assert tic.passed.all() and tic.ok
+        assert tic.max_drift == 0.0 and tic.max_shadow == 0.0
 
     def test_evolution_operator_matches_expm(self):
         # verify_time_independence evolves eigenvectors by their phases alone

@@ -12,6 +12,7 @@ from pthamil.linalg import (
     as_matrix,
     eigendecompose,
     identity,
+    mat_norm,
 )
 from pthamil.twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
 from testutil import random_real, rng
@@ -149,7 +150,36 @@ class TestEigenSystemInvariants:
 
 
 def test_as_matrix_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        as_matrix([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        as_matrix([[np.inf, 0.0], [0.0, 1.0]])
+    for entry in (np.nan, np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)):
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            as_matrix([[entry, 0.0], [0.0, 1.0]])
+
+
+def test_as_matrix_copies():
+    a = np.eye(2, dtype=complex)
+    m = as_matrix(a)
+    m[0, 0] = 5.0
+    assert a[0, 0] == 1.0
+
+
+_GEN = rng(11)
+_COMPLEX = random_real(_GEN, 7) + 1j * random_real(_GEN, 7)
+
+
+@pytest.mark.parametrize("a", [
+    _COMPLEX,
+    _COMPLEX.real,
+    np.arange(-12, 13).reshape(5, 5),
+    _COMPLEX.T,
+    _COMPLEX[::2, 1:].T,
+    _COMPLEX.real.T,
+], ids=["complex", "real", "integer", "transposed", "strided", "real-transposed"])
+def test_mat_norm_matches_numpy_bit_for_bit(a):
+    assert mat_norm(a) == float(np.linalg.norm(a))
+    assert type(mat_norm(a)) is float
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_mat_norm_overflows_to_inf():
+    assert mat_norm(np.array([[0.0, 8e300], [2e300, 0.0]])) == np.inf
+    assert mat_norm(np.array([[0.0, 8e300j], [2e300, 0.0]])) == np.inf

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pthamil.errors import NonDiagonalizable, ParseError, UnpairedComplexEigenvalue
+from pthamil import pipeline
+from pthamil.linalg import SIGMA1
 from pthamil.matio import save_matrix
 from pthamil.pipeline import (
     AnalysisConfig,
@@ -167,6 +169,51 @@ class TestAnalyzeErrors:
     def test_unreadable_file(self):
         with pytest.raises(ParseError):
             run_analyze(AnalysisConfig(source_path="/no/such.json"))
+
+
+class TestFrameCache:
+    """Built-in frames are built once per (names, dim, tol) and shared
+    read-only; a frame given as a file is read on every call."""
+
+    @pytest.mark.parametrize("cfg", [
+        AnalysisConfig(model="two-level", alpha=5.0, beta=3.0),
+        AnalysisConfig(model="two-level", alpha=3.0, beta=5.0),
+        AnalysisConfig(model="fock-x", nmax=6),
+    ], ids=["real", "pair", "fock"])
+    def test_repeated_builtin_frame_same_report(self, cfg):
+        first, second = run_analyze(cfg), run_analyze(cfg)
+        assert first == second and emit_report(first) == emit_report(second)
+
+    def test_cached_frame_is_shared_and_read_only(self):
+        p, t_op, frame = pipeline._resolve_frame("alternating", "k", 4, 1e-8)
+        assert pipeline._resolve_frame("alternating", "k", 4, 1e-8)[2] is frame
+        assert p is frame.p and t_op is frame.t
+        for array in (p, frame.pt.u, t_op.u):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 7.0
+        assert np.array_equal(p, np.diag([1.0, -1.0, 1.0, -1.0]))
+
+    def test_wrong_size_builtin_raises_every_call(self, tmp_path):
+        path = tmp_path / "h3.json"
+        save_matrix(str(path), np.diag([1.0, 2.0, 3.0]))
+        cfg = AnalysisConfig(source_path=str(path), p_spec="sigma1")
+        for _ in range(2):
+            with pytest.raises(ParseError, match="builtin 'sigma1' is 2x2, need dim 3"):
+                run_analyze(cfg)
+
+    def test_parity_file_reread(self, tmp_path):
+        h_path, p_path = str(tmp_path / "h.json"), str(tmp_path / "p.json")
+        save_matrix(h_path, hamiltonian(TwoLevelModel(5, 3)))
+        cfg = AnalysisConfig(source_path=h_path, p_spec=p_path, t_spec="k")
+        save_matrix(p_path, np.eye(2))
+        first = run_analyze(cfg)
+        save_matrix(p_path, SIGMA1)
+        second = run_analyze(cfg)
+        skipped = "P does not intertwine H with its adjoint; PV and C norms skipped"
+        assert skipped in first.notes and "matrix" not in first.pv
+        assert skipped not in second.notes and "matrix" in second.pv
+        r = _matrix_from(second.eigen["right"])
+        assert np.allclose(_matrix_from(second.gram["p"]), r.conj().T @ SIGMA1 @ r, atol=1e-12)
 
 
 class TestFockModel:

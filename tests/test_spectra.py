@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from pthamil.antilinear import AntilinearOp
 from pthamil.errors import NonDiagonalizable, UnpairedComplexEigenvalue
-from pthamil.linalg import eigendecompose, identity
+from pthamil.linalg import EigenSystem, eigendecompose, identity
 from pthamil.spectra import (
     SpectrumKind,
     antilinear_symmetry_check,
@@ -81,6 +81,56 @@ class TestClassify:
                 k = int(np.argmin(gaps))
                 assert gaps[k] <= 1e-7 * scale
                 remaining.pop(k)
+
+    @pytest.mark.parametrize("values, pairs", [
+        # 1+1j is matched first and takes 1.08-1j, its nearest, although
+        # 1.1+1j is nearer still; 1.1+1j is left with 0.8-1j
+        ([1 + 1j, 1.08 - 1j, 1.1 + 1j, 0.8 - 1j], ((0, 1), (2, 3))),
+        # the same spectrum listed the other way round pairs the other way
+        ([1.1 + 1j, 0.8 - 1j, 1 + 1j, 1.08 - 1j], ((0, 3), (2, 1))),
+        # equal gaps (0.25 exactly): the first remaining minus index wins
+        ([1 + 1j, 0.75 - 1j, 1.25 - 1j, 1 + 1j], ((0, 1), (3, 2))),
+    ], ids=["first-plus-first", "reversed", "tie"])
+    def test_greedy_order_decides_pairs(self, values, pairs):
+        n = len(values)
+        es = EigenSystem(np.array(values), identity(n), identity(n), 1.0)
+        assert classify(es, tol=0.25).pairs == pairs
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pairs_match_greedy_loop(self, seed):
+        # reference: the pair-by-pair loop over the remaining minus members,
+        # on clustered spectra where many pairs compete for the same partner
+        generator = rng(seed)
+        n_pairs = 6
+        centers = np.round(generator.normal(size=n_pairs) * 4.0) / 4.0 + 1.0j
+        plus = centers + 0.05 * generator.normal(size=n_pairs)
+        minus = np.conj(centers + 0.05 * generator.normal(size=n_pairs))
+        values = generator.permutation(np.concatenate([plus, minus]))
+        es = EigenSystem(values, identity(2 * n_pairs), identity(2 * n_pairs), 1.0)
+        tol = 0.1
+        slack = tol * float(np.max(np.abs(values)))
+        expected = []
+        remaining = [j for j in range(2 * n_pairs) if values[j].imag < 0.0]
+        try:
+            for i in (i for i in range(2 * n_pairs) if values[i].imag > 0.0):
+                gaps = [abs(values[i] - np.conj(values[j])) for j in remaining]
+                k = int(np.argmin(gaps))
+                if gaps[k] > slack:
+                    raise UnpairedComplexEigenvalue(
+                        f"eigenvalue {values[i]:.6g} has no conjugate partner within "
+                        f"tolerance (best mismatch {gaps[k]:.3e})")
+                expected.append((i, remaining.pop(k)))
+        except UnpairedComplexEigenvalue as exc:
+            with pytest.raises(UnpairedComplexEigenvalue) as got:
+                classify(es, tol)
+            assert str(got.value) == str(exc)
+        else:
+            assert classify(es, tol).pairs == tuple(expected)
+
+    def test_best_mismatch_in_message(self):
+        es = EigenSystem(np.array([1 + 1j, 3 - 1j]), identity(2), identity(2), 1.0)
+        with pytest.raises(UnpairedComplexEigenvalue, match=r"\(best mismatch 2\.000e\+00\)"):
+            classify(es)
 
 
 class TestDetectExceptional:
