@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidFrame, NotPTEigenstate, NotRealSpectrum
-from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, EigenSystem, as_matrix, mat_norm
+from .linalg import (DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, EigenSystem, as_matrix, mat_norm,
+                     quarter_turn)
 from .spectra import SpectrumClass, SpectrumKind, spectral_scale
 
 _SIGMA = (SIGMA1, SIGMA2, SIGMA3)
@@ -87,6 +88,15 @@ def make_frame(p, t, tol: float = DEFAULT_TOL) -> PTFrame:
         detail = ", ".join(f"{k} (residual {v:.3e})" for k, v in bad.items())
         raise InvalidFrame(f"frame constraints violated: {detail}")
     return PTFrame(p, t, AntilinearOp(u_pt))
+
+
+def conjugation_turns(pt: AntilinearOp) -> np.ndarray | None:
+    """Turns ``q`` (0 or 1 per axis) of the basis ``W = diag(1j ** q)`` where
+    ``pt`` is plain conjugation, when its ``u = W W^T`` is exactly ``diag(+-1)``."""
+    d = np.diag(pt.u)
+    if np.count_nonzero(pt.u - np.diag(d)) or not np.all((d == 1.0) | (d == -1.0)):
+        return None
+    return (d.real < 0.0).astype(int)
 
 
 def make_two_level_frame(pvec, tvec, tol: float = DEFAULT_TOL) -> PTFrame:
@@ -270,13 +280,19 @@ def fix_pt_phases(pt: AntilinearOp, es: EigenSystem, cls: SpectrumClass, p=None,
                   & (np.abs(overlaps.imag) <= 1e-6 * np.abs(overlaps)))
         targets = np.where(usable, np.where(overlaps.real > 0.0, 1.0, -1.0), targets)
 
-    fixes = np.exp(0.5j * (np.angle(eta_raw) - np.angle(targets)))
+    # half the angle: whole quarter turns (a real eta_raw) exactly, as exp(0.5j * pi) != 1j
+    angles = np.angle(eta_raw) - np.angle(targets)
+    turns = angles / np.pi
+    fixes = np.where(turns % 1 == 0, quarter_turn(1.0, turns.astype(int)), np.exp(0.5j * angles))
     system = es.rescaled(fixes, es.condition)  # unit-modulus factors keep cond
 
-    for j in range(es.dim):  # re-read each phase as the final consistency check
-        check = pt_eigenphase(pt, system.right[:, j], tol=max(1e-8, tol))
-        if abs(check - targets[j]) > 1e-6:
-            raise NotPTEigenstate(f"phase fix failed to land state {j} on a real branch")
+    images = pt.apply(system.right)  # re-read every phase as the final consistency check
+    coeff = np.einsum("ij,ji->i", system.left, images)
+    bad = ((np.abs(coeff) < 0.5) | (np.abs(coeff - np.abs(coeff) * targets) > 1e-6 * np.abs(coeff))
+           | (np.linalg.norm(images - coeff * system.right, axis=0) > bound))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise NotPTEigenstate(f"phase fix failed to land state {j} on a real branch")
     return PTPhases(targets, fixes, system, tuple(tuple(g) for g in groups))
 
 

@@ -66,8 +66,9 @@ def p_normalize(es: EigenSystem, p, tol: float = DEFAULT_TOL):
     return es.rescaled(factors), np.flatnonzero(skipped).tolist()
 
 
-def build_pv(p, v, es: EigenSystem, tol: float = DEFAULT_TOL) -> CommutantOp:
-    """Form ``PV``, verify it commutes with H, and extract its (real) eigenvalues.
+def build_pv(p, v, es: EigenSystem, tol: float = DEFAULT_TOL, h=None) -> CommutantOp:
+    """Form ``PV`` for a parity the caller found to intertwine ``h`` (by default
+    the matrix ``es`` decomposes), verify it commutes, and extract its (real) eigenvalues.
 
     ``squares_to_identity`` records the explicit test ``P V P V == I``
     (equivalently ``P V P == V^-1``, stated without inverting V, whose
@@ -77,9 +78,7 @@ def build_pv(p, v, es: EigenSystem, tol: float = DEFAULT_TOL) -> CommutantOp:
     """
     p = as_matrix(p, "P")
     v = as_matrix(v, "V")
-    h = es.reconstruct()
-    if not check_p_intertwines(h, p, tol):
-        raise NotCommuting("P does not intertwine H with its adjoint")
+    h = es.reconstruct() if h is None else h
     pv = p @ v
     comm = mat_norm(pv @ h - h @ pv)
     if comm > tol * max(1.0, mat_norm(pv) * mat_norm(h)):
@@ -95,8 +94,10 @@ def build_pv(p, v, es: EigenSystem, tol: float = DEFAULT_TOL) -> CommutantOp:
     return CommutantOp(pv, alphas.real.astype(complex), squares)
 
 
-def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL) -> CommutantOp:
-    """C operator from biorthogonal projectors with +-1 weights.
+def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL,
+            h=None) -> CommutantOp:
+    """C operator from biorthogonal projectors with +-1 weights, checked
+    against ``h`` (by default the matrix ``es`` decomposes).
 
     All-real spectrum: one sign per eigenstate. Conjugate pairs: one sign per
     pair, realized with opposite weights ``(s, -s)`` on the two members (real
@@ -119,7 +120,7 @@ def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL
             weights[n_minus] = -s
     c = (es.right * weights) @ es.left
     eye = np.eye(es.dim)
-    h = es.reconstruct()
+    h = es.reconstruct() if h is None else h
     sq = mat_norm(c @ c - eye)
     comm = mat_norm(c @ h - h @ c)
     if sq > max(1e-8, tol) * max(1.0, mat_norm(c) ** 2):

@@ -52,16 +52,18 @@ class NormReport:
     flags: dict = field(default_factory=dict)
 
 
-def build_metric(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL) -> Intertwiner:
+def build_metric(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL,
+                 h=None) -> Intertwiner:
     """Construct the metric for the given spectrum class.
 
     All-real: ``V = L^dagger L`` (equivalently ``S^dagger S`` with ``S = L``),
     Hermitian and positive definite, with ``<R_n|V|R_m>`` the identity by
     construction. Conjugate pairs: the Hermitian pair-swap combination of
     left-vector projectors, which intertwines but is indefinite and has zero
-    diagonal on the paired eigenstates.
+    diagonal on the paired eigenstates. The intertwining residual is measured
+    against ``h``, by default the matrix ``es`` decomposes.
     """
-    h = es.reconstruct()
+    h = es.reconstruct() if h is None else h
     if cls.kind is SpectrumKind.ALL_REAL:
         v = es.left.conj().T @ es.left
         v = 0.5 * (v + v.conj().T)

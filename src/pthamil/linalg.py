@@ -37,6 +37,12 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
+def quarter_turn(m, turns) -> np.ndarray:
+    """``m * 1j ** turns`` (integer ``turns``, broadcast): each part of a finite
+    result is exactly a part of ``m`` or its negative (``+0.0`` for a zero)."""
+    return np.asarray(m) * (np.array([1.0, 1.0j, -1.0, -1.0j]) + 0.0)[np.asarray(turns) % 4]
+
+
 def mat_norm(a) -> float:
     """Frobenius norm, the scale used for all residuals.
 
@@ -119,27 +125,30 @@ def canonical_order(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.lexsort((-values.real, -values.imag, key))
 
 
-def _canonical_phases(r: np.ndarray) -> np.ndarray:
+def _canonical_phases(r: np.ndarray, turns=None) -> np.ndarray:
     """Unit-normalize each column and rotate its largest-magnitude component to
-    the positive real axis."""
+    the positive real axis, in the basis ``diag(1j ** turns)`` when given."""
     r = np.asarray(r, dtype=complex)
     norms = np.linalg.norm(r, axis=0)
     r = r / np.where(norms > 0.0, norms, 1.0)
-    pivots = r[np.argmax(np.abs(r), axis=0), np.arange(r.shape[1])]
+    rows = np.argmax(np.abs(r), axis=0)
+    pivots = quarter_turn(r[rows, np.arange(r.shape[1])], 0 if turns is None else turns[rows])
     rotations = np.ones_like(pivots)
     nonzero = pivots != 0.0
     rotations[nonzero] = pivots[nonzero].conj() / np.abs(pivots[nonzero])
     return r * rotations
 
 
-def eigendecompose(h, tol: float = DEFAULT_TOL) -> EigenSystem:
+def eigendecompose(h, tol: float = DEFAULT_TOL, turns=None) -> EigenSystem:
     """Full complex eigendecomposition with biorthogonal left vectors.
 
     Eigenvalues are sorted (real descending, imaginary descending; real parts
     within ``tol`` times the spectral radius count as equal unless the
-    imaginary parts tie too), right
-    eigenvectors are unit-norm with their largest-magnitude component real and
-    positive, and ``left = inv(right)``.
+    imaginary parts tie too), right eigenvectors are unit-norm with their
+    largest-magnitude component real and positive, and ``left = inv(right)``.
+    With ``turns``, ``h`` is the exactly real ``W^dagger H W``, ``W = diag(1j
+    ** turns)``: ``eig`` runs in real arithmetic, and exact rotations meet the
+    phase convention for ``W @ right``, the eigenvectors of H.
 
     Raises
     ------
@@ -150,12 +159,12 @@ def eigendecompose(h, tol: float = DEFAULT_TOL) -> EigenSystem:
     """
     h = as_matrix(h, "H")
     try:
-        values, r = np.linalg.eig(h)
+        values, r = np.linalg.eig(h if turns is None else h.real)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     order = canonical_order(values, tol)
     values = values[order]
-    r = _canonical_phases(r[:, order])
+    r = _canonical_phases(r[:, order], turns)
     condition = float(np.linalg.cond(r))
     threshold = 1.0 / tol
     if not np.isfinite(condition) or condition > threshold:

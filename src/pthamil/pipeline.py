@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .antilinear import AntilinearOp, fix_pt_phases, make_frame
+from .antilinear import AntilinearOp, PTFrame, conjugation_turns, fix_pt_phases, make_frame
 from .cpt import (
     build_c,
     build_pv,
@@ -39,7 +39,7 @@ from .errors import (
 from .fockdemo import truncated_position_matrix
 from .intertwiner import Flag, build_metric, v_gram, verify_time_independence
 from .jsontext import dumps
-from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, eigendecompose, identity
+from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, eigendecompose, identity, quarter_turn
 from .matio import load_matrix
 from .spectra import SpectrumKind, antilinear_symmetry_check, classify
 from .twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
@@ -54,7 +54,7 @@ _P_BUILTINS = {
     "sigma2": lambda dim: _require_dim(SIGMA2, dim, "sigma2"),
     "sigma3": lambda dim: _require_dim(SIGMA3, dim, "sigma3"),
     "identity": lambda dim: identity(dim),
-    "alternating": lambda dim: np.diag([(-1.0 + 0j) ** n for n in range(dim)]),
+    "alternating": lambda dim: np.diag(np.where(np.arange(dim) % 2, -1.0, 1.0)).astype(complex),
 }
 
 _T_BUILTINS = {
@@ -152,16 +152,15 @@ def _default_frame_specs(cfg: AnalysisConfig):
 
 
 def _build_frame(p_spec, t_spec, dim: int, check_tol: float):
-    p = t_op = None
+    p = u = None
     if p_spec:
         p = _P_BUILTINS[p_spec](dim) if p_spec in _P_BUILTINS else load_matrix(p_spec)
     if t_spec:
         u = _T_BUILTINS[t_spec](dim) if t_spec in _T_BUILTINS else load_matrix(t_spec)
-        t_op = AntilinearOp(u)
-    if p is None or t_op is None:
-        return p, t_op, None
-    frame = make_frame(p, t_op, check_tol)
-    return frame.p, t_op, frame  # frame.p: P as a read-only complex array
+    if p is None or u is None:
+        return p, None, None
+    frame = make_frame(p, u, check_tol)
+    return frame.p, frame, conjugation_turns(frame.pt)  # frame.p: P read-only, complex
 
 
 #: built-in frames are constants: one entry per (names, dim, tol), shared
@@ -170,24 +169,26 @@ _builtin_frame = functools.lru_cache(maxsize=32)(_build_frame)
 
 
 def _resolve_frame(p_spec, t_spec, dim: int, check_tol: float):
-    """``(p, t_op, frame)`` for specs that are each a built-in name, a file
-    path or None; ``frame`` is None unless both are given. A built-in frame
-    comes from the per-process cache; a file is read and its frame validated
-    on every call, so a rewritten file takes effect."""
+    """``(p, frame, turns)`` for specs that are each a built-in name, a file
+    path or None; ``frame`` is None unless both are given, ``turns`` unless it
+    is built in (:func:`conjugation_turns`). A built-in frame comes from the
+    per-process cache; a file is read and its frame validated on every call,
+    so a rewritten file takes effect."""
     named = ((p_spec is None or p_spec in _P_BUILTINS)
              and (t_spec is None or t_spec in _T_BUILTINS))
     if named and (p_spec or t_spec):
         return _builtin_frame(p_spec, t_spec, dim, check_tol)
-    return _build_frame(p_spec, t_spec, dim, check_tol)
+    return _build_frame(p_spec, t_spec, dim, check_tol)[:2] + (None,)  # a file keeps W = I
 
 
 def _complex_list(values) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex)]
 
 
-def _matrix(m) -> dict:
-    """A matrix in the report layout, its parts kept as arrays until emitted."""
-    return {"dim": int(m.shape[0]), "re": m.real, "im": m.imag}
+def _matrix(m, turns=None) -> dict:
+    """Report matrix: arrays until emitted, zeros unsigned; ``turns`` maps it to H's basis."""
+    m = m if turns is None else quarter_turn(m, turns)
+    return {"dim": int(m.shape[0]), "re": m.real + 0.0, "im": m.imag + 0.0}
 
 
 def _plain(node):
@@ -260,10 +261,12 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     """Run the full pipeline: classify, build the metric and its Gram matrices,
     then the parity-dependent sections, the diagnostic, and time independence.
 
-    Raises ParseError for unreadable input, NonDiagonalizable at an exceptional
-    point, and UnpairedComplexEigenvalue when the spectrum admits no antilinear
-    symmetry. Sections whose preconditions fail are marked skipped with the
-    reason instead of aborting the analysis.
+    Raises ParseError for an unreadable input or frame (before the rest),
+    NonDiagonalizable at an exceptional point, and UnpairedComplexEigenvalue
+    when the spectrum admits no antilinear symmetry. Sections whose
+    preconditions fail are marked skipped with the reason instead of aborting
+    the analysis. An exactly PT symmetric H under a built-in frame with PT =
+    diag(+-1) K runs in the basis where it is real (README, "Conventions").
     """
     tol = resolve_tol(cfg)
     gram_tol = max(tol, 1e-9)
@@ -271,12 +274,20 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     h, source_info = _load_hamiltonian(cfg)
     notes: list = []
 
-    es = eigendecompose(h, tol)  # may raise NonDiagonalizable
+    p_spec, t_spec = _default_frame_specs(cfg)
+    p, frame, turns = _resolve_frame(p_spec, t_spec, h.shape[0], check_tol)
+    rows = cols = both = None  # the turns taking a matrix back: rows by w, columns by conj(w)
+    if turns is not None and not quarter_turn(h, turns - turns[:, np.newaxis]).imag.any():
+        rows, cols = turns[:, np.newaxis], -turns
+        both = rows + cols
+        h, p = quarter_turn(h, -both), quarter_turn(p, -both)  # W^dagger H W, W^dagger P W
+        frame = PTFrame(p, AntilinearOp(p), AntilinearOp(identity(len(p))))  # T = P K, PT = K
+    else:
+        turns = None
+
+    es = eigendecompose(h, tol, turns)  # may raise NonDiagonalizable
     cls = classify(es, tol)      # may raise UnpairedComplexEigenvalue
     real_case = cls.kind is SpectrumKind.ALL_REAL
-
-    p_spec, t_spec = _default_frame_specs(cfg)
-    p, _, frame = _resolve_frame(p_spec, t_spec, es.dim, check_tol)
 
     p_intertwines = p is not None and check_p_intertwines(h, p, check_tol)
     if p is not None and not p_intertwines:
@@ -318,7 +329,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "recombined into a PT eigenbasis; all sections use that basis"
         )
 
-    itw = build_metric(es, cls, tol)
+    itw = build_metric(es, cls, tol, h)
     norm_report = v_gram(es, itw, cls, p=p, frame=frame, phases=phases, tol=gram_tol)
     if phases is not None:
         pt_section.update(
@@ -332,9 +343,9 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         pv_section = {"skipped": "complex-pair spectrum: PV plays no role"}
         signs = cfg.c_signs or tuple(1 for _ in cls.pairs)
     elif p_intertwines:
-        pv = build_pv(p, itw.v, es, check_tol)
+        pv = build_pv(p, itw.v, es, check_tol, h)
         pv_section = {
-            "matrix": _matrix(pv.matrix),
+            "matrix": _matrix(pv.matrix, both),
             "alphas": _complex_list(pv.alphas),
             "squares_to_identity": bool(pv.squares_to_identity),
         }
@@ -349,8 +360,8 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         c_section = {"skipped": f"{reason}; supply c_signs to build C anyway"}
         diagnostic = {"skipped": "no C operator was built"}
     else:
-        commutant = build_c(es, cls, signs, tol)
-        c_section = {"matrix": _matrix(commutant.matrix),
+        commutant = build_c(es, cls, signs, tol, h)
+        c_section = {"matrix": _matrix(commutant.matrix, both),
                      "signs": [int(s) for s in signs]}
         if frame is None:
             diagnostic = {"skipped": "no frame supplied for the [C, PT] diagnostic"}
@@ -387,12 +398,12 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         },
         eigen={
             "values": _complex_list(es.values),
-            "right": _matrix(es.right),
-            "left": _matrix(es.left),
+            "right": _matrix(es.right, rows),
+            "left": _matrix(es.left, cols),
             "condition": es.condition,
         },
         v=dict(
-            _matrix(itw.v),
+            _matrix(itw.v, both),
             hermitian=bool(itw.hermitian),
             positive=bool(itw.positive),
             residual=float(itw.residual),

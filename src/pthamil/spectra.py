@@ -91,12 +91,12 @@ def classify(es: EigenSystem, tol: float = DEFAULT_TOL) -> SpectrumClass:
 
 
 def antilinear_symmetry_check(h, a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``A H A^-1 == H`` for the antilinear operator ``A = U K``.
+    """True iff ``A H A^-1 == H`` for the antilinear operator ``A = U K``,
+    tested as ``U conj(H) == H U``: no inverse, and the same residual for a unitary U.
 
     ``a`` may be an :class:`~pthamil.antilinear.AntilinearOp` or a bare matrix,
     which is then taken as its matrix ``U``.
     """
     h = as_matrix(h, "H")
     u = as_matrix(getattr(a, "u", a), "U")
-    transformed = u @ np.conj(h) @ np.linalg.inv(u)
-    return mat_norm(transformed - h) <= tol * max(1.0, mat_norm(h))
+    return mat_norm(u @ np.conj(h) - h @ u) <= tol * max(1.0, mat_norm(h))

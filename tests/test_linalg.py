@@ -13,6 +13,7 @@ from pthamil.linalg import (
     eigendecompose,
     identity,
     mat_norm,
+    quarter_turn,
 )
 from pthamil.twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
 from testutil import random_real, rng
@@ -183,3 +184,40 @@ def test_mat_norm_matches_numpy_bit_for_bit(a):
 def test_mat_norm_overflows_to_inf():
     assert mat_norm(np.array([[0.0, 8e300], [2e300, 0.0]])) == np.inf
     assert mat_norm(np.array([[0.0, 8e300j], [2e300, 0.0]])) == np.inf
+
+
+def test_quarter_turn_places_parts_exactly():
+    m = _COMPLEX
+    turns = np.arange(7) % 4
+    got = quarter_turn(m, turns[np.newaxis, :])
+    expected = [(m.real, m.imag), (-m.imag, m.real), (-m.real, -m.imag), (m.imag, -m.real)]
+    for k in range(7):
+        re, im = expected[turns[k]]
+        assert np.array_equal(got[:, k].real, re[:, k]) and np.array_equal(got[:, k].imag, im[:, k])
+    assert np.array_equal(quarter_turn(m, -1), quarter_turn(m, 3))
+    units = quarter_turn(1.0, np.arange(4))
+    assert units.tolist() == [1.0, 1j, -1.0, -1j]
+    zeros = np.concatenate([units.real[units.real == 0.0], units.imag[units.imag == 0.0]])
+    assert zeros.size == 4 and not np.signbit(zeros).any()
+
+
+def test_eigendecompose_in_a_real_basis():
+    """With ``turns``, ``eig`` runs on the real ``W^dagger H W`` and the phase
+    convention holds for ``W @ right``, the eigenvectors of H; every rotation
+    is exact, so each eigenvector of a real eigenvalue is a real vector times
+    one of +-1, +-i."""
+    generator = rng(5)
+    s = random_real(generator, 8)
+    a = s @ s.T + np.eye(8)  # positive definite: H = P A has a real spectrum
+    turns = np.arange(8) % 2
+    h_real = (1.0 - 2.0 * turns)[:, np.newaxis] * a  # real, since A is
+    es = eigendecompose(h_real, turns=turns)
+    w = quarter_turn(1.0, turns)
+    h = w[:, np.newaxis] * h_real * w.conj()[np.newaxis, :]
+    reference = eigendecompose(h)
+    assert np.allclose(es.values, reference.values, rtol=0, atol=1e-12 * np.abs(h).max())
+    right = w[:, np.newaxis] * es.right
+    pivots = right[np.argmax(np.abs(right), axis=0), np.arange(8)]
+    assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0.0)
+    assert np.allclose(right, reference.right, atol=1e-12)
+    assert np.all((es.right.real == 0.0) | (es.right.imag == 0.0))

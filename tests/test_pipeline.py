@@ -2,15 +2,16 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pthamil.errors import NonDiagonalizable, ParseError, UnpairedComplexEigenvalue
+from pthamil.errors import InvalidFrame, NonDiagonalizable, ParseError, UnpairedComplexEigenvalue
 from pthamil import pipeline
-from pthamil.linalg import SIGMA1
+from pthamil.linalg import SIGMA1, EigenSystem, quarter_turn
 from pthamil.matio import save_matrix
 from pthamil.pipeline import (
     AnalysisConfig,
@@ -170,6 +171,24 @@ class TestAnalyzeErrors:
         with pytest.raises(ParseError):
             run_analyze(AnalysisConfig(source_path="/no/such.json"))
 
+    @pytest.mark.parametrize("h,error", [
+        (np.eye(3) + np.eye(3, k=1), NonDiagonalizable),
+        (np.diag([1.0, 2.0, 3.0 + 1.0j]), UnpairedComplexEigenvalue),
+    ], ids=["exceptional", "unpaired"])
+    def test_frame_error_comes_first(self, tmp_path, h, error):
+        # the frame is resolved before eig, so a bad frame is what an input
+        # with both faults reports: exit code 2, not 3 or 4
+        path, p_path = tmp_path / "h.json", tmp_path / "p.json"
+        save_matrix(str(path), h)
+        save_matrix(str(p_path), 2.0 * np.eye(3))  # not an involution
+        with pytest.raises(error):
+            run_analyze(AnalysisConfig(source_path=str(path)))
+        with pytest.raises(ParseError, match="builtin 'sigma1' is 2x2, need dim 3") as exc:
+            run_analyze(AnalysisConfig(source_path=str(path), p_spec="sigma1"))
+        assert pipeline.exit_code_for(exc.value) == pipeline.EXIT_PARSE
+        with pytest.raises(InvalidFrame, match="P\\^2 = I"):
+            run_analyze(AnalysisConfig(source_path=str(path), p_spec=str(p_path)))
+
 
 class TestFrameCache:
     """Built-in frames are built once per (names, dim, tol) and shared
@@ -185,13 +204,14 @@ class TestFrameCache:
         assert first == second and emit_report(first) == emit_report(second)
 
     def test_cached_frame_is_shared_and_read_only(self):
-        p, t_op, frame = pipeline._resolve_frame("alternating", "k", 4, 1e-8)
-        assert pipeline._resolve_frame("alternating", "k", 4, 1e-8)[2] is frame
-        assert p is frame.p and t_op is frame.t
-        for array in (p, frame.pt.u, t_op.u):
+        p, frame, turns = pipeline._resolve_frame("alternating", "k", 4, 1e-8)
+        assert pipeline._resolve_frame("alternating", "k", 4, 1e-8)[1] is frame
+        assert p is frame.p
+        for array in (p, frame.pt.u, frame.t.u):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 7.0
         assert np.array_equal(p, np.diag([1.0, -1.0, 1.0, -1.0]))
+        assert turns.tolist() == [0, 1, 0, 1]
 
     def test_wrong_size_builtin_raises_every_call(self, tmp_path):
         path = tmp_path / "h3.json"
@@ -568,3 +588,123 @@ class TestBatchWorkers:
             assert shape == other_shape
             assert np.allclose(other_floats, floats, rtol=1e-8, atol=1e-10)
 
+
+def _odd_pivot_pa():
+    """A 3 x 3 P·A whose positive-energy eigenvector (0.5, 0.6, 0.5) has its
+    largest component on an odd row, so its raw PT phase is -1 against a
+    parity overlap of +1, and its phase fix is a quarter turn. The columns of
+    S are P-orthogonal, ``S^T P S = diag(sigma)``, so ``A = (P S) diag(E /
+    sigma) (P S)^T`` gives ``P A S = S diag(E)``, and A is positive definite
+    as each E has the sign of its sigma."""
+    parity = np.array([1.0, -1.0, 1.0])
+    s = np.array([[0.5, 1.0, 0.6], [0.6, 0.0, 1.0], [0.5, -1.0, 0.6]])
+    sigma = np.einsum("ij,i,ij->j", s, parity, s)
+    ps = parity[:, np.newaxis] * s
+    a = ps @ np.diag(np.array([1.0, 2.0, -1.0]) / sigma) @ ps.T
+    turns = np.arange(3) % 2
+    return quarter_turn(parity[:, np.newaxis] * a, turns[:, np.newaxis] - turns)  # W H' W^dagger
+
+
+def _assert_zero_parts(m, imaginary):
+    """Entries of ``m`` where ``imaginary`` holds have an exactly zero real
+    part; every other entry has an exactly zero imaginary part."""
+    re_, im = np.asarray(m["re"]), np.asarray(m["im"])
+    assert not re_[imaginary].any() and not im[~imaginary].any()
+
+
+class TestRealBasis:
+    """Under a built-in frame whose PT is ``diag(+-1) K``, an exactly PT
+    symmetric H is analyzed in the basis where it is real; the structural
+    zeros this gives are exact in the report, which is in the original basis."""
+
+    @pytest.mark.parametrize("dim", [4, 101, 200])
+    def test_alternating_parity_is_exact(self, dim):
+        p = pipeline._P_BUILTINS["alternating"](dim)
+        assert np.array_equal(p.real, np.diag(np.where(np.arange(dim) % 2, -1.0, 1.0)))
+        assert not p.imag.any()
+        assert np.array_equal(p, p.conj().T)
+
+    @pytest.mark.parametrize("h,quarter_turned", [
+        (_pa_matrix(np.random.default_rng(12), 12, definite=True), False),
+        (_pa_matrix(np.random.default_rng(13), 13, definite=True), False),
+        (_odd_pivot_pa(), True),
+    ], ids=["n12", "n13", "odd-pivot"])
+    def test_structural_zeros_are_exact(self, tmp_path, h, quarter_turned):
+        n = len(h)
+        path = tmp_path / "h.json"
+        save_matrix(str(path), h)
+        report = run_analyze(AnalysisConfig(source_path=str(path), p_spec="alternating",
+                                            t_spec="k"))
+        assert all(flag["passed"] for flag in report.flags.values())
+        parity = np.arange(n) % 2 == 1
+        r = _matrix_from(report.eigen["right"])
+        rows = np.argmax(np.abs(r), axis=0)
+        pivots = r[rows, np.arange(n)]
+        assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0.0)
+        # each eigenvector is real in the basis diag(1j ** parity) up to its
+        # phase, which makes the component at its pivot real
+        right = parity[:, np.newaxis] != parity[rows][np.newaxis, :]
+        _assert_zero_parts(report.eigen["right"], right)
+        _assert_zero_parts(report.eigen["left"], right.T)
+        for m in (report.v, report.pv["matrix"], report.c["matrix"]):
+            _assert_zero_parts(m, parity[:, np.newaxis] != parity[np.newaxis, :])
+        gram = parity[rows][:, np.newaxis] != parity[rows][np.newaxis, :]
+        # gram.pt is over the phase-fixed states: real or imaginary by their PT phase
+        odd = np.array([z[0] for z in report.pt["eta"]]) < 0.0
+        for name, m in report.gram.items():
+            _assert_zero_parts(m, odd[:, np.newaxis] != odd if name == "pt" else gram)
+        fixes = {complex(*z) for z in report.pt["phase_fix"]}
+        assert fixes <= {1, -1, 1j, -1j} and bool(fixes & {1j, -1j}) == quarter_turned
+        assert not re.search(r"-0\.0[,\n]", emit_report(report))
+
+    def test_analysis_never_re_forms_h(self, tmp_path, monkeypatch):
+        def reconstruct(self):
+            raise AssertionError("H re-formed from its eigensystem")
+
+        monkeypatch.setattr(EigenSystem, "reconstruct", reconstruct)
+        for definite in (True, False):
+            path = tmp_path / f"h{definite}.json"
+            save_matrix(str(path), _pa_matrix(np.random.default_rng(3), 6, definite))
+            report = run_analyze(AnalysisConfig(source_path=str(path), p_spec="alternating"))
+            assert "matrix" in report.c
+        assert "matrix" in run_analyze(AnalysisConfig(model="two-level", alpha=5.0, beta=3.0)).pv
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 12), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_same_answers_as_the_complex_path(self, tmp_path_factory, n, definite, seed):
+        """H under alternating/k (real path) against ``Q H Q^T`` under the
+        file-given parity ``Q P Q^T`` with T = K (so ``u_PT = Q P Q^T``, the
+        complex path), for a random real orthogonal Q."""
+        generator = np.random.default_rng(seed)
+        h = _pa_matrix(generator, n, definite)
+        values = np.linalg.eigvals(h)
+        radius = np.abs(values).max()
+        gaps = np.abs(values[:, np.newaxis] - values[np.newaxis, :]) + np.eye(n) * radius
+        imag = np.abs(values.imag)
+        assume(gaps.min() > 1e-3 * radius and np.all((imag < 1e-12 * radius) | (imag > 1e-3 * radius)))
+        q, _ = np.linalg.qr(generator.standard_normal((n, n)))
+        parity = np.diag(np.where(np.arange(n) % 2, -1.0, 1.0))
+        root = tmp_path_factory.getbasetemp()
+        paths = [str(root / name) for name in ("h.json", "qhq.json", "qpq.json")]
+        for path, m in zip(paths, (h, q @ h @ q.T, q @ parity @ q.T)):
+            save_matrix(path, m)
+        real = run_analyze(AnalysisConfig(source_path=paths[0], p_spec="alternating", t_spec="k"))
+        other = run_analyze(AnalysisConfig(source_path=paths[1], p_spec=paths[2], t_spec="k"))
+        # the real path ran: a real eig gives exact conjugate pairs, and real
+        # eigenvectors with exact zero parts
+        values = [complex(*z) for z in real.eigen["values"]]
+        assert all(values[i] == values[j].conjugate() for i, j in real.spectrum["pairs"])
+        right = _matrix_from(real.eigen["right"])[:, real.spectrum["real_indices"]]
+        assert np.all((right.real == 0.0) | (right.imag == 0.0))
+        assert real.spectrum["kind"] == other.spectrum["kind"]
+        assert np.allclose(real.eigen["values"], other.eigen["values"], rtol=0, atol=1e-9 * radius)
+        assert ({k: f["passed"] for k, f in real.flags.items()}
+                == {k: f["passed"] for k, f in other.flags.items()})
+        assert real.diagnostic == other.diagnostic and real.notes == other.notes
+        assert real.pt.get("eta") == other.pt.get("eta")
+        for name, m in real.gram.items():
+            if m is None:
+                assert other.gram[name] is None
+                continue
+            mod, other_mod = np.abs(_matrix_from(m)), np.abs(_matrix_from(other.gram[name]))
+            assert np.linalg.norm(mod - other_mod) <= 1e-8 * np.linalg.norm(mod), name
