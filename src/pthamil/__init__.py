@@ -14,10 +14,8 @@ from .antilinear import (
     AntilinearOp,
     PTFrame,
     PTPhases,
-    fix_pt_phases,
+    calibrate,
     make_frame,
-    make_two_level_frame,
-    pt_eigenphase,
     pt_gram,
 )
 from .cpt import (
@@ -27,7 +25,6 @@ from .cpt import (
     build_pv,
     c_pt_diagnostic,
     check_p_intertwines,
-    p_normalize,
 )
 from .errors import (
     CoefficientOverflow,
@@ -37,7 +34,6 @@ from .errors import (
     NotCommuting,
     NotPTEigenstate,
     NotRealPhase,
-    NotRealSpectrum,
     ParseError,
     PTHamilError,
     UnpairedComplexEigenvalue,

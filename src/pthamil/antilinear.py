@@ -15,13 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFrame, NotPTEigenstate, NotRealSpectrum
-from .linalg import (DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, EigenSystem, as_matrix, mat_norm,
-                     quarter_turn)
+from .errors import InvalidFrame, NotPTEigenstate
+from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm, quarter_turn
 from .spectra import SpectrumClass, SpectrumKind, spectral_scale
-
-_SIGMA = (SIGMA1, SIGMA2, SIGMA3)
-
 
 @dataclass(frozen=True)
 class AntilinearOp:
@@ -46,10 +42,9 @@ class AntilinearOp:
 
 @dataclass(frozen=True)
 class PTFrame:
-    """A validated parity / time-reversal pair and their composition."""
+    """A validated parity and the composition PT; ``T`` itself is ``P PT``."""
 
     p: np.ndarray
-    t: AntilinearOp
     pt: AntilinearOp
 
     def __post_init__(self):
@@ -87,7 +82,7 @@ def make_frame(p, t, tol: float = DEFAULT_TOL) -> PTFrame:
     if bad:
         detail = ", ".join(f"{k} (residual {v:.3e})" for k, v in bad.items())
         raise InvalidFrame(f"frame constraints violated: {detail}")
-    return PTFrame(p, t, AntilinearOp(u_pt))
+    return PTFrame(p, AntilinearOp(u_pt))
 
 
 def conjugation_turns(pt: AntilinearOp) -> np.ndarray | None:
@@ -97,57 +92,6 @@ def conjugation_turns(pt: AntilinearOp) -> np.ndarray | None:
     if np.count_nonzero(pt.u - np.diag(d)) or not np.all((d == 1.0) | (d == -1.0)):
         return None
     return (d.real < 0.0).astype(int)
-
-
-def make_two_level_frame(pvec, tvec, tol: float = DEFAULT_TOL) -> PTFrame:
-    """Two-dimensional frame ``P = sigma . p`` and ``T = K sigma_2 (sigma . t)``
-    from real orthogonal unit 3-vectors ``p`` and ``t``."""
-    pvec = np.asarray(pvec, dtype=float)
-    tvec = np.asarray(tvec, dtype=float)
-    if pvec.shape != (3,) or tvec.shape != (3,):
-        raise InvalidFrame("pvec and tvec must be real 3-vectors")
-    if abs(np.dot(pvec, pvec) - 1.0) > tol or abs(np.dot(tvec, tvec) - 1.0) > tol:
-        raise InvalidFrame("pvec and tvec must be unit vectors")
-    if abs(np.dot(pvec, tvec)) > tol:
-        raise InvalidFrame("pvec and tvec must be orthogonal")
-    p = sigma_dot(pvec)
-    # T = K sigma_2 (sigma.t) in operator form; as v -> u conj(v) this is
-    # u = conj(sigma_2 (sigma.t)) = -sigma_2 (sigma.t) since sigma.t is real.
-    t = AntilinearOp(-SIGMA2 @ sigma_dot(tvec))
-    return make_frame(p, t, tol)
-
-
-def sigma_dot(vec) -> np.ndarray:
-    """``sigma . v`` for a real or complex 3-vector."""
-    vec = np.asarray(vec)
-    return sum(vec[k] * _SIGMA[k] for k in range(3))
-
-
-def pt_eigenphase(pt: AntilinearOp, state, tol: float = DEFAULT_TOL) -> complex:
-    """The phase ``eta`` with ``pt(state) = eta * state``.
-
-    ``eta`` is extracted from the component of ``pt(state)`` along ``state``
-    (a projection, never an elementwise division) and normalized to unit
-    modulus; if the residual off the ray exceeds tolerance the state is not a
-    PT eigenstate — which is exactly what happens for members of a
-    complex-conjugate pair, whom PT maps onto their partner.
-    """
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    norm2 = np.vdot(state, state).real
-    if norm2 <= 0.0:
-        raise ValueError("zero state")
-    image = pt.apply(state)
-    coeff = np.vdot(state, image) / norm2
-    scale = max(mat_norm(image), mat_norm(state))
-    if abs(coeff) < 0.5:
-        raise NotPTEigenstate(
-            f"PT maps the state mostly off its own ray (|projection| = {abs(coeff):.3e})"
-        )
-    eta = coeff / abs(coeff)
-    residual = mat_norm(image - eta * state)
-    if residual > tol * max(1.0, scale):
-        raise NotPTEigenstate(f"PT eigenstate residual {residual:.3e} exceeds tolerance")
-    return complex(eta)
 
 
 @dataclass(frozen=True)
@@ -240,27 +184,56 @@ def _recombine_degenerate(pt, es, groups, p, tol) -> np.ndarray:
     return right
 
 
-def fix_pt_phases(pt: AntilinearOp, es: EigenSystem, cls: SpectrumClass, p=None,
-                  tol: float = DEFAULT_TOL) -> PTPhases:
-    """Rephase a real-spectrum eigenbasis so every PT eigenvalue is +1 or -1.
+#: why ``calibrate`` fixes no PT phases: no frame, or a conjugate-pair spectrum
+_NO_FRAME = "no parity/time-reversal frame supplied"
+_PAIRS = ("complex-pair spectrum: PT maps each state onto its partner, "
+          "so per-state PT phases do not exist")
 
-    The raw phase of state ``n`` is read off with the left-vector (metric)
-    projection of ``pt(state)``. Which real branch a state lands on is chosen
-    per state: when a parity matrix ``p`` is supplied, the sign of the (real,
-    rephasing-invariant) parity overlap ``<R_n|P|R_n>`` is used, which is the
-    choice that makes the phase-corrected PT norm positive; without ``p`` an
-    already-real phase is kept (a ``-1`` is never flipped) and anything else is
-    rotated to +1. Degenerate eigenvalue groups are first recombined so PT acts
-    diagonally on them, P-orthonormally when ``p`` is supplied; such groups are
-    recorded.
+
+def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt: AntilinearOp | None,
+              p_intertwines: bool, tol: float = DEFAULT_TOL) -> tuple:
+    """Calibrate a real-spectrum eigenbasis so its PT-conjugate norm is the V norm.
+
+    Returns ``(system, phases, skipped, uncalibrated)``.
+
+    1. When ``p`` intertwines H (``p_intertwines``, the caller's decision),
+       each state is rescaled to ``|<R_n|P|R_n>| = 1``: parity calibration,
+       under which the PV eigenvalues are +-1. States whose overlap is below
+       tolerance keep their scale and are listed in ``uncalibrated``.
+    2. Given ``pt``, degenerate eigenvalue groups are recombined so PT acts
+       diagonally on them, P-orthonormally when ``p`` is given, and every
+       state is rephased so ``PT R_n = eta_n R_n`` with eta_n = +-1. The
+       branch is the sign of the parity overlap where that is usable (the
+       choice that makes the PT-conjugate norm positive); otherwise a real
+       phase is kept and anything else rotated to +1. ``phases``, a
+       :class:`PTPhases`, carries the rephased system.
+
+    ``system`` is the basis every later section uses: the rephased one when a
+    degenerate group was recombined, else the parity-calibrated one. Where no
+    phases exist, ``phases`` is None and ``skipped`` the reason; a
+    conjugate-pair spectrum comes back unchanged.
     """
     if cls.kind is not SpectrumKind.ALL_REAL:
-        raise NotRealSpectrum("PT phases exist per-state only for an all-real spectrum")
+        return es, None, _PAIRS if pt is not None else _NO_FRAME, []
     p = as_matrix(p, "P") if p is not None else None
+    uncalibrated = []
+    if p_intertwines:
+        magnitudes = np.abs(parity_overlaps(es, p))
+        small = magnitudes <= tol * max(1.0, mat_norm(p))
+        es = es.rescaled(1.0 / np.sqrt(np.where(small, 1.0, magnitudes)))
+        uncalibrated = np.flatnonzero(small).tolist()
+    if pt is None:
+        return es, None, _NO_FRAME, uncalibrated
+
+    def unavailable(why):
+        return es, None, f"PT phases unavailable: {why}", uncalibrated
+
     groups = _degenerate_groups(es.values, tol)
-    if groups:
-        es = es.with_right(_recombine_degenerate(pt, es, groups, p, tol))
-    right, left = es.right, es.left
+    try:
+        phased = es.with_right(_recombine_degenerate(pt, es, groups, p, tol)) if groups else es
+    except NotPTEigenstate as exc:
+        return unavailable(exc)
+    right, left = phased.right, phased.left
 
     images = pt.apply(right)
     coeff = np.einsum("ij,ji->i", left, images)
@@ -269,13 +242,13 @@ def fix_pt_phases(pt: AntilinearOp, es: EigenSystem, cls: SpectrumClass, p=None,
     bad = (np.abs(coeff) < 0.5) | (residual > bound)
     if bad.any():
         j = int(np.argmax(bad))
-        raise NotPTEigenstate(f"state {j} is not a PT eigenstate (residual {residual[j]:.3e})")
+        return unavailable(f"state {j} is not a PT eigenstate (residual {residual[j]:.3e})")
     eta_raw = coeff / np.abs(coeff)
 
     # without a usable parity overlap: keep a real phase, rotate the rest to +1
     targets = np.where((np.abs(eta_raw.imag) <= tol) & (eta_raw.real < 0.0), -1.0, 1.0)
     if p is not None:
-        overlaps = parity_overlaps(es, p)
+        overlaps = parity_overlaps(phased, p)
         usable = ((np.abs(overlaps) > tol * max(1.0, mat_norm(p)))
                   & (np.abs(overlaps.imag) <= 1e-6 * np.abs(overlaps)))
         targets = np.where(usable, np.where(overlaps.real > 0.0, 1.0, -1.0), targets)
@@ -284,19 +257,19 @@ def fix_pt_phases(pt: AntilinearOp, es: EigenSystem, cls: SpectrumClass, p=None,
     angles = np.angle(eta_raw) - np.angle(targets)
     turns = angles / np.pi
     fixes = np.where(turns % 1 == 0, quarter_turn(1.0, turns.astype(int)), np.exp(0.5j * angles))
-    system = es.rescaled(fixes, es.condition)  # unit-modulus factors keep cond
+    system = phased.rescaled(fixes, phased.condition)  # unit-modulus factors keep cond
 
     images = pt.apply(system.right)  # re-read every phase as the final consistency check
     coeff = np.einsum("ij,ji->i", system.left, images)
     bad = ((np.abs(coeff) < 0.5) | (np.abs(coeff - np.abs(coeff) * targets) > 1e-6 * np.abs(coeff))
            | (np.linalg.norm(images - coeff * system.right, axis=0) > bound))
     if bad.any():
-        j = int(np.argmax(bad))
-        raise NotPTEigenstate(f"phase fix failed to land state {j} on a real branch")
-    return PTPhases(targets, fixes, system, tuple(tuple(g) for g in groups))
+        return unavailable(f"phase fix failed to land state {int(np.argmax(bad))} on a real branch")
+    phases = PTPhases(targets, fixes, system, tuple(tuple(g) for g in groups))
+    return (system if groups else es), phases, None, uncalibrated
 
 
-def pt_gram(frame: PTFrame, phases: PTPhases) -> np.ndarray:
-    """Full matrix of PT-conjugate inner products."""
-    raw = phases.system.right.conj().T @ frame.p @ phases.system.right
+def pt_gram(p, phases: PTPhases) -> np.ndarray:
+    """Full matrix of PT-conjugate inner products of the rephased states."""
+    raw = phases.system.right.conj().T @ p @ phases.system.right
     return raw / phases.eta[:, np.newaxis]

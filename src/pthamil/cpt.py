@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .antilinear import AntilinearOp, parity_overlaps
+from .antilinear import AntilinearOp
 from .errors import NotCommuting, PTHamilError
 from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm
 from .spectra import SpectrumClass, SpectrumKind
@@ -50,20 +50,6 @@ def check_p_intertwines(h, p, tol: float = DEFAULT_TOL) -> bool:
     if mat_norm(p @ p - eye) > tol * max(1.0, mat_norm(p) ** 2):
         raise ValueError("P must square to the identity")
     return mat_norm(p @ h @ p - h.conj().T) <= tol * max(1.0, mat_norm(h))
-
-
-def p_normalize(es: EigenSystem, p, tol: float = DEFAULT_TOL):
-    """Rescale eigenvectors so ``|<R_n|P|R_n>| = 1``.
-
-    This is the calibration under which the PV eigenvalues become +-1 and the
-    parity Gram matrix is ``diag(+-1)``. States whose parity overlap is below
-    tolerance (degenerate PV eigenvalues) are left untouched and returned in
-    the skipped list.
-    """
-    magnitudes = np.abs(parity_overlaps(es, p))
-    skipped = magnitudes <= tol * max(1.0, mat_norm(p))
-    factors = 1.0 / np.sqrt(np.where(skipped, 1.0, magnitudes))
-    return es.rescaled(factors), np.flatnonzero(skipped).tolist()
 
 
 def build_pv(p, v, es: EigenSystem, tol: float = DEFAULT_TOL, h=None) -> CommutantOp:

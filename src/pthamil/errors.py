@@ -37,10 +37,6 @@ class InvalidFrame(PTHamilError):
     """Parity / time-reversal pair violates its structural constraints."""
 
 
-class NotRealSpectrum(PTHamilError):
-    """Operation requires an all-real spectrum."""
-
-
 class NotRealPhase(PTHamilError):
     """Closed forms requested outside the real-eigenvalue parameter region."""
 

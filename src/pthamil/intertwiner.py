@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antilinear import PTFrame, PTPhases, pt_gram
+from .antilinear import PTPhases, pt_gram
 from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, eigendecompose, mat_norm
 from .spectra import SpectrumClass, SpectrumKind, spectral_scale
 
@@ -87,23 +87,24 @@ def v_gram(
     itw: Intertwiner,
     cls: SpectrumClass | None = None,
     p=None,
-    frame: PTFrame | None = None,
     phases: PTPhases | None = None,
     tol: float = DEFAULT_TOL,
 ) -> NormReport:
     """Gram matrices of the Dirac, V, parity and PT-conjugate inner products.
 
     The Dirac, V and parity Grams are evaluated on the given eigensystem; the
-    PT-conjugate Gram uses the phase-fixed states carried by ``phases`` (its
-    diagonal is rephasing-invariant, so the two bases give the same identities).
+    PT-conjugate Gram, formed when both ``p`` and ``phases`` are given, uses the
+    phase-fixed states ``phases`` carries (its diagonal is rephasing-invariant,
+    so the two bases give the same identities).
     Pass ``cls`` for structure-aware flags; without it the real-spectrum
     identity check is assumed.
     """
     r = es.right
     dirac = r.conj().T @ r
     vnorm = r.conj().T @ itw.v @ r
-    pnorm = r.conj().T @ as_matrix(p, "P") @ r if p is not None else None
-    ptnorm = pt_gram(frame, phases) if (frame is not None and phases is not None) else None
+    p = as_matrix(p, "P") if p is not None else None
+    pnorm = r.conj().T @ p @ r if p is not None else None
+    ptnorm = pt_gram(p, phases) if (p is not None and phases is not None) else None
 
     flags = {}
     eye = np.eye(es.dim)

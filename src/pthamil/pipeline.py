@@ -18,19 +18,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .antilinear import AntilinearOp, PTFrame, conjugation_turns, fix_pt_phases, make_frame
-from .cpt import (
-    build_c,
-    build_pv,
-    c_pt_diagnostic,
-    check_p_intertwines,
-    diagnostic_is_degenerate,
-    p_normalize,
-)
+from .antilinear import AntilinearOp, PTFrame, calibrate, conjugation_turns, make_frame
+from .cpt import build_c, build_pv, c_pt_diagnostic, check_p_intertwines, diagnostic_is_degenerate
 from .errors import (
     InvalidFrame,
     NonDiagonalizable,
-    NotPTEigenstate,
     NotRealPhase,
     ParseError,
     PTHamilError,
@@ -281,7 +273,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         rows, cols = turns[:, np.newaxis], -turns
         both = rows + cols
         h, p = quarter_turn(h, -both), quarter_turn(p, -both)  # W^dagger H W, W^dagger P W
-        frame = PTFrame(p, AntilinearOp(p), AntilinearOp(identity(len(p))))  # T = P K, PT = K
+        frame = PTFrame(p, AntilinearOp(identity(len(p))))  # PT = K
     else:
         turns = None
 
@@ -292,51 +284,37 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     p_intertwines = p is not None and check_p_intertwines(h, p, check_tol)
     if p is not None and not p_intertwines:
         notes.append("P does not intertwine H with its adjoint; PV and C norms skipped")
-    elif p_intertwines and real_case:
-        es, skipped = p_normalize(es, p, tol)
-        if skipped:
-            notes.append(
-                f"parity calibration skipped for states {skipped}: "
-                "parity overlap below tolerance (degenerate PV eigenvalue)"
-            )
+    # on a recombined degenerate group every later section uses the new basis
+    es, phases, pt_skipped, uncalibrated = calibrate(
+        es, cls, p, None if frame is None else frame.pt, p_intertwines, tol)
+    if uncalibrated:
+        notes.append(
+            f"parity calibration skipped for states {uncalibrated}: "
+            "parity overlap below tolerance (degenerate PV eigenvalue)"
+        )
 
     pt_section: dict = {}
-    phases = None
-    if frame is None:
-        pt_section["skipped"] = "no parity/time-reversal frame supplied"
-    else:
+    if frame is not None:
         symmetric = antilinear_symmetry_check(h, frame.pt, check_tol)
         pt_section["symmetry_check"] = bool(symmetric)
         if not symmetric:
             notes.append("H is not PT symmetric under the supplied frame")
-        if not real_case:
-            pt_section["skipped"] = (
-                "complex-pair spectrum: PT maps each state onto its partner, "
-                "so per-state PT phases do not exist"
-            )
-        else:
-            try:
-                phases = fix_pt_phases(frame.pt, es, cls, p=p, tol=tol)
-            except NotPTEigenstate as exc:
-                pt_section["skipped"] = f"PT phases unavailable: {exc}"
-
-    if phases is not None and phases.degenerate_groups:
-        # recombining a degenerate eigenspace changes the basis; keep every
-        # section on the recombined one
-        es = phases.system
-        notes.append(
-            f"degenerate eigenvalue groups {list(phases.degenerate_groups)} "
-            "recombined into a PT eigenbasis; all sections use that basis"
-        )
-
-    itw = build_metric(es, cls, tol, h)
-    norm_report = v_gram(es, itw, cls, p=p, frame=frame, phases=phases, tol=gram_tol)
-    if phases is not None:
+    if phases is None:
+        pt_section["skipped"] = pt_skipped
+    else:
         pt_section.update(
             eta=_complex_list(phases.eta),
             phase_fix=_complex_list(phases.phase_fix),
             degenerate_groups=[list(g) for g in phases.degenerate_groups],
         )
+        if phases.degenerate_groups:
+            notes.append(
+                f"degenerate eigenvalue groups {list(phases.degenerate_groups)} "
+                "recombined into a PT eigenbasis; all sections use that basis"
+            )
+
+    itw = build_metric(es, cls, tol, h)
+    norm_report = v_gram(es, itw, cls, p=p, phases=phases, tol=gram_tol)
 
     # the C signs: the given ones, else the defaults, else None with the reason
     if not real_case:

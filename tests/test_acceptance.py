@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pthamil.antilinear import fix_pt_phases, pt_gram
-from pthamil.cpt import build_c, build_pv, c_pt_diagnostic, p_normalize
+from pthamil.antilinear import calibrate, pt_gram
+from pthamil.cpt import build_c, build_pv, c_pt_diagnostic
 from pthamil.errors import NonDiagonalizable, UnpairedComplexEigenvalue
 from pthamil.fockdemo import (
     divergence_witness,
@@ -56,10 +56,9 @@ def test_criterion_1_two_level_oracle_equivalence():
         h = hamiltonian(TwoLevelModel(5.0, 3.0))
         es = eigendecompose(h)
         cls = classify(es)
-        es, _ = p_normalize(es, frame.p)
+        es, phases, _, _ = calibrate(es, cls, frame.p, frame.pt, True)
         itw = build_metric(es, cls)
-        phases = fix_pt_phases(frame.pt, es, cls, p=frame.p)
-        report = v_gram(es, itw, cls, p=frame.p, frame=frame, phases=phases)
+        report = v_gram(es, itw, cls, p=frame.p, phases=phases)
         pv = build_pv(frame.p, itw.v, es)
 
         assert np.max(np.abs(es.values - np.array([4.0, -4.0]))) <= tol
@@ -144,7 +143,7 @@ def test_criterion_4_diagnostic_correctness():
             es = eigendecompose(h)
             cls = classify(es)
             if alpha > beta:
-                es, _ = p_normalize(es, frame.p)
+                es = calibrate(es, cls, frame.p, None, True)[0]
                 itw = build_metric(es, cls)
                 op = build_pv(frame.p, itw.v, es)
                 assert c_pt_diagnostic(op, frame.pt).value == "real_spectrum"
@@ -161,11 +160,10 @@ def test_criterion_5_pt_phase_norm_equality():
         def pt_equals_v(h, frame):
             es = eigendecompose(h)
             cls = classify(es)
-            es, _ = p_normalize(es, frame.p)
+            es, phases, _, _ = calibrate(es, cls, frame.p, frame.pt, True)
             itw = build_metric(es, cls)
-            phases = fix_pt_phases(frame.pt, es, cls, p=frame.p)
             v_gram_matrix = es.right.conj().T @ itw.v @ es.right
-            return float(np.max(np.abs(pt_gram(frame, phases) - v_gram_matrix)))
+            return float(np.max(np.abs(pt_gram(frame.p, phases) - v_gram_matrix)))
 
         frame = canonical_two_level_frame()
         for _ in range(50):

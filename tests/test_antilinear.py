@@ -1,20 +1,13 @@
-"""Tests for antilinear operators, PT frames, and intrinsic phase fixing."""
+"""Tests for antilinear operators, PT frames, and the calibration of an
+eigenbasis: parity normalization and intrinsic phase fixing."""
 
 import numpy as np
 import pytest
 
-from pthamil.antilinear import (
-    AntilinearOp,
-    fix_pt_phases,
-    make_frame,
-    make_two_level_frame,
-    pt_eigenphase,
-    pt_gram,
-)
-from pthamil.cpt import p_normalize
-from pthamil.errors import InvalidFrame, NotPTEigenstate, NotRealSpectrum
+from pthamil.antilinear import AntilinearOp, calibrate, make_frame, parity_overlaps, pt_gram
+from pthamil.errors import InvalidFrame
 from pthamil.intertwiner import build_metric
-from pthamil.linalg import SIGMA1, SIGMA2, SIGMA3, eigendecompose, identity
+from pthamil.linalg import SIGMA1, SIGMA2, SIGMA3, EigenSystem, eigendecompose, identity
 from pthamil.spectra import SpectrumClass, classify
 from pthamil.twolevel import TwoLevelModel, hamiltonian
 from testutil import (
@@ -24,6 +17,9 @@ from testutil import (
     random_unitary,
     rng,
 )
+
+_PAIRS = ("complex-pair spectrum: PT maps each state onto its partner, "
+          "so per-state PT phases do not exist")
 
 
 class TestAntilinearOp:
@@ -42,34 +38,31 @@ class TestAntilinearOp:
 
 class TestTwoLevelFrame:
     def test_canonical_frame(self):
-        frame = make_two_level_frame((1, 0, 0), (0, 0, 1))
+        frame = make_frame(SIGMA1, AntilinearOp(-1j * SIGMA1))
         assert np.allclose(frame.p, SIGMA1)
-        # T = K sigma_2 sigma_3 = K i sigma_1, i.e. u_T = conj(i sigma_1)
-        assert np.allclose(frame.t.u, -1j * SIGMA1)
+        # T = K i sigma_1, i.e. u_T = -i sigma_1, is P PT since P^2 = I
+        assert np.allclose(frame.p @ frame.pt.u, -1j * SIGMA1)
         assert np.allclose(frame.pt.u, -1j * identity(2))
 
     def test_swapped_frame(self):
-        # oracle: direct substitution, u_T = conj(sigma_2 sigma_1)
-        frame = make_two_level_frame((0, 0, 1), (1, 0, 0))
+        # oracle: PT acts as P after T = K sigma_2 sigma_1, u_T = conj(sigma_2 sigma_1)
+        u_t = np.conj(SIGMA2 @ SIGMA1)
+        frame = make_frame(SIGMA3, u_t)
         assert np.allclose(frame.p, SIGMA3)
-        assert np.allclose(frame.t.u, np.conj(SIGMA2 @ SIGMA1))
-
-    def test_parallel_vectors_rejected(self):
-        with pytest.raises(InvalidFrame):
-            make_two_level_frame((1, 0, 0), (1, 0, 0))
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(InvalidFrame):
-            make_two_level_frame((2, 0, 0), (0, 0, 1))
+        v = np.array([1.0 + 2.0j, -0.5j])
+        assert np.allclose(frame.pt(v), SIGMA3 @ (u_t @ np.conj(v)))
+        assert np.allclose(frame.p @ frame.pt.u, u_t)
 
     def test_frame_invariants(self):
-        frame = make_two_level_frame((0.6, 0.8, 0.0), (0.0, 0.0, 1.0))
+        # P = sigma . (0.6, 0.8, 0), T = K sigma_2 sigma_3, so u_T = -sigma_2 sigma_3
+        frame = make_frame(0.6 * SIGMA1 + 0.8 * SIGMA2, -SIGMA2 @ SIGMA3)
         eye = identity(2)
+        u_t = frame.p @ frame.pt.u
         assert np.allclose(frame.p @ frame.p, eye, atol=1e-12)
         assert np.allclose(frame.p, frame.p.conj().T, atol=1e-12)
-        for op in (frame.t, frame.pt):
-            assert np.allclose(op.u @ np.conj(op.u), eye, atol=1e-10)
-        assert np.allclose(frame.pt.u, frame.p @ frame.t.u, atol=1e-12)
+        for u in (u_t, frame.pt.u):
+            assert np.allclose(u @ np.conj(u), eye, atol=1e-10)
+        assert np.allclose(u_t, -SIGMA2 @ SIGMA3, atol=1e-12)
 
     def test_make_frame_rejects_broken_pair(self):
         with pytest.raises(InvalidFrame):
@@ -101,31 +94,46 @@ class TestTwoLevelFrame:
             assert (f"{name} (residual" in message) == (residual > 1e-10)
 
 
+def _real_eigensystem(state, other, values):
+    """Eigensystem of the real matrix with right eigenvectors ``state`` and ``other``."""
+    r = np.column_stack([state, other]).astype(float)
+    return eigendecompose(r @ np.diag(values) @ np.linalg.inv(r))
+
+
 class TestPTEigenphase:
+    """The raw PT phase of each state, as read by ``calibrate``."""
+
     def test_real_vector_under_ki(self):
-        # oracle: PT v = -i conj(v) = -i v for real v
+        # oracle: PT v = -i conj(v) = -i v for real v; landing on +1 applies e^{-i pi/4}
         frame = canonical_two_level_frame()
-        state = np.array([1.0, 0.5])
-        assert abs(pt_eigenphase(frame.pt, state) - (-1.0j)) <= 1e-12
+        es = _real_eigensystem([1.0, 0.5], [0.0, 1.0], [2.0, 1.0])
+        _, phases, skipped, _ = calibrate(es, classify(es), None, frame.pt, False)
+        assert skipped is None
+        assert np.allclose(phases.phase_fix, np.exp(-0.25j * np.pi), atol=1e-12)
+        assert np.array_equal(phases.eta, [1.0, 1.0])
 
     def test_real_vector_under_plain_conjugation(self):
-        op = AntilinearOp(identity(3))
-        assert abs(pt_eigenphase(op, np.array([1.0, 2.0, -0.5])) - 1.0) <= 1e-12
+        # a real state is PT-fixed under K: its fix is exactly one
+        op = AntilinearOp(identity(2))
+        es = _real_eigensystem([1.0, -0.5], [2.0, 1.0], [3.0, -1.0])
+        _, phases, _, _ = calibrate(es, classify(es), None, op, False)
+        assert np.array_equal(phases.phase_fix, [1.0, 1.0])
+        assert np.array_equal(phases.eta, [1.0, 1.0])
 
     def test_complex_pair_state_rejected(self):
         # PT maps a complex-pair eigenstate onto its partner, not itself
         frame = canonical_two_level_frame()
         es = eigendecompose(hamiltonian(TwoLevelModel(3, 5)))
-        with pytest.raises(NotPTEigenstate):
-            pt_eigenphase(frame.pt, es.right[:, 0])
+        out, phases, skipped, _ = calibrate(es, SpectrumClass.all_real(2), None, frame.pt, False)
+        assert out is es and phases is None
+        assert skipped.startswith("PT phases unavailable: state 0 is not a PT eigenstate")
 
 
 def _fixed_two_level(alpha=5.0, beta=3.0):
     frame = canonical_two_level_frame()
     es = eigendecompose(hamiltonian(TwoLevelModel(alpha, beta)))
     cls = classify(es)
-    es, _ = p_normalize(es, frame.p)
-    phases = fix_pt_phases(frame.pt, es, cls, p=frame.p)
+    es, phases, _, _ = calibrate(es, cls, frame.p, frame.pt, True)
     return frame, es, cls, phases
 
 
@@ -136,8 +144,8 @@ class TestFixPTPhases:
         # raw eta is -i for a real state; landing on +1 applies e^{-i pi/4}
         assert abs(phases.phase_fix[0] - np.exp(-0.25j * np.pi)) <= 1e-12
         for j in range(2):
-            eta = pt_eigenphase(frame.pt, phases.system.right[:, j])
-            assert abs(eta - phases.eta[j]) <= 1e-10
+            state = phases.system.right[:, j]
+            assert np.allclose(frame.pt(state), phases.eta[j] * state, atol=1e-10)
 
     def test_biorthonormality_preserved(self):
         _, _, _, phases = _fixed_two_level(2.0, 0.5)
@@ -146,15 +154,18 @@ class TestFixPTPhases:
         )
 
     def test_already_real_phase_kept(self):
-        # a state with eta = -1 keeps it; the fix is the identity
+        # calibrating a calibrated basis again changes nothing: a state with
+        # eta = -1 keeps it, every fix is the identity
         frame, _, cls, phases = _fixed_two_level()
-        again = fix_pt_phases(frame.pt, phases.system, cls, p=frame.p)
+        out, again, _, uncalibrated = calibrate(phases.system, cls, frame.p, frame.pt, True)
+        assert uncalibrated == []
         assert np.allclose(again.eta, phases.eta, atol=1e-12)
         assert np.allclose(again.phase_fix, [1.0, 1.0], atol=1e-10)
+        assert np.allclose(out.right, phases.system.right, atol=1e-12)
 
     def test_already_real_phase_kept_without_parity(self):
         frame, _, cls, phases = _fixed_two_level()
-        again = fix_pt_phases(frame.pt, phases.system, cls)
+        _, again, _, _ = calibrate(phases.system, cls, None, frame.pt, False)
         assert np.allclose(again.eta, [1.0, -1.0], atol=1e-12)
         assert np.allclose(again.phase_fix, [1.0, 1.0], atol=1e-10)
 
@@ -162,22 +173,41 @@ class TestFixPTPhases:
         frame = canonical_two_level_frame()
         es = eigendecompose(hamiltonian(TwoLevelModel(5, 3)))
         cls = classify(es)
-        phases = fix_pt_phases(frame.pt, es, cls)
+        _, phases, _, _ = calibrate(es, cls, None, frame.pt, False)
         assert np.allclose(phases.eta, [1.0, 1.0], atol=1e-12)
 
     def test_requires_real_spectrum(self):
+        # a pair spectrum comes back unchanged, with the reason
         frame = canonical_two_level_frame()
         es = eigendecompose(hamiltonian(TwoLevelModel(3, 5)))
         cls = classify(es)
-        with pytest.raises(NotRealSpectrum):
-            fix_pt_phases(frame.pt, es, cls)
+        for pt, reason in ((frame.pt, _PAIRS), (None, "no parity/time-reversal frame supplied")):
+            out, phases, skipped, uncalibrated = calibrate(es, cls, frame.p, pt, True)
+            assert out is es and phases is None and uncalibrated == []
+            assert skipped == reason
+
+    def test_parity_calibration(self):
+        frame = canonical_two_level_frame()
+        es = eigendecompose(hamiltonian(TwoLevelModel(5, 3)))
+        cls = classify(es)
+        out, _, _, uncalibrated = calibrate(es, cls, frame.p, None, True)
+        assert uncalibrated == []
+        assert np.allclose(np.abs(parity_overlaps(out, frame.p)), 1.0, atol=1e-12)
+        # a parity that does not intertwine H leaves the scale alone
+        assert calibrate(es, cls, frame.p, None, False)[0] is es
+        # sigma_1 has zero overlap on the eigenvectors of the identity
+        es = eigendecompose(identity(2))
+        out, _, _, uncalibrated = calibrate(es, SpectrumClass.all_real(2), SIGMA1, None, True)
+        assert uncalibrated == [0, 1]
+        assert np.array_equal(out.right, es.right)
 
     def test_degenerate_subspace(self):
         # identity Hamiltonian: fully degenerate, PT-symmetric
         frame = canonical_two_level_frame()
         es = eigendecompose(identity(2))
         cls = SpectrumClass.all_real(2)
-        phases = fix_pt_phases(frame.pt, es, cls)
+        out, phases, _, _ = calibrate(es, cls, None, frame.pt, False)
+        assert out is phases.system
         assert phases.degenerate_groups == ((0, 1),)
         assert np.allclose(np.abs(phases.eta), [1.0, 1.0], atol=1e-10)
         assert np.allclose(
@@ -200,13 +230,13 @@ class TestPTConjugateNorm:
 
     def test_diagonal_is_unity(self):
         frame, es, cls, phases = _fixed_two_level()
-        gram = pt_gram(frame, phases)
+        gram = pt_gram(frame.p, phases)
         for n in range(2):
             assert abs(gram[n, n] - 1.0) <= 1e-12
 
     def test_off_diagonal_vanishes(self):
         frame, es, cls, phases = _fixed_two_level(2.7, 1.1)
-        gram = pt_gram(frame, phases)
+        gram = pt_gram(frame.p, phases)
         assert abs(gram[0, 1]) <= 1e-12
         assert abs(gram[1, 0]) <= 1e-12
 
@@ -215,7 +245,7 @@ class TestPTConjugateNorm:
         frame, es, cls, phases = _fixed_two_level()
         raw = es.right.conj().T @ frame.p @ es.right
         assert np.allclose(raw, np.diag([1.0, -1.0]), atol=1e-12)
-        assert np.allclose(pt_gram(frame, phases), identity(2), atol=1e-12)
+        assert np.allclose(pt_gram(frame.p, phases), identity(2), atol=1e-12)
 
     def test_gram_equals_metric_gram_on_family(self):
         generator = rng(22)
@@ -225,11 +255,10 @@ class TestPTConjugateNorm:
             beta = alpha * generator.uniform(0.05, 0.9)
             es = eigendecompose(hamiltonian(TwoLevelModel(alpha, beta)))
             cls = classify(es)
-            es, _ = p_normalize(es, frame.p)
+            es, phases, _, _ = calibrate(es, cls, frame.p, frame.pt, True)
             itw = build_metric(es, cls)
-            phases = fix_pt_phases(frame.pt, es, cls, p=frame.p)
             v_gram_matrix = es.right.conj().T @ itw.v @ es.right
-            assert np.allclose(pt_gram(frame, phases), v_gram_matrix, atol=1e-10)
+            assert np.allclose(pt_gram(frame.p, phases), v_gram_matrix, atol=1e-10)
 
 
 class TestSimilarityPreservation:
@@ -243,10 +272,12 @@ class TestSimilarityPreservation:
             s_inv = np.linalg.inv(s)
             u_pt_t = s @ frame.pt.u @ np.conj(s_inv)
             pt_t = AntilinearOp(u_pt_t)
-            for j in range(2):
-                transported = s @ phases.system.right[:, j]
-                eta = pt_eigenphase(pt_t, transported, tol=1e-7)
-                assert abs(eta - phases.eta[j]) <= 1e-7
+            system = phases.system
+            transported = EigenSystem(system.values, s @ system.right, system.left @ s_inv,
+                                      float(np.linalg.cond(s @ system.right)))
+            _, again, _, _ = calibrate(transported, cls, None, pt_t, False, tol=1e-7)
+            assert np.array_equal(again.eta, phases.eta)
+            assert np.allclose(again.phase_fix, [1.0, 1.0], atol=1e-7)
 
     def test_fixed_eta_multiset_under_unitary_conjugation(self):
         generator = rng(24)
@@ -256,6 +287,5 @@ class TestSimilarityPreservation:
             frame_t = conjugated_two_level_frame(q)
             es = eigendecompose(q @ h @ q.conj().T)
             cls = classify(es)
-            es, _ = p_normalize(es, frame_t.p)
-            phases = fix_pt_phases(frame_t.pt, es, cls, p=frame_t.p)
+            _, phases, _, _ = calibrate(es, cls, frame_t.p, frame_t.pt, True)
             assert sorted(phases.eta.real.tolist()) == [-1.0, 1.0]

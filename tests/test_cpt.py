@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pthamil.antilinear import calibrate, parity_overlaps
 from pthamil.cpt import (
     SpectrumDiagnostic,
     build_c,
@@ -10,8 +11,6 @@ from pthamil.cpt import (
     c_pt_diagnostic,
     check_p_intertwines,
     diagnostic_is_degenerate,
-    p_normalize,
-    parity_overlaps,
 )
 from pthamil.errors import NotCommuting
 from pthamil.intertwiner import build_metric, v_gram
@@ -21,12 +20,12 @@ from pthamil.twolevel import TwoLevelModel, hamiltonian
 from testutil import canonical_two_level_frame, rng
 
 
-def _real_system(alpha=5.0, beta=3.0, calibrate=True):
+def _real_system(alpha=5.0, beta=3.0, parity_calibrated=True):
     h = hamiltonian(TwoLevelModel(alpha, beta))
     es = eigendecompose(h)
     cls = classify(es)
-    if calibrate:
-        es, _ = p_normalize(es, SIGMA1)
+    if parity_calibrated:
+        es = calibrate(es, cls, SIGMA1, None, True)[0]
     itw = build_metric(es, cls)
     return h, es, cls, itw
 
@@ -70,14 +69,14 @@ class TestBuildPV:
 
     def test_alpha_reciprocity(self):
         # alpha_n <R_n|P|R_n> = 1 for any eigenvector scaling
-        _, es, cls, itw = _real_system(calibrate=False)
+        _, es, cls, itw = _real_system(parity_calibrated=False)
         pv = build_pv(SIGMA1, itw.v, es)
         overlaps = parity_overlaps(es, SIGMA1)
         assert np.allclose(pv.alphas * overlaps, [1.0, 1.0], atol=1e-12)
 
     def test_squares_flag_depends_on_calibration(self):
         # without parity calibration (PV)^2 = I fails by a scale factor
-        _, es, cls, itw = _real_system(calibrate=False)
+        _, es, cls, itw = _real_system(parity_calibrated=False)
         pv = build_pv(SIGMA1, itw.v, es)
         assert not pv.squares_to_identity
 
@@ -99,7 +98,7 @@ class TestBuildPV:
 
     def test_parity_gram_reciprocal_structure(self):
         # <R_n|P|R_m> = delta_nm / alpha_m
-        _, es, cls, itw = _real_system(2.0, 0.7, calibrate=False)
+        _, es, cls, itw = _real_system(2.0, 0.7, parity_calibrated=False)
         pv = build_pv(SIGMA1, itw.v, es)
         gram = es.right.conj().T @ SIGMA1 @ es.right
         assert np.allclose(gram, np.diag(1.0 / pv.alphas), atol=1e-12)
@@ -177,7 +176,7 @@ class TestDiagnostic:
                 es = eigendecompose(h)
                 cls = classify(es)
                 if cls.kind is SpectrumKind.ALL_REAL:
-                    es, _ = p_normalize(es, SIGMA1)
+                    es = calibrate(es, cls, SIGMA1, None, True)[0]
                     itw = build_metric(es, cls)
                     op = build_pv(SIGMA1, itw.v, es)
                     expected = SpectrumDiagnostic.REAL_SPECTRUM

@@ -4,24 +4,23 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pthamil.cpt import p_normalize
+from pthamil.antilinear import calibrate
 from pthamil.intertwiner import (
     build_metric,
     v_gram,
     verify_time_independence,
 )
-from pthamil.linalg import SIGMA1, eigendecompose, identity
+from pthamil.linalg import SIGMA1, eigendecompose, identity, quarter_turn
 from pthamil.spectra import SpectrumKind, classify
 from pthamil.twolevel import TwoLevelModel, closed_forms, hamiltonian
 from testutil import random_real, rng
 
 
-def _system(alpha, beta, calibrate=True):
+def _system(alpha, beta):
     h = hamiltonian(TwoLevelModel(alpha, beta))
     es = eigendecompose(h)
     cls = classify(es)
-    if calibrate and cls.kind is SpectrumKind.ALL_REAL:
-        es, _ = p_normalize(es, SIGMA1)
+    es = calibrate(es, cls, SIGMA1, None, True)[0]  # a pair spectrum comes back as is
     return h, es, cls
 
 
@@ -30,8 +29,8 @@ def _pa(generator, n, shift):
     ``conj(A) = P A P``; real spectrum when A is positive definite."""
     s = generator.normal(size=(n, n))
     s = (s + s.T) / 2 + shift * np.eye(n)
-    d = 1j ** np.arange(n)
-    return (-1.0) ** np.arange(n)[:, None] * (d[:, None] * s * d.conj()[None, :])
+    k = np.arange(n)
+    return (-1.0) ** k[:, None] * quarter_turn(s, k[:, None] - k)  # D S D^dagger, D = diag(1j ** k)
 
 
 def _pa_real(generator, n):

@@ -207,7 +207,7 @@ class TestFrameCache:
         p, frame, turns = pipeline._resolve_frame("alternating", "k", 4, 1e-8)
         assert pipeline._resolve_frame("alternating", "k", 4, 1e-8)[1] is frame
         assert p is frame.p
-        for array in (p, frame.pt.u, frame.t.u):
+        for array in (p, frame.pt.u):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 7.0
         assert np.array_equal(p, np.diag([1.0, -1.0, 1.0, -1.0]))
@@ -537,13 +537,15 @@ class TestBatch:
 def _pa_matrix(rng, n, definite):
     """``H = P A`` with P the alternating parity and A Hermitian with
     ``conj(A) = P A P``; a positive definite A gives a real spectrum, an
-    indefinite one conjugate pairs."""
+    indefinite one conjugate pairs. ``A = D S D^dagger`` with ``D = diag(1j **
+    k)`` places its phases as exact quarter turns: ``1j ** k`` itself carries
+    rounding dust from k = 100 on, which would break the exact PT symmetry."""
     s = rng.normal(size=(n, n))
     s = (s + s.T) / 2
     if definite:
         s += (0.5 - np.linalg.eigvalsh(s)[0]) * np.eye(n)
-    d = 1j ** np.arange(n)
-    return (-1.0) ** np.arange(n)[:, None] * (d[:, None] * s * d.conj()[None, :])
+    k = np.arange(n)
+    return (-1.0) ** k[:, None] * quarter_turn(s, k[:, None] - k)
 
 
 def _split_floats(obj):
@@ -616,6 +618,14 @@ class TestRealBasis:
     """Under a built-in frame whose PT is ``diag(+-1) K``, an exactly PT
     symmetric H is analyzed in the basis where it is real; the structural
     zeros this gives are exact in the report, which is in the original basis."""
+
+    def test_pa_matrix_is_exactly_pt_symmetric(self):
+        # n = 120 reaches the indices where 1j ** k is no longer exact
+        h = _pa_matrix(np.random.default_rng(5), 120, definite=True)
+        _, frame, turns = pipeline._resolve_frame("alternating", "k", 120, 1e-8)
+        u = frame.pt.u
+        assert np.array_equal(u @ np.conj(h), h @ u)
+        assert not quarter_turn(h, turns - turns[:, np.newaxis]).imag.any()
 
     @pytest.mark.parametrize("dim", [4, 101, 200])
     def test_alternating_parity_is_exact(self, dim):

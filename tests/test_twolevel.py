@@ -113,10 +113,13 @@ class TestPipelineComparison:
 
     def test_sees_pipeline_defects(self, monkeypatch):
         # the comparison reads run_analyze's report: a pipeline that skips the
-        # parity calibration must show up in its residuals
+        # calibration must show up in its residuals
         import pthamil.pipeline
 
-        monkeypatch.setattr(pthamil.pipeline, "p_normalize", lambda es, p, tol: (es, []))
+        def uncalibrated(es, cls, p, pt, p_intertwines, tol):
+            return es, None, "calibration skipped", []
+
+        monkeypatch.setattr(pthamil.pipeline, "calibrate", uncalibrated)
         residuals = compare_with_pipeline(TwoLevelModel(5, 3)).residuals
         assert residuals["metric"] > 1e-3
         assert residuals["pv_squares_to_identity"] > 1e-3
