@@ -11,7 +11,6 @@ spectra.
 __version__ = "0.1.0"
 
 from .antilinear import (
-    AntilinearOp,
     PTFrame,
     PTPhases,
     calibrate,
@@ -32,7 +31,6 @@ from .errors import (
     InvalidFrame,
     NonDiagonalizable,
     NotCommuting,
-    NotPTEigenstate,
     NotRealPhase,
     ParseError,
     PTHamilError,

@@ -1,12 +1,12 @@
-"""Antilinear operators, parity/time-reversal frames, and intrinsic PT phases.
+"""Parity/time-reversal frames, and intrinsic PT phases.
 
-An antilinear operator is stored as the matrix ``u`` of its action
-``v -> u @ conj(v)``, so products of operators are matrix products: ``A B``
-acts as ``u_A conj(u_B)``. Time reversal and PT are of this form; parity is an
-ordinary Hermitian involution. On a real spectrum every eigenstate carries an
-intrinsic PT phase ``eta`` which can be rotated onto the real axis by
-rephasing the state; keeping that phase in the PT conjugate of a state is what
-turns the parity overlap into a positive inner product.
+An antilinear operator is its matrix ``u``: it acts as ``v -> u @ conj(v)``,
+and the product ``A B`` of two is the linear ``u_A conj(u_B)``. Time reversal
+and PT are of this form; parity is an ordinary Hermitian involution. On a real
+spectrum every eigenstate carries an intrinsic PT phase ``eta`` which can be
+rotated onto the real axis by rephasing the state; keeping that phase in the
+PT conjugate of a state is what turns the parity overlap into a positive inner
+product.
 """
 
 from __future__ import annotations
@@ -15,47 +15,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFrame, NotPTEigenstate
+from .errors import InvalidFrame
 from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm, quarter_turn
 from .spectra import SpectrumClass, SpectrumKind, spectral_scale
-
-@dataclass(frozen=True)
-class AntilinearOp:
-    """Antilinear operator ``v -> u @ conj(v)``."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = as_matrix(self.u, "u")
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
-
-    @property
-    def dim(self) -> int:
-        return int(self.u.shape[0])
-
-    def apply(self, v) -> np.ndarray:
-        return self.u @ np.conj(np.asarray(v, dtype=complex))
-
-    __call__ = apply
 
 
 @dataclass(frozen=True)
 class PTFrame:
-    """A validated parity and the composition PT; ``T`` itself is ``P PT``."""
+    """A validated parity ``p`` and the matrix ``pt`` of PT, ``v -> pt @ conj(v)``;
+    both read-only. ``T`` itself is ``P PT``."""
 
     p: np.ndarray
-    pt: AntilinearOp
+    pt: np.ndarray
 
     def __post_init__(self):
-        p = as_matrix(self.p, "P")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
+        for name in ("p", "pt"):
+            m = as_matrix(getattr(self, name), name)
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
 
 
-def make_frame(p, t, tol: float = DEFAULT_TOL) -> PTFrame:
-    """Build and validate a PT frame from a parity matrix and a time-reversal
-    operator (an :class:`AntilinearOp`, or the matrix ``u`` of ``v -> u conj(v)``).
+def make_frame(p, u_t, tol: float = DEFAULT_TOL) -> PTFrame:
+    """Build and validate a PT frame from a parity matrix and the matrix
+    ``u_t`` of time reversal, ``v -> u_t conj(v)``.
 
     Enforces ``P^2 = I``, ``P = P^dagger``, ``T^2 = I``, ``[P, T] = 0`` and
     ``(PT)^2 = I``; with ``T = u_T K`` these are the matrix identities
@@ -63,33 +45,33 @@ def make_frame(p, t, tol: float = DEFAULT_TOL) -> PTFrame:
     for ``u_PT = P u_T``.
     """
     p = as_matrix(p, "P")
-    if not isinstance(t, AntilinearOp):
-        t = AntilinearOp(t)
+    u_t = as_matrix(u_t, "u")
     n = p.shape[0]
-    if t.dim != n:
-        raise InvalidFrame(f"P is {n}x{n} but T acts on dimension {t.dim}")
+    if u_t.shape[0] != n:
+        raise InvalidFrame(f"P is {n}x{n} but T acts on dimension {u_t.shape[0]}")
     eye = np.eye(n)
-    u_pt = p @ t.u
+    u_pt = p @ u_t
     checks = {
         "P^2 = I": mat_norm(p @ p - eye),
         "P = P^dagger": mat_norm(p - p.conj().T),
-        "T^2 = I": mat_norm(t.u @ np.conj(t.u) - eye),
-        "[P, T] = 0": mat_norm(u_pt - t.u @ np.conj(p)),
+        "T^2 = I": mat_norm(u_t @ np.conj(u_t) - eye),
+        "[P, T] = 0": mat_norm(u_pt - u_t @ np.conj(p)),
         "(PT)^2 = I": mat_norm(u_pt @ np.conj(u_pt) - eye),
     }
-    scale = max(1.0, mat_norm(p), mat_norm(t.u))
+    scale = max(1.0, mat_norm(p), mat_norm(u_t))
     bad = {k: v for k, v in checks.items() if v > tol * scale}
     if bad:
         detail = ", ".join(f"{k} (residual {v:.3e})" for k, v in bad.items())
         raise InvalidFrame(f"frame constraints violated: {detail}")
-    return PTFrame(p, AntilinearOp(u_pt))
+    return PTFrame(p, u_pt)
 
 
-def conjugation_turns(pt: AntilinearOp) -> np.ndarray | None:
+def conjugation_turns(u) -> np.ndarray | None:
     """Turns ``q`` (0 or 1 per axis) of the basis ``W = diag(1j ** q)`` where
-    ``pt`` is plain conjugation, when its ``u = W W^T`` is exactly ``diag(+-1)``."""
-    d = np.diag(pt.u)
-    if np.count_nonzero(pt.u - np.diag(d)) or not np.all((d == 1.0) | (d == -1.0)):
+    the antilinear ``v -> u conj(v)`` is plain conjugation, when ``u = W W^T``
+    is exactly ``diag(+-1)``."""
+    d = np.diag(u)
+    if np.count_nonzero(u - np.diag(d)) or not np.all((d == 1.0) | (d == -1.0)):
         return None
     return (d.real < 0.0).astype(int)
 
@@ -130,6 +112,10 @@ def _degenerate_groups(values, tol):
     return [g for g in groups if len(g) > 1]
 
 
+class _NoPTBasis(Exception):
+    """A degenerate group has no PT eigenbasis; ``calibrate`` reports why."""
+
+
 def _pt_plus_basis(a, tol):
     """Basis of the +1 eigenspace of the antilinear involution c -> a conj(c).
 
@@ -142,12 +128,12 @@ def _pt_plus_basis(a, tol):
     """
     k = a.shape[0]
     if mat_norm(a @ np.conj(a) - np.eye(k)) > max(1e-8, tol) * max(1.0, mat_norm(a) ** 2):
-        raise NotPTEigenstate("PT does not square to one on the degenerate subspace")
+        raise _NoPTBasis("PT does not square to one on the degenerate subspace")
     m = np.block([[a.real, a.imag], [a.imag, -a.real]])
     vectors, singular, _ = np.linalg.svd(0.5 * (np.eye(2 * k) + m))
     # a projector's nonzero singular values are at least one
     if singular[k - 1] < 0.5:
-        raise NotPTEigenstate("could not build a PT eigenbasis on the degenerate subspace")
+        raise _NoPTBasis("could not build a PT eigenbasis on the degenerate subspace")
     return vectors[:k, :k] + 1j * vectors[k:, :k]
 
 
@@ -169,11 +155,11 @@ def _recombine_degenerate(pt, es, groups, p, tol) -> np.ndarray:
     for group in groups:
         idx = np.asarray(group)
         # antilinear action on the group span, in the group's own basis
-        images = pt.apply(right[:, idx])
+        images = pt @ np.conj(right[:, idx])
         a = es.left[idx, :] @ images
         leak = images - right[:, idx] @ a
         if mat_norm(leak) > max(1e-8, tol) * max(1.0, mat_norm(images)):
-            raise NotPTEigenstate("PT does not preserve a degenerate eigenspace")
+            raise _NoPTBasis("PT does not preserve a degenerate eigenspace")
         cols = right[:, idx] @ _pt_plus_basis(a, tol)
         if p is not None:
             form, rotation = np.linalg.eigh((cols.conj().T @ p @ cols).real)
@@ -190,7 +176,7 @@ _PAIRS = ("complex-pair spectrum: PT maps each state onto its partner, "
           "so per-state PT phases do not exist")
 
 
-def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt: AntilinearOp | None,
+def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt,
               p_intertwines: bool, tol: float = DEFAULT_TOL) -> tuple:
     """Calibrate a real-spectrum eigenbasis so its PT-conjugate norm is the V norm.
 
@@ -200,13 +186,13 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt: AntilinearOp | None,
        each state is rescaled to ``|<R_n|P|R_n>| = 1``: parity calibration,
        under which the PV eigenvalues are +-1. States whose overlap is below
        tolerance keep their scale and are listed in ``uncalibrated``.
-    2. Given ``pt``, degenerate eigenvalue groups are recombined so PT acts
-       diagonally on them, P-orthonormally when ``p`` is given, and every
-       state is rephased so ``PT R_n = eta_n R_n`` with eta_n = +-1. The
-       branch is the sign of the parity overlap where that is usable (the
-       choice that makes the PT-conjugate norm positive); otherwise a real
-       phase is kept and anything else rotated to +1. ``phases``, a
-       :class:`PTPhases`, carries the rephased system.
+    2. Given ``pt``, the matrix of PT, degenerate eigenvalue groups are
+       recombined so PT acts diagonally on them, P-orthonormally when ``p``
+       is given, and every state is rephased so ``PT R_n = eta_n R_n`` with
+       eta_n = +-1. The branch is the sign of the parity overlap where that
+       is usable (the choice that makes the PT-conjugate norm positive);
+       otherwise a real phase is kept and anything else rotated to +1.
+       ``phases``, a :class:`PTPhases`, carries the rephased system.
 
     ``system`` is the basis every later section uses: the rephased one when a
     degenerate group was recombined, else the parity-calibrated one. Where no
@@ -231,11 +217,11 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt: AntilinearOp | None,
     groups = _degenerate_groups(es.values, tol)
     try:
         phased = es.with_right(_recombine_degenerate(pt, es, groups, p, tol)) if groups else es
-    except NotPTEigenstate as exc:
+    except _NoPTBasis as exc:
         return unavailable(exc)
     right, left = phased.right, phased.left
 
-    images = pt.apply(right)
+    images = pt @ np.conj(right)
     coeff = np.einsum("ij,ji->i", left, images)
     residual = np.linalg.norm(images - coeff * right, axis=0)
     bound = max(1e-8, tol) * np.maximum(1.0, np.linalg.norm(images, axis=0))
@@ -259,7 +245,7 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt: AntilinearOp | None,
     fixes = np.where(turns % 1 == 0, quarter_turn(1.0, turns.astype(int)), np.exp(0.5j * angles))
     system = phased.rescaled(fixes, phased.condition)  # unit-modulus factors keep cond
 
-    images = pt.apply(system.right)  # re-read every phase as the final consistency check
+    images = pt @ np.conj(system.right)  # re-read every phase as the final consistency check
     coeff = np.einsum("ij,ji->i", system.left, images)
     bad = ((np.abs(coeff) < 0.5) | (np.abs(coeff - np.abs(coeff) * targets) > 1e-6 * np.abs(coeff))
            | (np.linalg.norm(images - coeff * system.right, axis=0) > bound))

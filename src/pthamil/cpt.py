@@ -14,7 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from .antilinear import AntilinearOp
 from .errors import NotCommuting, PTHamilError
 from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm
 from .spectra import SpectrumClass, SpectrumKind
@@ -52,9 +51,9 @@ def check_p_intertwines(h, p, tol: float = DEFAULT_TOL) -> bool:
     return mat_norm(p @ h @ p - h.conj().T) <= tol * max(1.0, mat_norm(h))
 
 
-def build_pv(p, v, es: EigenSystem, tol: float = DEFAULT_TOL, h=None) -> CommutantOp:
-    """Form ``PV`` for a parity the caller found to intertwine ``h`` (by default
-    the matrix ``es`` decomposes), verify it commutes, and extract its (real) eigenvalues.
+def build_pv(p, v, es: EigenSystem, h, tol: float = DEFAULT_TOL) -> CommutantOp:
+    """Form ``PV`` for a parity the caller found to intertwine ``h``, the matrix
+    ``es`` decomposes, verify it commutes, and extract its (real) eigenvalues.
 
     ``squares_to_identity`` records the explicit test ``P V P V == I``
     (equivalently ``P V P == V^-1``, stated without inverting V, whose
@@ -64,7 +63,6 @@ def build_pv(p, v, es: EigenSystem, tol: float = DEFAULT_TOL, h=None) -> Commuta
     """
     p = as_matrix(p, "P")
     v = as_matrix(v, "V")
-    h = es.reconstruct() if h is None else h
     pv = p @ v
     comm = mat_norm(pv @ h - h @ pv)
     if comm > tol * max(1.0, mat_norm(pv) * mat_norm(h)):
@@ -80,10 +78,10 @@ def build_pv(p, v, es: EigenSystem, tol: float = DEFAULT_TOL, h=None) -> Commuta
     return CommutantOp(pv, alphas.real.astype(complex), squares)
 
 
-def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL,
-            h=None) -> CommutantOp:
+def build_c(es: EigenSystem, cls: SpectrumClass, signs, h,
+            tol: float = DEFAULT_TOL) -> CommutantOp:
     """C operator from biorthogonal projectors with +-1 weights, checked
-    against ``h`` (by default the matrix ``es`` decomposes).
+    against ``h``, the matrix ``es`` decomposes.
 
     All-real spectrum: one sign per eigenstate. Conjugate pairs: one sign per
     pair, realized with opposite weights ``(s, -s)`` on the two members (real
@@ -106,7 +104,6 @@ def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL
             weights[n_minus] = -s
     c = (es.right * weights) @ es.left
     eye = np.eye(es.dim)
-    h = es.reconstruct() if h is None else h
     sq = mat_norm(c @ c - eye)
     comm = mat_norm(c @ h - h @ c)
     if sq > max(1e-8, tol) * max(1.0, mat_norm(c) ** 2):
@@ -116,24 +113,23 @@ def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL
     return CommutantOp(c, weights, True)
 
 
-def c_pt_diagnostic(c, pt: AntilinearOp, tol: float = DEFAULT_TOL) -> SpectrumDiagnostic:
-    """Spectrum diagnostic from the antilinear commutator of C with PT.
+def c_pt_diagnostic(c: CommutantOp, u, tol: float = DEFAULT_TOL) -> SpectrumDiagnostic:
+    """Spectrum diagnostic from the antilinear commutator of C with PT, ``v -> u conj(v)``.
 
-    ``[C, PT] = 0`` reduces to ``C u conj(C) = u`` on the unitary part of PT;
-    it holds exactly when the spectrum is real and fails for conjugate pairs.
+    ``[C, PT] = 0`` reduces to ``C u conj(C) = u``; it holds exactly when the
+    spectrum is real and fails for conjugate pairs.
     """
-    cm = c.matrix if isinstance(c, CommutantOp) else as_matrix(c, "C")
-    u = pt.u
+    cm = c.matrix
     residual = mat_norm(cm @ u @ np.conj(cm) - u)
     if residual <= tol * max(1.0, mat_norm(u) * mat_norm(cm) ** 2):
         return SpectrumDiagnostic.REAL_SPECTRUM
     return SpectrumDiagnostic.COMPLEX_PAIRS
 
 
-def diagnostic_is_degenerate(c, tol: float = DEFAULT_TOL) -> bool:
+def diagnostic_is_degenerate(c: CommutantOp, tol: float = DEFAULT_TOL) -> bool:
     """True when C is (a sign times) the identity, which commutes with
     everything and carries no information."""
-    cm = c.matrix if isinstance(c, CommutantOp) else as_matrix(c, "C")
+    cm = c.matrix
     eye = np.eye(cm.shape[0])
     scale = max(1.0, mat_norm(cm))
     return (mat_norm(cm - eye) <= tol * scale) or (mat_norm(cm + eye) <= tol * scale)

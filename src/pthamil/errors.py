@@ -29,10 +29,6 @@ class UnpairedComplexEigenvalue(PTHamilError):
     """A complex eigenvalue has no conjugate partner, so no antilinear symmetry exists."""
 
 
-class NotPTEigenstate(PTHamilError):
-    """State is not an eigenstate of the antilinear operator."""
-
-
 class InvalidFrame(PTHamilError):
     """Parity / time-reversal pair violates its structural constraints."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .antilinear import PTPhases, pt_gram
-from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, eigendecompose, mat_norm
+from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm
 from .spectra import SpectrumClass, SpectrumKind, spectral_scale
 
 
@@ -52,8 +52,8 @@ class NormReport:
     flags: dict = field(default_factory=dict)
 
 
-def build_metric(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL,
-                 h=None) -> Intertwiner:
+def build_metric(es: EigenSystem, cls: SpectrumClass, h,
+                 tol: float = DEFAULT_TOL) -> Intertwiner:
     """Construct the metric for the given spectrum class.
 
     All-real: ``V = L^dagger L`` (equivalently ``S^dagger S`` with ``S = L``),
@@ -61,9 +61,8 @@ def build_metric(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL,
     construction. Conjugate pairs: the Hermitian pair-swap combination of
     left-vector projectors, which intertwines but is indefinite and has zero
     diagonal on the paired eigenstates. The intertwining residual is measured
-    against ``h``, by default the matrix ``es`` decomposes.
+    against ``h``, the matrix ``es`` decomposes.
     """
-    h = es.reconstruct() if h is None else h
     if cls.kind is SpectrumKind.ALL_REAL:
         v = es.left.conj().T @ es.left
         v = 0.5 * (v + v.conj().T)
@@ -85,19 +84,19 @@ def build_metric(es: EigenSystem, cls: SpectrumClass, tol: float = DEFAULT_TOL,
 def v_gram(
     es: EigenSystem,
     itw: Intertwiner,
-    cls: SpectrumClass | None = None,
+    cls: SpectrumClass,
     p=None,
     phases: PTPhases | None = None,
     tol: float = DEFAULT_TOL,
 ) -> NormReport:
-    """Gram matrices of the Dirac, V, parity and PT-conjugate inner products.
+    """Gram matrices of the Dirac, V, parity and PT-conjugate inner products,
+    with the flags of the V Gram's structure under ``cls``.
 
     The Dirac, V and parity Grams are evaluated on the given eigensystem; the
     PT-conjugate Gram, formed when both ``p`` and ``phases`` are given, uses the
     phase-fixed states ``phases`` carries (its diagonal is rephasing-invariant,
-    so the two bases give the same identities).
-    Pass ``cls`` for structure-aware flags; without it the real-spectrum
-    identity check is assumed.
+    so the two bases give the same identities). The identities of the parity
+    and PT Grams hold only where P intertwines H, which the caller decides.
     """
     r = es.right
     dirac = r.conj().T @ r
@@ -108,10 +107,10 @@ def v_gram(
 
     flags = {}
     eye = np.eye(es.dim)
-    if cls is None or cls.kind is SpectrumKind.ALL_REAL:
+    if cls.kind is SpectrumKind.ALL_REAL:
         res = mat_norm(vnorm - eye)
         flags["v_gram_identity"] = Flag(res <= tol * es.dim, float(res), tol * es.dim)
-    elif cls.kind is SpectrumKind.CONJUGATE_PAIRS:
+    else:
         expected = np.zeros((es.dim, es.dim), dtype=complex)
         for n in cls.real_indices:
             expected[n, n] = 1.0
@@ -122,15 +121,6 @@ def v_gram(
         flags["v_gram_pair_swap"] = Flag(res <= tol * es.dim, float(res), tol * es.dim)
         diag = max(abs(vnorm[i, i]) for pair in cls.pairs for i in pair) if cls.pairs else 0.0
         flags["v_gram_zero_diagonal_on_pairs"] = Flag(diag <= tol * es.dim, float(diag), tol * es.dim)
-    if pnorm is not None and (cls is None or cls.kind is SpectrumKind.ALL_REAL):
-        # reality of the parity overlaps is a real-spectrum theorem only
-        above = np.abs(pnorm) > tol
-        res = float(np.abs(pnorm.imag[above]).max()) if above.any() else 0.0
-        threshold = tol * max(1.0, mat_norm(pnorm))
-        flags["p_gram_real"] = Flag(res <= threshold, res, threshold)
-    if ptnorm is not None:
-        res = mat_norm(ptnorm - vnorm)
-        flags["pt_gram_equals_v_gram"] = Flag(res <= tol * es.dim, float(res), tol * es.dim)
     return NormReport(dirac, vnorm, pnorm, ptnorm, flags)
 
 
@@ -156,24 +146,15 @@ class TimeIndependence:
     ok: bool
 
 
-def verify_time_independence(
-    h,
-    v,
-    times,
-    tol: float = 1e-8,
-    es: EigenSystem | None = None,
-) -> TimeIndependence:
-    """Evolve every eigenstate with ``exp(-iHt)`` and bound the drift of the
-    V inner products, entry by entry.
+def verify_time_independence(es: EigenSystem, v, times, tol: float = 1e-8) -> TimeIndependence:
+    """Evolve every eigenstate of ``es`` with ``exp(-iHt)``, H the matrix it
+    decomposes, and bound the drift of the V inner products, entry by entry.
 
     Also checks the selection rule: an entry ``(n, m)`` of the initial Gram may
     be nonzero only when ``E_m = conj(E_n)`` — for a real spectrum the
     diagonal, for conjugate pairs the cross-pair transitions.
     """
-    h = as_matrix(h, "H")
     v = as_matrix(v, "V")
-    if es is None:
-        es = eigendecompose(h)
     r = es.right
     gram0 = r.conj().T @ v @ r
     threshold = tol * max(1.0, mat_norm(gram0))  # also the floor of a present entry

@@ -65,7 +65,7 @@ class EigenSystem:
 
     ``values[n]`` belongs to the right eigenvector ``right[:, n]`` and the left
     eigenvector ``left[n, :]``; ``left @ right`` is the identity within
-    tolerance and ``right @ diag(values) @ left`` reconstructs the matrix.
+    tolerance and ``right @ diag(values) @ left`` is the matrix they diagonalize.
     """
 
     values: np.ndarray
@@ -85,10 +85,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return int(self.values.shape[0])
-
-    def reconstruct(self) -> np.ndarray:
-        """The matrix this system decomposes: ``right @ diag(values) @ left``."""
-        return (self.right * self.values) @ self.left
 
     def with_right(self, right: np.ndarray) -> "EigenSystem":
         """New system with replaced right eigenvectors; left recomputed as the inverse."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .antilinear import AntilinearOp, PTFrame, calibrate, conjugation_turns, make_frame
+from .antilinear import PTFrame, calibrate, conjugation_turns, make_frame
 from .cpt import build_c, build_pv, c_pt_diagnostic, check_p_intertwines, diagnostic_is_degenerate
 from .errors import (
     InvalidFrame,
@@ -31,7 +31,8 @@ from .errors import (
 from .fockdemo import truncated_position_matrix
 from .intertwiner import Flag, build_metric, v_gram, verify_time_independence
 from .jsontext import dumps
-from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, eigendecompose, identity, quarter_turn
+from .linalg import (DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, eigendecompose, identity, mat_norm,
+                     quarter_turn)
 from .matio import load_matrix
 from .spectra import SpectrumKind, antilinear_symmetry_check, classify
 from .twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
@@ -80,7 +81,7 @@ class AnalysisConfig:
     output: str = "text"
 
     def __post_init__(self):
-        if (self.source_path is None) == (self.model is None):
+        if (self.source_path is not None) == (self.model is not None):
             raise ValueError("exactly one of a file path or a builtin model is required")
         if self.model is not None and self.model not in ("two-level", "fock-x"):
             raise ValueError(f"unknown model {self.model!r}")
@@ -273,7 +274,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         rows, cols = turns[:, np.newaxis], -turns
         both = rows + cols
         h, p = quarter_turn(h, -both), quarter_turn(p, -both)  # W^dagger H W, W^dagger P W
-        frame = PTFrame(p, AntilinearOp(identity(len(p))))  # PT = K
+        frame = PTFrame(p, identity(len(p)))  # PT = K
     else:
         turns = None
 
@@ -313,7 +314,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
                 "recombined into a PT eigenbasis; all sections use that basis"
             )
 
-    itw = build_metric(es, cls, tol, h)
+    itw = build_metric(es, cls, h, tol)
     norm_report = v_gram(es, itw, cls, p=p, phases=phases, tol=gram_tol)
 
     # the C signs: the given ones, else the defaults, else None with the reason
@@ -321,7 +322,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         pv_section = {"skipped": "complex-pair spectrum: PV plays no role"}
         signs = cfg.c_signs or tuple(1 for _ in cls.pairs)
     elif p_intertwines:
-        pv = build_pv(p, itw.v, es, check_tol, h)
+        pv = build_pv(p, itw.v, es, h, check_tol)
         pv_section = {
             "matrix": _matrix(pv.matrix, both),
             "alphas": _complex_list(pv.alphas),
@@ -338,7 +339,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         c_section = {"skipped": f"{reason}; supply c_signs to build C anyway"}
         diagnostic = {"skipped": "no C operator was built"}
     else:
-        commutant = build_c(es, cls, signs, tol, h)
+        commutant = build_c(es, cls, signs, h, tol)
         c_section = {"matrix": _matrix(commutant.matrix, both),
                      "signs": [int(s) for s in signs]}
         if frame is None:
@@ -349,12 +350,20 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             if diagnostic_is_degenerate(commutant, tol):
                 notes.append("diagnostic degenerate: C is proportional to the identity")
 
-    tic = verify_time_independence(h, itw.v, cfg.times, check_tol, es=es)
-    flags = {
-        **norm_report.flags,
-        "metric_intertwines": Flag(itw.residual <= gram_tol, itw.residual, gram_tol),
-        "time_independent": Flag(bool(tic.passed.all()), tic.max_drift, check_tol),
-    }
+    tic = verify_time_independence(es, itw.v, cfg.times, check_tol)
+    flags = dict(norm_report.flags)
+    if p_intertwines:  # the parity and PT Gram identities need P to intertwine H
+        if real_case:  # the reality of the parity overlaps is a real-spectrum theorem
+            pnorm = norm_report.pnorm
+            above = np.abs(pnorm) > gram_tol
+            res = float(np.abs(pnorm.imag[above]).max()) if above.any() else 0.0
+            threshold = gram_tol * max(1.0, mat_norm(pnorm))
+            flags["p_gram_real"] = Flag(res <= threshold, res, threshold)
+        if phases is not None:
+            res = mat_norm(norm_report.ptnorm - norm_report.vnorm)
+            flags["pt_gram_equals_v_gram"] = Flag(res <= gram_tol * es.dim, res, gram_tol * es.dim)
+    flags["metric_intertwines"] = Flag(itw.residual <= gram_tol, itw.residual, gram_tol)
+    flags["time_independent"] = Flag(bool(tic.passed.all()), tic.max_drift, check_tol)
 
     return AnalysisReport(
         provenance={

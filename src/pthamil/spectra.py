@@ -90,13 +90,9 @@ def classify(es: EigenSystem, tol: float = DEFAULT_TOL) -> SpectrumClass:
     return SpectrumClass(SpectrumKind.CONJUGATE_PAIRS, tuple(pairs), real_indices)
 
 
-def antilinear_symmetry_check(h, a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``A H A^-1 == H`` for the antilinear operator ``A = U K``,
-    tested as ``U conj(H) == H U``: no inverse, and the same residual for a unitary U.
-
-    ``a`` may be an :class:`~pthamil.antilinear.AntilinearOp` or a bare matrix,
-    which is then taken as its matrix ``U``.
-    """
+def antilinear_symmetry_check(h, u, tol: float = DEFAULT_TOL) -> bool:
+    """True iff ``A H A^-1 == H`` for the antilinear ``A``, ``v -> u conj(v)``,
+    tested as ``u conj(H) == H u``: no inverse, and the same residual for a unitary u."""
     h = as_matrix(h, "H")
-    u = as_matrix(getattr(a, "u", a), "U")
+    u = as_matrix(u, "U")
     return mat_norm(u @ np.conj(h) - h @ u) <= tol * max(1.0, mat_norm(h))

@@ -57,9 +57,9 @@ def test_criterion_1_two_level_oracle_equivalence():
         es = eigendecompose(h)
         cls = classify(es)
         es, phases, _, _ = calibrate(es, cls, frame.p, frame.pt, True)
-        itw = build_metric(es, cls)
+        itw = build_metric(es, cls, h)
         report = v_gram(es, itw, cls, p=frame.p, phases=phases)
-        pv = build_pv(frame.p, itw.v, es)
+        pv = build_pv(frame.p, itw.v, es, h)
 
         assert np.max(np.abs(es.values - np.array([4.0, -4.0]))) <= tol
         assert np.max(np.abs(itw.v - np.diag([0.5, 2.0]))) <= tol
@@ -84,7 +84,7 @@ def test_criterion_2_randomized_metric_existence():
                 h = basis @ np.diag(generator.uniform(-3.0, 3.0, size=6)) @ np.linalg.inv(basis)
             es = eigendecompose(h)
             cls = classify(es)
-            itw = build_metric(es, cls)
+            itw = build_metric(es, cls, h)
             assert itw.residual <= 1e-9
             if cls.kind is SpectrumKind.ALL_REAL:
                 count_real += 1
@@ -107,8 +107,8 @@ def test_criterion_3_time_independence_and_selection_rule():
             h = hamiltonian(TwoLevelModel(alpha, beta))
             es = eigendecompose(h)
             cls = classify(es)
-            itw = build_metric(es, cls)
-            tic = verify_time_independence(h, itw.v, times, tol=1e-8, es=es)
+            itw = build_metric(es, cls, h)
+            tic = verify_time_independence(es, itw.v, times, tol=1e-8)
             assert tic.max_drift <= 1e-8
             assert tic.selection_violations == ()
         generator = rng(1003)
@@ -116,8 +116,8 @@ def test_criterion_3_time_independence_and_selection_rule():
             h = random_real(generator, 6, unit_radius=True)
             es = eigendecompose(h)
             cls = classify(es)
-            itw = build_metric(es, cls)
-            tic = verify_time_independence(h, itw.v, times, tol=1e-8, es=es)
+            itw = build_metric(es, cls, h)
+            tic = verify_time_independence(es, itw.v, times, tol=1e-8)
             assert tic.max_drift <= 1e-8
             assert tic.selection_violations == ()
             if cls.kind is SpectrumKind.CONJUGATE_PAIRS:
@@ -144,11 +144,11 @@ def test_criterion_4_diagnostic_correctness():
             cls = classify(es)
             if alpha > beta:
                 es = calibrate(es, cls, frame.p, None, True)[0]
-                itw = build_metric(es, cls)
-                op = build_pv(frame.p, itw.v, es)
+                itw = build_metric(es, cls, h)
+                op = build_pv(frame.p, itw.v, es, h)
                 assert c_pt_diagnostic(op, frame.pt).value == "real_spectrum"
             else:
-                op = build_c(es, cls, [1])
+                op = build_c(es, cls, [1], h)
                 assert c_pt_diagnostic(op, frame.pt).value == "complex_pairs"
             checked += 1
 
@@ -161,7 +161,7 @@ def test_criterion_5_pt_phase_norm_equality():
             es = eigendecompose(h)
             cls = classify(es)
             es, phases, _, _ = calibrate(es, cls, frame.p, frame.pt, True)
-            itw = build_metric(es, cls)
+            itw = build_metric(es, cls, h)
             v_gram_matrix = es.right.conj().T @ itw.v @ es.right
             return float(np.max(np.abs(pt_gram(frame.p, phases) - v_gram_matrix)))
 

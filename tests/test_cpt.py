@@ -26,7 +26,7 @@ def _real_system(alpha=5.0, beta=3.0, parity_calibrated=True):
     cls = classify(es)
     if parity_calibrated:
         es = calibrate(es, cls, SIGMA1, None, True)[0]
-    itw = build_metric(es, cls)
+    itw = build_metric(es, cls, h)
     return h, es, cls, itw
 
 
@@ -53,8 +53,8 @@ class TestCheckPIntertwines:
 
 class TestBuildPV:
     def test_two_level_closed_form(self):
-        _, es, cls, itw = _real_system()
-        pv = build_pv(SIGMA1, itw.v, es)
+        h, es, cls, itw = _real_system()
+        pv = build_pv(SIGMA1, itw.v, es, h)
         assert np.allclose(pv.matrix, np.array([[0.0, 2.0], [0.5, 0.0]]), atol=1e-12)
         assert np.allclose(pv.matrix @ pv.matrix, identity(2), atol=1e-12)
         assert pv.squares_to_identity
@@ -63,91 +63,90 @@ class TestBuildPV:
     def test_trivial_hermitian_case(self):
         h = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
         es = eigendecompose(h)
-        pv = build_pv(identity(2), identity(2), es)
+        pv = build_pv(identity(2), identity(2), es, h)
         assert np.allclose(pv.matrix, identity(2))
         assert np.allclose(pv.alphas, [1.0, 1.0])
 
     def test_alpha_reciprocity(self):
         # alpha_n <R_n|P|R_n> = 1 for any eigenvector scaling
-        _, es, cls, itw = _real_system(parity_calibrated=False)
-        pv = build_pv(SIGMA1, itw.v, es)
+        h, es, cls, itw = _real_system(parity_calibrated=False)
+        pv = build_pv(SIGMA1, itw.v, es, h)
         overlaps = parity_overlaps(es, SIGMA1)
         assert np.allclose(pv.alphas * overlaps, [1.0, 1.0], atol=1e-12)
 
     def test_squares_flag_depends_on_calibration(self):
         # without parity calibration (PV)^2 = I fails by a scale factor
-        _, es, cls, itw = _real_system(parity_calibrated=False)
-        pv = build_pv(SIGMA1, itw.v, es)
+        h, es, cls, itw = _real_system(parity_calibrated=False)
+        pv = build_pv(SIGMA1, itw.v, es, h)
         assert not pv.squares_to_identity
 
     def test_non_intertwining_parity_rejected(self):
         h = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
         es = eigendecompose(h)
-        itw = build_metric(es, classify(es))
+        itw = build_metric(es, classify(es), h)
         with pytest.raises(NotCommuting):
-            build_pv(SIGMA1, itw.v, es)
+            build_pv(SIGMA1, itw.v, es, h)
 
     def test_complex_pair_alphas_rejected(self):
         # PV still commutes with H but its eigenvalues are imaginary
-        h, es, cls, itw = None, None, None, None
         h = hamiltonian(TwoLevelModel(3, 5))
         es = eigendecompose(h)
-        itw = build_metric(es, classify(es))
+        itw = build_metric(es, classify(es), h)
         with pytest.raises(ValueError):
-            build_pv(SIGMA1, itw.v, es)
+            build_pv(SIGMA1, itw.v, es, h)
 
     def test_parity_gram_reciprocal_structure(self):
         # <R_n|P|R_m> = delta_nm / alpha_m
-        _, es, cls, itw = _real_system(2.0, 0.7, parity_calibrated=False)
-        pv = build_pv(SIGMA1, itw.v, es)
+        h, es, cls, itw = _real_system(2.0, 0.7, parity_calibrated=False)
+        pv = build_pv(SIGMA1, itw.v, es, h)
         gram = es.right.conj().T @ SIGMA1 @ es.right
         assert np.allclose(gram, np.diag(1.0 / pv.alphas), atol=1e-12)
 
 
 class TestBuildC:
     def test_all_plus_signs_is_identity(self):
-        _, es, cls, _ = _real_system()
-        c = build_c(es, cls, [1, 1])
+        h, es, cls, _ = _real_system()
+        c = build_c(es, cls, [1, 1], h)
         assert np.allclose(c.matrix, identity(2), atol=1e-12)
 
     def test_matches_pv(self):
-        _, es, cls, itw = _real_system()
-        pv = build_pv(SIGMA1, itw.v, es)
-        c = build_c(es, cls, [1, -1])
+        h, es, cls, itw = _real_system()
+        pv = build_pv(SIGMA1, itw.v, es, h)
+        c = build_c(es, cls, [1, -1], h)
         assert np.allclose(c.matrix, pv.matrix, atol=1e-12)
 
     def test_pc_equals_metric(self):
         # P C = V when C = PV and P squares to one
-        _, es, cls, itw = _real_system()
-        c = build_c(es, cls, [1, -1])
+        h, es, cls, itw = _real_system()
+        c = build_c(es, cls, [1, -1], h)
         assert np.allclose(SIGMA1 @ c.matrix, itw.v, atol=1e-12)
 
     def test_complex_pair_form(self):
         h = hamiltonian(TwoLevelModel(3, 5))
         es = eigendecompose(h)
         cls = classify(es)
-        c = build_c(es, cls, [1])
+        c = build_c(es, cls, [1], h)
         assert np.allclose(c.matrix @ c.matrix, identity(2), atol=1e-12)
         assert np.linalg.norm(c.matrix @ h - h @ c.matrix) <= 1e-10
         # metric-weighted elements are transition-only: zero diagonal
-        v = build_metric(es, cls).v
+        v = build_metric(es, cls, h).v
         weighted = es.right.conj().T @ v @ c.matrix @ es.right
         assert abs(weighted[0, 0]) <= 1e-12
         assert abs(weighted[1, 1]) <= 1e-12
 
     def test_sign_validation(self):
-        _, es, cls, _ = _real_system()
+        h, es, cls, _ = _real_system()
         with pytest.raises(ValueError):
-            build_c(es, cls, [1, 2])
+            build_c(es, cls, [1, 2], h)
         with pytest.raises(ValueError):
-            build_c(es, cls, [1])
+            build_c(es, cls, [1], h)
 
 
 class TestDiagnostic:
     def test_real_phase(self):
         frame = canonical_two_level_frame()
-        _, es, cls, itw = _real_system()
-        pv = build_pv(SIGMA1, itw.v, es)
+        h, es, cls, itw = _real_system()
+        pv = build_pv(SIGMA1, itw.v, es, h)
         assert c_pt_diagnostic(pv, frame.pt) is SpectrumDiagnostic.REAL_SPECTRUM
 
     def test_complex_phase(self):
@@ -155,13 +154,13 @@ class TestDiagnostic:
         h = hamiltonian(TwoLevelModel(3, 5))
         es = eigendecompose(h)
         cls = classify(es)
-        c = build_c(es, cls, [1])
+        c = build_c(es, cls, [1], h)
         assert c_pt_diagnostic(c, frame.pt) is SpectrumDiagnostic.COMPLEX_PAIRS
 
     def test_identity_c_is_degenerate(self):
         frame = canonical_two_level_frame()
-        _, es, cls, _ = _real_system()
-        c = build_c(es, cls, [1, 1])
+        h, es, cls, _ = _real_system()
+        c = build_c(es, cls, [1, 1], h)
         assert c_pt_diagnostic(c, frame.pt) is SpectrumDiagnostic.REAL_SPECTRUM
         assert diagnostic_is_degenerate(c)
 
@@ -177,11 +176,11 @@ class TestDiagnostic:
                 cls = classify(es)
                 if cls.kind is SpectrumKind.ALL_REAL:
                     es = calibrate(es, cls, SIGMA1, None, True)[0]
-                    itw = build_metric(es, cls)
-                    op = build_pv(SIGMA1, itw.v, es)
+                    itw = build_metric(es, cls, h)
+                    op = build_pv(SIGMA1, itw.v, es, h)
                     expected = SpectrumDiagnostic.REAL_SPECTRUM
                 else:
-                    op = build_c(es, cls, [1])
+                    op = build_c(es, cls, [1], h)
                     expected = SpectrumDiagnostic.COMPLEX_PAIRS
                 assert c_pt_diagnostic(op, frame.pt) is expected
 
@@ -193,14 +192,15 @@ class TestPairCompleteness:
     shows in the intertwining residual."""
 
     @staticmethod
-    def _assert_complete(es, cls):
-        itw = build_metric(es, cls)
+    def _assert_complete(h, es, cls):
+        itw = build_metric(es, cls, h)
         assert itw.residual <= 1e-12
         assert v_gram(es, itw, cls).flags["v_gram_pair_swap"].passed
 
     def test_two_level_complex(self):
-        es = eigendecompose(hamiltonian(TwoLevelModel(3, 5)))
-        self._assert_complete(es, classify(es))
+        h = hamiltonian(TwoLevelModel(3, 5))
+        es = eigendecompose(h)
+        self._assert_complete(h, es, classify(es))
 
     def test_broken_pairing_detected(self):
         # two distinct pairs, partners deliberately exchanged
@@ -209,14 +209,14 @@ class TestPairCompleteness:
         h[2:, 2:] = hamiltonian(TwoLevelModel(2, 7))
         es = eigendecompose(h)
         cls = classify(es)
-        self._assert_complete(es, cls)
+        self._assert_complete(h, es, cls)
         (a_plus, a_minus), (b_plus, b_minus) = cls.pairs
         broken = SpectrumClass(
             SpectrumKind.CONJUGATE_PAIRS,
             ((a_plus, b_minus), (b_plus, a_minus)),
             cls.real_indices,
         )
-        itw = build_metric(es, broken)
+        itw = build_metric(es, broken, h)
         # the pair-swap Gram holds for any map by construction; the residual
         # is what catches the wrong one
         assert v_gram(es, itw, broken).flags["v_gram_pair_swap"].passed
@@ -229,7 +229,7 @@ class TestPairCompleteness:
         es = eigendecompose(h)
         cls = classify(es)
         assert cls.real_indices != ()
-        self._assert_complete(es, cls)
+        self._assert_complete(h, es, cls)
 
 
 class TestCommutantInvariant:
@@ -240,15 +240,15 @@ class TestCommutantInvariant:
             es = eigendecompose(h)
             cls = classify(es)
             if cls.kind is SpectrumKind.ALL_REAL:
-                c = build_c(es, cls, [1] * 5)
+                c = build_c(es, cls, [1] * 5, h)
             else:
-                c = build_c(es, cls, [1] * len(cls.pairs))
+                c = build_c(es, cls, [1] * len(cls.pairs), h)
             norm = np.linalg.norm(c.matrix @ h - h @ c.matrix)
             assert norm <= 1e-9 * max(1.0, np.linalg.norm(c.matrix) * np.linalg.norm(h))
 
     def test_c_signs_match_parity_overlap_signs(self):
         # sign(alpha_n) = sign(<R_n|P|R_n>)
-        _, es, cls, itw = _real_system(3.0, 1.2)
-        pv = build_pv(SIGMA1, itw.v, es)
+        h, es, cls, itw = _real_system(3.0, 1.2)
+        pv = build_pv(SIGMA1, itw.v, es, h)
         overlaps = parity_overlaps(es, SIGMA1)
         assert np.allclose(np.sign(pv.alphas.real), np.sign(overlaps.real))

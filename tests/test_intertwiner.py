@@ -78,7 +78,7 @@ class TestBuildSimilarity:
 class TestBuildMetric:
     def test_two_level_closed_form(self):
         h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls)
+        itw = build_metric(es, cls, h)
         assert np.allclose(itw.v, np.diag([0.5, 2.0]), atol=1e-12)
         assert itw.positive and itw.hermitian
         assert itw.residual <= 1e-12
@@ -89,7 +89,7 @@ class TestBuildMetric:
     def test_hermitian_input_gives_identity(self):
         h = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
         es = eigendecompose(h)
-        itw = build_metric(es, classify(es))
+        itw = build_metric(es, classify(es), h)
         assert np.allclose(itw.v, identity(2), atol=1e-10)
 
     @pytest.mark.parametrize("pa", [True, False], ids=["pa", "random"])
@@ -106,11 +106,11 @@ class TestBuildMetric:
             ref += np.outer(np.conj(es.left[n_minus]), es.left[n_plus])
             ref += np.outer(np.conj(es.left[n_plus]), es.left[n_minus])
         ref = 0.5 * (ref + ref.conj().T)
-        assert np.linalg.norm(build_metric(es, cls).v - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(build_metric(es, cls, h).v - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_complex_pair_metric(self):
         h, es, cls = _system(3, 5)
-        itw = build_metric(es, cls)
+        itw = build_metric(es, cls, h)
         assert itw.hermitian and not itw.positive
         assert itw.residual <= 1e-12
         h_dag = h.conj().T
@@ -124,8 +124,8 @@ class TestBuildMetric:
 class TestVGram:
     def test_two_level_dirac_overlap(self):
         # closed form: u-^dagger u+ = beta / sqrt(alpha^2 - beta^2) = 3/4
-        _, es, cls = _system(5, 3)
-        itw = build_metric(es, cls)
+        h, es, cls = _system(5, 3)
+        itw = build_metric(es, cls, h)
         report = v_gram(es, itw, cls, p=SIGMA1)
         assert abs(report.dirac[1, 0] - 0.75) <= 1e-12
         assert np.allclose(report.vnorm, identity(2), atol=1e-12)
@@ -136,14 +136,14 @@ class TestVGram:
         h = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
         es = eigendecompose(h)
         cls = classify(es)
-        itw = build_metric(es, cls)
+        itw = build_metric(es, cls, h)
         report = v_gram(es, itw, cls)
         assert np.allclose(report.dirac, identity(2), atol=1e-12)
         assert np.allclose(report.vnorm, identity(2), atol=1e-12)
 
     def test_complex_pair_structure_flag(self):
-        _, es, cls = _system(3, 5)
-        itw = build_metric(es, cls)
+        h, es, cls = _system(3, 5)
+        itw = build_metric(es, cls, h)
         report = v_gram(es, itw, cls)
         assert report.flags["v_gram_pair_swap"].passed
         assert report.flags["v_gram_zero_diagonal_on_pairs"].passed
@@ -153,9 +153,9 @@ class TestTimeIndependence:
     def test_two_level_real_phase_constant(self):
         # oracle: independent dense propagator from scipy.linalg.expm
         h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls)
+        itw = build_metric(es, cls, h)
         times = (0.0, 0.7, 3.1)
-        tic = verify_time_independence(h, itw.v, times, es=es)
+        tic = verify_time_independence(es, itw.v, times)
         assert tic.ok and tic.max_drift <= 1e-10
         for t in times:
             u = scipy.linalg.expm(-1j * h * t)
@@ -165,8 +165,8 @@ class TestTimeIndependence:
 
     def test_complex_phase_selection_rule(self):
         h, es, cls = _system(3, 5)
-        itw = build_metric(es, cls)
-        tic = verify_time_independence(h, itw.v, (0.0, 0.5, 1.7, 4.3), es=es)
+        itw = build_metric(es, cls, h)
+        tic = verify_time_independence(es, itw.v, (0.0, 0.5, 1.7, 4.3))
         assert tic.ok
         assert tic.selection_violations == ()
         n_plus, n_minus = cls.pairs[0]
@@ -186,7 +186,7 @@ class TestTimeIndependence:
         h = random_real(rng(seed), n)
         es = eigendecompose(h)
         tol = 1e-8
-        tic = verify_time_independence(h, identity(n), (0.0, 0.5), tol, es=es)
+        tic = verify_time_independence(es, identity(n), (0.0, 0.5), tol)
         scale = max(np.abs(es.values))
         expected = tuple(
             (i, j) for i in range(n) for j in range(n)
@@ -205,7 +205,7 @@ class TestTimeIndependence:
         a = random_real(generator, 8) + 1j * random_real(generator, 8)
         v = a @ a.conj().T
         times = (0.0, 0.3, 1.1)
-        tic = verify_time_independence(h, v, times, es=es)
+        tic = verify_time_independence(es, v, times)
         gram0 = es.right.conj().T @ v @ es.right
         drift = np.zeros(gram0.shape)
         for t in times:
@@ -219,9 +219,9 @@ class TestTimeIndependence:
         # entry is the per-time loop's, so the drift is equal bit for bit
         h = _pa_pairs(rng(47), 8)
         es = eigendecompose(h)
-        v = build_metric(es, classify(es)).v
+        v = build_metric(es, classify(es), h).v
         times = (0.0, 0.5, 1.7, 4.3)
-        tic = verify_time_independence(h, v, times, es=es)
+        tic = verify_time_independence(es, v, times)
         drift = np.zeros((8, 8))
         for t in times:
             phase = np.exp(-1j * es.values * float(t))
@@ -234,9 +234,9 @@ class TestTimeIndependence:
         # phases, not the fresh dust of a product at each time
         h = _pa_pairs(rng(46), 8)
         es = eigendecompose(h)
-        itw = build_metric(es, classify(es))
+        itw = build_metric(es, classify(es), h)
         times = (0.5, 2.0)
-        tic = verify_time_independence(h, itw.v, times, es=es)
+        tic = verify_time_independence(es, itw.v, times)
         shadow = 0.0
         for t in times:
             phase = np.exp(-1j * es.values * t)
@@ -247,14 +247,14 @@ class TestTimeIndependence:
 
     def test_time_zero_trivially_constant(self):
         h, es, cls = _system(2, 1)
-        itw = build_metric(es, cls)
-        tic = verify_time_independence(h, itw.v, (0.0,), es=es)
+        itw = build_metric(es, cls, h)
+        tic = verify_time_independence(es, itw.v, (0.0,))
         assert tic.ok and tic.max_drift == 0.0
 
     @pytest.mark.parametrize("alpha, beta", [(5, 3), (3, 5)], ids=["real", "pair"])
     def test_no_times_no_drift(self, alpha, beta):
         h, es, cls = _system(alpha, beta)
-        tic = verify_time_independence(h, build_metric(es, cls).v, (), es=es)
+        tic = verify_time_independence(es, build_metric(es, cls, h).v, ())
         assert tic.times == ()
         assert tic.drift.shape == (2, 2) and not tic.drift.any()
         assert tic.passed.all() and tic.ok
@@ -275,8 +275,8 @@ class TestTimeIndependence:
         # constancy of every Gram entry forces the intertwining relation:
         # rebuild V H - H^dagger V from Gram data and energies
         h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls)
-        tic = verify_time_independence(h, itw.v, (0.0, 0.5, 1.7, 4.3), es=es)
+        itw = build_metric(es, cls, h)
+        tic = verify_time_independence(es, itw.v, (0.0, 0.5, 1.7, 4.3))
         assert tic.ok
         gram = es.right.conj().T @ itw.v @ es.right
         commutator_eigenbasis = gram * (
@@ -296,7 +296,7 @@ class TestMetricProperties:
             h = random_real(generator, 6, unit_radius=True)
             es = eigendecompose(h)
             cls = classify(es)
-            itw = build_metric(es, cls)
+            itw = build_metric(es, cls, h)
             assert itw.residual <= 1e-9
             assert itw.hermitian
             if cls.kind is SpectrumKind.ALL_REAL:
@@ -318,14 +318,14 @@ class TestMetricProperties:
             es = eigendecompose(h)
             cls = classify(es)
             assert cls.kind is SpectrumKind.ALL_REAL
-            itw = build_metric(es, cls)
+            itw = build_metric(es, cls, h)
             assert itw.positive
             assert itw.residual <= 1e-9
 
     def test_commutant_freedom(self):
         # V q(H) intertwines whenever q is a real-coefficient polynomial in H
         h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls)
+        itw = build_metric(es, cls, h)
         q = identity(2) + 0.3 * h + 0.05 * (h @ h)
         assert np.allclose(q @ h, h @ q, atol=1e-12)
         assert np.allclose(q.conj().T @ itw.v, itw.v @ q, atol=1e-12)

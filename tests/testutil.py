@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from pthamil.antilinear import AntilinearOp, make_frame
+from pthamil.antilinear import make_frame
 from pthamil.linalg import SIGMA1
 
 
@@ -35,11 +35,11 @@ def random_invertible(generator, n, max_cond=50.0):
 
 def canonical_two_level_frame():
     """P = sigma_1, T = K i sigma_1 (as u = -i sigma_1), PT = K i (u = -i I)."""
-    return make_frame(SIGMA1, AntilinearOp(-1j * SIGMA1))
+    return make_frame(SIGMA1, -1j * SIGMA1)
 
 
 def conjugated_two_level_frame(q):
     """The canonical frame transported by a unitary q."""
     p = q @ SIGMA1 @ q.conj().T
     u_t = q @ (-1j * SIGMA1) @ q.T
-    return make_frame(p, AntilinearOp(u_t), 1e-8)
+    return make_frame(p, u_t, 1e-8)
