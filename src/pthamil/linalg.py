@@ -121,14 +121,13 @@ def canonical_order(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.lexsort((-values.real, -values.imag, key))
 
 
-def _canonical_phases(r: np.ndarray, turns=None) -> np.ndarray:
+def _canonical_phases(r: np.ndarray) -> np.ndarray:
     """Unit-normalize each column and rotate its largest-magnitude component to
-    the positive real axis, in the basis ``diag(1j ** turns)`` when given."""
+    the positive real axis."""
     r = np.asarray(r, dtype=complex)
     norms = np.linalg.norm(r, axis=0)
     r = r / np.where(norms > 0.0, norms, 1.0)
-    rows = np.argmax(np.abs(r), axis=0)
-    pivots = quarter_turn(r[rows, np.arange(r.shape[1])], 0 if turns is None else turns[rows])
+    pivots = r[np.argmax(np.abs(r), axis=0), np.arange(r.shape[1])]
     rotations = np.ones_like(pivots)
     nonzero = pivots != 0.0
     rotations[nonzero] = pivots[nonzero].conj() / np.abs(pivots[nonzero])
@@ -142,9 +141,10 @@ def eigendecompose(h, tol: float = DEFAULT_TOL, turns=None) -> EigenSystem:
     within ``tol`` times the spectral radius count as equal unless the
     imaginary parts tie too), right eigenvectors are unit-norm with their
     largest-magnitude component real and positive, and ``left = inv(right)``.
-    With ``turns``, ``h`` is the exactly real ``W^dagger H W``, ``W = diag(1j
-    ** turns)``: ``eig`` runs in real arithmetic, and exact rotations meet the
-    phase convention for ``W @ right``, the eigenvectors of H.
+    With ``turns``, if ``W^dagger H W`` is exactly real for ``W = diag(1j **
+    turns)``, ``eig`` runs on it in real arithmetic and H's eigenvectors are
+    ``W`` times its, so each entry of a real eigenvalue's eigenvector has an
+    exactly zero real or imaginary part; otherwise ``turns`` is ignored.
 
     Raises
     ------
@@ -154,13 +154,15 @@ def eigendecompose(h, tol: float = DEFAULT_TOL, turns=None) -> EigenSystem:
         if the underlying QR iteration does not converge.
     """
     h = as_matrix(h, "H")
+    h_w = None if turns is None else quarter_turn(h, turns - turns[:, np.newaxis])  # W^dagger H W
+    real = h_w is not None and not h_w.imag.any()
     try:
-        values, r = np.linalg.eig(h if turns is None else h.real)
+        values, r = np.linalg.eig(h_w.real if real else h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     order = canonical_order(values, tol)
     values = values[order]
-    r = _canonical_phases(r[:, order], turns)
+    r = _canonical_phases(quarter_turn(r[:, order], turns[:, np.newaxis]) if real else r[:, order])
     condition = float(np.linalg.cond(r))
     threshold = 1.0 / tol
     if not np.isfinite(condition) or condition > threshold:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .antilinear import PTFrame, calibrate, conjugation_turns, make_frame
+from .antilinear import calibrate, conjugation_turns, make_frame
 from .cpt import build_c, build_pv, c_pt_diagnostic, check_p_intertwines, diagnostic_is_degenerate
 from .errors import (
     InvalidFrame,
@@ -31,8 +31,7 @@ from .errors import (
 from .fockdemo import truncated_position_matrix
 from .intertwiner import Flag, build_metric, v_gram, verify_time_independence
 from .jsontext import dumps
-from .linalg import (DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, eigendecompose, identity, mat_norm,
-                     quarter_turn)
+from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, eigendecompose, identity, mat_norm
 from .matio import load_matrix
 from .spectra import SpectrumKind, antilinear_symmetry_check, classify
 from .twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
@@ -151,9 +150,9 @@ def _build_frame(p_spec, t_spec, dim: int, check_tol: float):
     if t_spec:
         u = _T_BUILTINS[t_spec](dim) if t_spec in _T_BUILTINS else load_matrix(t_spec)
     if p is None or u is None:
-        return p, None, None
+        return p, None
     frame = make_frame(p, u, check_tol)
-    return frame.p, frame, conjugation_turns(frame.pt)  # frame.p: P read-only, complex
+    return frame.p, frame  # frame.p: P read-only, complex
 
 
 #: built-in frames are constants: one entry per (names, dim, tol), shared
@@ -162,25 +161,24 @@ _builtin_frame = functools.lru_cache(maxsize=32)(_build_frame)
 
 
 def _resolve_frame(p_spec, t_spec, dim: int, check_tol: float):
-    """``(p, frame, turns)`` for specs that are each a built-in name, a file
-    path or None; ``frame`` is None unless both are given, ``turns`` unless it
-    is built in (:func:`conjugation_turns`). A built-in frame comes from the
-    per-process cache; a file is read and its frame validated on every call,
-    so a rewritten file takes effect."""
+    """``(p, frame)`` for specs that are each a built-in name, a file path or
+    None; ``frame`` is None unless both are given. A built-in frame comes from
+    the per-process cache; a file is read and its frame validated on every
+    call, so a rewritten file takes effect. Either way the frame is its
+    matrices: the same P and T give the same analysis however spelled."""
     named = ((p_spec is None or p_spec in _P_BUILTINS)
              and (t_spec is None or t_spec in _T_BUILTINS))
     if named and (p_spec or t_spec):
         return _builtin_frame(p_spec, t_spec, dim, check_tol)
-    return _build_frame(p_spec, t_spec, dim, check_tol)[:2] + (None,)  # a file keeps W = I
+    return _build_frame(p_spec, t_spec, dim, check_tol)
 
 
 def _complex_list(values) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex)]
 
 
-def _matrix(m, turns=None) -> dict:
-    """Report matrix: arrays until emitted, zeros unsigned; ``turns`` maps it to H's basis."""
-    m = m if turns is None else quarter_turn(m, turns)
+def _matrix(m) -> dict:
+    """Report matrix: arrays until emitted, zeros unsigned."""
     return {"dim": int(m.shape[0]), "re": m.real + 0.0, "im": m.imag + 0.0}
 
 
@@ -258,8 +256,9 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     NonDiagonalizable at an exceptional point, and UnpairedComplexEigenvalue
     when the spectrum admits no antilinear symmetry. Sections whose
     preconditions fail are marked skipped with the reason instead of aborting
-    the analysis. An exactly PT symmetric H under a built-in frame with PT =
-    diag(+-1) K runs in the basis where it is real (README, "Conventions").
+    the analysis. Every stage runs in H's own basis; under a frame whose PT
+    is diag(+-1) K, ``eig`` alone runs in the basis where an exactly PT
+    symmetric H is real (:func:`eigendecompose`, README "Conventions").
     """
     tol = resolve_tol(cfg)
     gram_tol = max(tol, 1e-9)
@@ -268,16 +267,8 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     notes: list = []
 
     p_spec, t_spec = _default_frame_specs(cfg)
-    p, frame, turns = _resolve_frame(p_spec, t_spec, h.shape[0], check_tol)
-    rows = cols = both = None  # the turns taking a matrix back: rows by w, columns by conj(w)
-    if turns is not None and not quarter_turn(h, turns - turns[:, np.newaxis]).imag.any():
-        rows, cols = turns[:, np.newaxis], -turns
-        both = rows + cols
-        h, p = quarter_turn(h, -both), quarter_turn(p, -both)  # W^dagger H W, W^dagger P W
-        frame = PTFrame(p, identity(len(p)))  # PT = K
-    else:
-        turns = None
-
+    p, frame = _resolve_frame(p_spec, t_spec, h.shape[0], check_tol)
+    turns = None if frame is None else conjugation_turns(frame.pt)
     es = eigendecompose(h, tol, turns)  # may raise NonDiagonalizable
     cls = classify(es, tol)      # may raise UnpairedComplexEigenvalue
     real_case = cls.kind is SpectrumKind.ALL_REAL
@@ -324,7 +315,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     elif p_intertwines:
         pv = build_pv(p, itw.v, es, h, check_tol)
         pv_section = {
-            "matrix": _matrix(pv.matrix, both),
+            "matrix": _matrix(pv.matrix),
             "alphas": _complex_list(pv.alphas),
             "squares_to_identity": bool(pv.squares_to_identity),
         }
@@ -340,7 +331,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         diagnostic = {"skipped": "no C operator was built"}
     else:
         commutant = build_c(es, cls, signs, h, tol)
-        c_section = {"matrix": _matrix(commutant.matrix, both),
+        c_section = {"matrix": _matrix(commutant.matrix),
                      "signs": [int(s) for s in signs]}
         if frame is None:
             diagnostic = {"skipped": "no frame supplied for the [C, PT] diagnostic"}
@@ -385,12 +376,12 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         },
         eigen={
             "values": _complex_list(es.values),
-            "right": _matrix(es.right, rows),
-            "left": _matrix(es.left, cols),
+            "right": _matrix(es.right),
+            "left": _matrix(es.left),
             "condition": es.condition,
         },
         v=dict(
-            _matrix(itw.v, both),
+            _matrix(itw.v),
             hermitian=bool(itw.hermitian),
             positive=bool(itw.positive),
             residual=float(itw.residual),

@@ -201,23 +201,52 @@ def test_quarter_turn_places_parts_exactly():
     assert zeros.size == 4 and not np.signbit(zeros).any()
 
 
+def _pt_symmetric(generator, n, definite):
+    """``H = W (P A) W^dagger`` with ``W = diag(1j ** turns)``, P the alternating
+    parity and A real symmetric, so ``W^dagger H W = P A`` exactly; a positive
+    definite A gives a real spectrum, an indefinite one conjugate pairs."""
+    s = random_real(generator, n)
+    a = s @ s.T + np.eye(n) if definite else s + s.T
+    turns = np.arange(n) % 2
+    return quarter_turn((1.0 - 2.0 * turns)[:, np.newaxis] * a, turns[:, np.newaxis] - turns), turns
+
+
 def test_eigendecompose_in_a_real_basis():
     """With ``turns``, ``eig`` runs on the real ``W^dagger H W`` and the phase
-    convention holds for ``W @ right``, the eigenvectors of H; every rotation
-    is exact, so each eigenvector of a real eigenvalue is a real vector times
-    one of +-1, +-i."""
-    generator = rng(5)
-    s = random_real(generator, 8)
-    a = s @ s.T + np.eye(8)  # positive definite: H = P A has a real spectrum
-    turns = np.arange(8) % 2
-    h_real = (1.0 - 2.0 * turns)[:, np.newaxis] * a  # real, since A is
-    es = eigendecompose(h_real, turns=turns)
-    w = quarter_turn(1.0, turns)
-    h = w[:, np.newaxis] * h_real * w.conj()[np.newaxis, :]
+    convention holds for ``W`` times its eigenvectors, the eigenvectors of H;
+    every rotation is exact, so each eigenvector of a real eigenvalue is a
+    real vector times one of +-1, +-i."""
+    h, turns = _pt_symmetric(rng(5), 8, definite=True)
+    es = eigendecompose(h, turns=turns)
     reference = eigendecompose(h)
     assert np.allclose(es.values, reference.values, rtol=0, atol=1e-12 * np.abs(h).max())
-    right = w[:, np.newaxis] * es.right
-    pivots = right[np.argmax(np.abs(right), axis=0), np.arange(8)]
+    pivots = es.right[np.argmax(np.abs(es.right), axis=0), np.arange(8)]
     assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0.0)
-    assert np.allclose(right, reference.right, atol=1e-12)
+    assert np.allclose(es.right, reference.right, atol=1e-12)
     assert np.all((es.right.real == 0.0) | (es.right.imag == 0.0))
+
+
+@pytest.mark.parametrize("definite", [True, False], ids=["real", "pairs"])
+def test_eigendecompose_real_path_decomposes_h(definite):
+    h, turns = _pt_symmetric(rng(10), 10, definite)
+    es = eigendecompose(h, turns=turns)
+    # the real path ran: a real eig gives exactly conjugate complex eigenvalues
+    values = set(es.values.tolist())
+    assert all(z.conjugate() in values for z in values)
+    assert (not definite) == bool(np.any(es.values.imag != 0.0))
+    assert mat_norm(es.right @ np.diag(es.values) @ es.left - h) <= 1e-12 * mat_norm(h)
+    assert mat_norm(es.left @ es.right - identity(10)) <= 1e-12
+
+
+@pytest.mark.parametrize("entry,nudge", [((0, 0), 1e-14j), ((0, 1), 1e-14)],
+                         ids=["diagonal", "off-diagonal"])
+def test_eigendecompose_turns_ignored_unless_exactly_real(entry, nudge):
+    """A ``W^dagger H W`` that is not exactly real takes the complex path:
+    the result is that of ``eigendecompose(h, tol)``, bit for bit."""
+    h, turns = _pt_symmetric(rng(10), 10, definite=True)
+    h[entry] += nudge  # W^dagger H W gets a nonzero imaginary part there
+    for tol in (DEFAULT_TOL, 1e-6):
+        es, reference = eigendecompose(h, tol, turns), eigendecompose(h, tol)
+        for name in ("values", "right", "left"):
+            assert np.array_equal(getattr(es, name), getattr(reference, name)), name
+        assert es.condition == reference.condition

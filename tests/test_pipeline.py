@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pthamil.errors import InvalidFrame, NonDiagonalizable, ParseError, UnpairedComplexEigenvalue
 from pthamil import pipeline
+from pthamil.antilinear import conjugation_turns
 from pthamil.linalg import SIGMA1, quarter_turn
 from pthamil.matio import save_matrix
 from pthamil.pipeline import (
@@ -204,14 +205,14 @@ class TestFrameCache:
         assert first == second and emit_report(first) == emit_report(second)
 
     def test_cached_frame_is_shared_and_read_only(self):
-        p, frame, turns = pipeline._resolve_frame("alternating", "k", 4, 1e-8)
+        p, frame = pipeline._resolve_frame("alternating", "k", 4, 1e-8)
         assert pipeline._resolve_frame("alternating", "k", 4, 1e-8)[1] is frame
         assert p is frame.p
         for array in (p, frame.pt):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 7.0
         assert np.array_equal(p, np.diag([1.0, -1.0, 1.0, -1.0]))
-        assert turns.tolist() == [0, 1, 0, 1]
+        assert conjugation_turns(frame.pt).tolist() == [0, 1, 0, 1]
 
     def test_wrong_size_builtin_raises_every_call(self, tmp_path):
         path = tmp_path / "h3.json"
@@ -651,17 +652,31 @@ def _assert_zero_parts(m, imaginary):
 
 
 class TestRealBasis:
-    """Under a built-in frame whose PT is ``diag(+-1) K``, an exactly PT
-    symmetric H is analyzed in the basis where it is real; the structural
-    zeros this gives are exact in the report, which is in the original basis."""
+    """Under a frame whose PT is ``diag(+-1) K``, ``eig`` of an exactly PT
+    symmetric H runs in the basis where H is real; the structural zeros this
+    gives are exact in the report, which is in H's own basis."""
 
     def test_pa_matrix_is_exactly_pt_symmetric(self):
         # n = 120 reaches the indices where 1j ** k is no longer exact
         h = _pa_matrix(np.random.default_rng(5), 120, definite=True)
-        _, frame, turns = pipeline._resolve_frame("alternating", "k", 120, 1e-8)
-        u = frame.pt
+        _, frame = pipeline._resolve_frame("alternating", "k", 120, 1e-8)
+        u, turns = frame.pt, conjugation_turns(frame.pt)
         assert np.array_equal(u @ np.conj(h), h @ u)
         assert not quarter_turn(h, turns - turns[:, np.newaxis]).imag.any()
+
+    @pytest.mark.parametrize("definite", [True, False], ids=["real", "pairs"])
+    def test_frame_spelling_does_not_change_the_analysis(self, tmp_path, definite):
+        """The alternating parity given as a file is the built-in one."""
+        h = _pa_matrix(np.random.default_rng(21), 14, definite)
+        h_path, p_path = str(tmp_path / "h.json"), str(tmp_path / "p.csv")
+        save_matrix(h_path, h)
+        save_matrix(p_path, pipeline._P_BUILTINS["alternating"](14))
+        named = run_analyze(AnalysisConfig(source_path=h_path, p_spec="alternating", t_spec="k"))
+        given = run_analyze(AnalysisConfig(source_path=h_path, p_spec=p_path, t_spec="k"))
+        assert named.spectrum["kind"] == ("all_real" if definite else "conjugate_pairs")
+        named, given = named.to_dict(), given.to_dict()
+        assert (named["provenance"].pop("p"), given["provenance"].pop("p")) == ("alternating", p_path)
+        assert named == given
 
     @pytest.mark.parametrize("dim", [4, 101, 200])
     def test_alternating_parity_is_exact(self, dim):
