@@ -66,16 +66,6 @@ def make_frame(p, u_t, tol: float = DEFAULT_TOL) -> PTFrame:
     return PTFrame(p, u_pt)
 
 
-def conjugation_turns(u) -> np.ndarray | None:
-    """Turns ``q`` (0 or 1 per axis) of the basis ``W = diag(1j ** q)`` where
-    the antilinear ``v -> u conj(v)`` is plain conjugation, when ``u = W W^T``
-    is exactly ``diag(+-1)``."""
-    d = np.diag(u)
-    if np.count_nonzero(u - np.diag(d)) or not np.all((d == 1.0) | (d == -1.0)):
-        return None
-    return (d.real < 0.0).astype(int)
-
-
 @dataclass(frozen=True)
 class PTPhases:
     """Fixed intrinsic PT phases for a real-spectrum eigensystem.

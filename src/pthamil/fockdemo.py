@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,40 +56,6 @@ def expand_position_state(x: float, c0: float = 1.0, nmax: int = 100) -> FockExp
     if abs(c[1]) > OVERFLOW_LIMIT:
         raise CoefficientOverflow(1, abs(c[1]))
     return FockExpansion(float(x), float(c0), c, np.cumsum(c * c))
-
-
-def _monic_hermite(x: Fraction, nmax: int):
-    """Yield ``p_0(x), ..., p_nmax(x)`` of the monic-Hermite recursion
-    ``p_n = x p_{n-1} - (n-1) p_{n-2}`` with ``p_0 = 1`` and ``p_1 = x``."""
-    p_before, p = Fraction(0), Fraction(1)
-    for n in range(nmax + 1):
-        yield p
-        p_before, p = p, x * p - n * p_before
-
-
-def scaled_coefficient_exact(n: int, x: Fraction) -> Fraction:
-    """``c_n * sqrt(n!) / c0`` in exact rational arithmetic.
-
-    Substituting ``c_n = p_n / sqrt(n!)`` into the recurrence gives the
-    monic-Hermite recursion ``p_n = x p_{n-1} - (n-1) p_{n-2}``, so the scaled
-    coefficient is an integer-coefficient polynomial evaluated exactly.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    for p in _monic_hermite(Fraction(x), n):
-        pass
-    return p
-
-
-def squared_terms_exact(nmax: int, x: Fraction = Fraction(0)) -> list:
-    """Exact ``c_n^2`` for ``c0 = 1``: ``p_n(x)^2 / n!`` as Fractions."""
-    terms = []
-    factorial = 1
-    for n, p in enumerate(_monic_hermite(Fraction(x), nmax)):
-        if n > 0:
-            factorial *= n
-        terms.append(p * p / factorial)
-    return terms
 
 
 @dataclass(frozen=True)

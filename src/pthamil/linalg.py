@@ -134,17 +134,45 @@ def _canonical_phases(r: np.ndarray) -> np.ndarray:
     return r * rotations
 
 
-def eigendecompose(h, tol: float = DEFAULT_TOL, turns=None) -> EigenSystem:
+def _real_turns(h: np.ndarray) -> np.ndarray | None:
+    """Turns ``q`` (0 or 1 per axis) for ``W = diag(1j ** q)``: if any turns
+    make ``W^dagger H W`` real, these do. Each entry of H must be real or
+    imaginary (else None), and ``q_k - q_j`` is odd where ``H_jk`` is
+    imaginary, labelled outward from ``q = 0`` at the lowest axis of each
+    linked block."""
+    re, im = h.real != 0.0, h.imag != 0.0
+    if not im.any():  # a real H: no turns, and no search for them
+        return np.zeros(len(h), dtype=int)
+    if (re & im).any():
+        return None
+    odd = im | im.T
+    linked = re | re.T | odd
+    np.fill_diagonal(linked, False)
+    # breadth first, one level per pass; an axis linked to no other keeps q = 0
+    q, seen, front = np.zeros(len(h), dtype=int), ~linked.any(axis=1), ()
+    while not seen.all():
+        if not len(front):
+            front = seen.argmin(keepdims=True)  # the lowest axis of a new block
+            seen[front] = True
+        hits = linked[front] & ~seen
+        reached = np.flatnonzero(hits.any(axis=0))
+        source = front[hits[:, reached].argmax(axis=0)]
+        q[reached], seen[reached], front = q[source] ^ odd[source, reached], True, reached
+    return q
+
+
+def eigendecompose(h, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Full complex eigendecomposition with biorthogonal left vectors.
 
     Eigenvalues are sorted (real descending, imaginary descending; real parts
     within ``tol`` times the spectral radius count as equal unless the
     imaginary parts tie too), right eigenvectors are unit-norm with their
     largest-magnitude component real and positive, and ``left = inv(right)``.
-    With ``turns``, if ``W^dagger H W`` is exactly real for ``W = diag(1j **
-    turns)``, ``eig`` runs on it in real arithmetic and H's eigenvectors are
+    H chooses its own basis: if ``W^dagger H W`` is exactly real for ``W =
+    diag(1j ** q)``, with the turns ``q`` read from which parts of H's entries
+    are zero, ``eig`` runs on it in real arithmetic and H's eigenvectors are
     ``W`` times its, so each entry of a real eigenvalue's eigenvector has an
-    exactly zero real or imaginary part; otherwise ``turns`` is ignored.
+    exactly zero real or imaginary part; otherwise ``eig`` runs on H.
 
     Raises
     ------
@@ -154,6 +182,7 @@ def eigendecompose(h, tol: float = DEFAULT_TOL, turns=None) -> EigenSystem:
         if the underlying QR iteration does not converge.
     """
     h = as_matrix(h, "H")
+    turns = _real_turns(h)
     h_w = None if turns is None else quarter_turn(h, turns - turns[:, np.newaxis])  # W^dagger H W
     real = h_w is not None and not h_w.imag.any()
     try:

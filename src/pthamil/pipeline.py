@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .antilinear import calibrate, conjugation_turns, make_frame
+from .antilinear import calibrate, make_frame
 from .cpt import build_c, build_pv, c_pt_diagnostic, check_p_intertwines, diagnostic_is_degenerate
 from .errors import (
     InvalidFrame,
@@ -256,9 +256,11 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     NonDiagonalizable at an exceptional point, and UnpairedComplexEigenvalue
     when the spectrum admits no antilinear symmetry. Sections whose
     preconditions fail are marked skipped with the reason instead of aborting
-    the analysis. Every stage runs in H's own basis; under a frame whose PT
-    is diag(+-1) K, ``eig`` alone runs in the basis where an exactly PT
-    symmetric H is real (:func:`eigendecompose`, README "Conventions").
+    the analysis. Every stage runs in H's own basis; where H is exactly real
+    after a diagonal quarter-turn similarity, with or without a frame,
+    ``eig`` alone runs in that basis (:func:`eigendecompose`, README
+    "Conventions"). The frame is resolved before ``eig``, so its errors come
+    first.
     """
     tol = resolve_tol(cfg)
     gram_tol = max(tol, 1e-9)
@@ -268,8 +270,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
 
     p_spec, t_spec = _default_frame_specs(cfg)
     p, frame = _resolve_frame(p_spec, t_spec, h.shape[0], check_tol)
-    turns = None if frame is None else conjugation_turns(frame.pt)
-    es = eigendecompose(h, tol, turns)  # may raise NonDiagonalizable
+    es = eigendecompose(h, tol)  # may raise NonDiagonalizable
     cls = classify(es, tol)      # may raise UnpairedComplexEigenvalue
     real_case = cls.kind is SpectrumKind.ALL_REAL
 

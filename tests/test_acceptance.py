@@ -15,11 +15,7 @@ import pytest
 from pthamil.antilinear import calibrate, pt_gram
 from pthamil.cpt import build_c, build_pv, c_pt_diagnostic
 from pthamil.errors import NonDiagonalizable, UnpairedComplexEigenvalue
-from pthamil.fockdemo import (
-    divergence_witness,
-    scaled_coefficient_exact,
-    squared_terms_exact,
-)
+from pthamil.fockdemo import divergence_witness
 from pthamil.intertwiner import build_metric, v_gram, verify_time_independence
 from pthamil.linalg import eigendecompose
 from pthamil.pipeline import AnalysisConfig, run_analyze
@@ -31,6 +27,8 @@ from testutil import (
     random_real,
     random_unitary,
     rng,
+    scaled_coefficient_exact,
+    squared_terms_exact,
 )
 
 

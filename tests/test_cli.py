@@ -370,11 +370,14 @@ class TestBatchCommand:
 
     @pytest.mark.parametrize("parallelism", ["1", "2"])
     def test_failed_flag_named_in_status_line(self, capsys, tmp_path, parallelism):
-        # V = L^dagger L overflows at this scale, so metric_intertwines FAILs
+        # ||V H - H^dagger V|| and ||V|| ||H|| overflow at this scale, so the
+        # metric_intertwines residual is NaN and FAILs; the imaginary diagonal
+        # entry keeps H on the complex path (on the real path the residual
+        # would be exactly zero)
         good = tmp_path / "good.json"
         save_matrix(str(good), hamiltonian(TwoLevelModel(5, 3)))
         big = tmp_path / "big.csv"
-        big.write_text("0,8e300\n2e300,0\n")
+        big.write_text("0,8e300\n2e300,1e-20i\n")
         code, out, _ = run_cli(capsys, "batch", str(good), str(big),
                                "--parallelism", parallelism, "--format", "text")
         assert code == 0

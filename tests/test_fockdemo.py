@@ -13,11 +13,10 @@ from pthamil.fockdemo import (
     expand_position_state,
     oscillator_contrast,
     oscillator_hamiltonian,
-    scaled_coefficient_exact,
-    squared_terms_exact,
     truncated_position_matrix,
 )
 from pthamil.linalg import SIGMA1, eigendecompose
+from testutil import scaled_coefficient_exact, squared_terms_exact
 
 # frozen table of the scaled coefficients c_n sqrt(n!) / c0 for n <= 6
 # (monic Hermite-type polynomials)

@@ -9,7 +9,9 @@ from pthamil.errors import NonDiagonalizable
 from pthamil.linalg import (
     DEFAULT_TOL,
     _canonical_phases,
+    _real_turns,
     as_matrix,
+    canonical_order,
     eigendecompose,
     identity,
     mat_norm,
@@ -211,25 +213,34 @@ def _pt_symmetric(generator, n, definite):
     return quarter_turn((1.0 - 2.0 * turns)[:, np.newaxis] * a, turns[:, np.newaxis] - turns), turns
 
 
+def _complex_path(h, tol=DEFAULT_TOL):
+    """Eigenvalues and right eigenvectors from the complex ``eig`` of H, in
+    ``eigendecompose``'s order and phase convention."""
+    values, r = np.linalg.eig(h)
+    order = canonical_order(values, tol)
+    return values[order], _canonical_phases(r[:, order])
+
+
 def test_eigendecompose_in_a_real_basis():
-    """With ``turns``, ``eig`` runs on the real ``W^dagger H W`` and the phase
-    convention holds for ``W`` times its eigenvectors, the eigenvectors of H;
-    every rotation is exact, so each eigenvector of a real eigenvalue is a
-    real vector times one of +-1, +-i."""
+    """``eig`` runs on the real ``W^dagger H W``, with the turns read from H,
+    and the phase convention holds for ``W`` times its eigenvectors, the
+    eigenvectors of H; every rotation is exact, so each eigenvector of a real
+    eigenvalue is a real vector times one of +-1, +-i."""
     h, turns = _pt_symmetric(rng(5), 8, definite=True)
-    es = eigendecompose(h, turns=turns)
-    reference = eigendecompose(h)
-    assert np.allclose(es.values, reference.values, rtol=0, atol=1e-12 * np.abs(h).max())
+    assert np.array_equal(_real_turns(h), turns)
+    es = eigendecompose(h)
+    values, right = _complex_path(h)
+    assert np.allclose(es.values, values, rtol=0, atol=1e-12 * np.abs(h).max())
     pivots = es.right[np.argmax(np.abs(es.right), axis=0), np.arange(8)]
     assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0.0)
-    assert np.allclose(es.right, reference.right, atol=1e-12)
+    assert np.allclose(es.right, right, atol=1e-12)
     assert np.all((es.right.real == 0.0) | (es.right.imag == 0.0))
 
 
 @pytest.mark.parametrize("definite", [True, False], ids=["real", "pairs"])
 def test_eigendecompose_real_path_decomposes_h(definite):
-    h, turns = _pt_symmetric(rng(10), 10, definite)
-    es = eigendecompose(h, turns=turns)
+    h, _ = _pt_symmetric(rng(10), 10, definite)
+    es = eigendecompose(h)
     # the real path ran: a real eig gives exactly conjugate complex eigenvalues
     values = set(es.values.tolist())
     assert all(z.conjugate() in values for z in values)
@@ -238,15 +249,25 @@ def test_eigendecompose_real_path_decomposes_h(definite):
     assert mat_norm(es.left @ es.right - identity(10)) <= 1e-12
 
 
-@pytest.mark.parametrize("entry,nudge", [((0, 0), 1e-14j), ((0, 1), 1e-14)],
-                         ids=["diagonal", "off-diagonal"])
-def test_eigendecompose_turns_ignored_unless_exactly_real(entry, nudge):
-    """A ``W^dagger H W`` that is not exactly real takes the complex path:
-    the result is that of ``eigendecompose(h, tol)``, bit for bit."""
-    h, turns = _pt_symmetric(rng(10), 10, definite=True)
-    h[entry] += nudge  # W^dagger H W gets a nonzero imaginary part there
+@pytest.mark.parametrize("entry,spoil", [
+    ((0, 0), lambda z: z + 1e-14j),
+    ((0, 1), lambda z: z + 1e-14),
+    ((0, 0), lambda z: 1j * z),
+    ((0, 1), lambda z: -1j * z),
+], ids=["diagonal", "off-diagonal", "imaginary-diagonal", "real-against-imaginary"])
+def test_eigendecompose_turns_ignored_unless_exactly_real(entry, spoil):
+    """An entry whose real and imaginary parts are both non-zero, or a zero
+    pattern that admits no consistent turns, leaves no real basis: the result
+    is that of the complex ``eig``, bit for bit, and still decomposes H."""
+    h, _ = _pt_symmetric(rng(10), 10, definite=True)
+    h[entry] = spoil(h[entry])
+    q = _real_turns(h)
+    assert q is None or quarter_turn(h, q - q[:, np.newaxis]).imag.any()
     for tol in (DEFAULT_TOL, 1e-6):
-        es, reference = eigendecompose(h, tol, turns), eigendecompose(h, tol)
-        for name in ("values", "right", "left"):
-            assert np.array_equal(getattr(es, name), getattr(reference, name)), name
-        assert es.condition == reference.condition
+        es = eigendecompose(h, tol)
+        values, right = _complex_path(h, tol)
+        assert np.array_equal(es.values, values) and np.array_equal(es.right, right)
+        assert np.array_equal(es.left, np.linalg.inv(right))
+        assert es.condition == float(np.linalg.cond(right))
+        assert not np.all((es.right.real == 0.0) | (es.right.imag == 0.0))
+        assert mat_norm(es.right @ np.diag(es.values) @ es.left - h) <= 1e-12 * mat_norm(h)

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from pthamil.errors import InvalidFrame, NonDiagonalizable, ParseError, UnpairedComplexEigenvalue
 from pthamil import pipeline
-from pthamil.antilinear import conjugation_turns
-from pthamil.linalg import SIGMA1, quarter_turn
+from pthamil.linalg import SIGMA1, _real_turns, quarter_turn
 from pthamil.matio import save_matrix
 from pthamil.pipeline import (
     AnalysisConfig,
@@ -24,6 +23,7 @@ from pthamil.pipeline import (
     run_batch,
 )
 from pthamil.twolevel import TwoLevelModel, hamiltonian
+from testutil import random_unitary
 
 
 def _matrix_from(d):
@@ -212,7 +212,7 @@ class TestFrameCache:
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 7.0
         assert np.array_equal(p, np.diag([1.0, -1.0, 1.0, -1.0]))
-        assert conjugation_turns(frame.pt).tolist() == [0, 1, 0, 1]
+        assert np.array_equal(frame.pt, np.diag([1.0, -1.0, 1.0, -1.0]))
 
     def test_wrong_size_builtin_raises_every_call(self, tmp_path):
         path = tmp_path / "h3.json"
@@ -652,16 +652,20 @@ def _assert_zero_parts(m, imaginary):
 
 
 class TestRealBasis:
-    """Under a frame whose PT is ``diag(+-1) K``, ``eig`` of an exactly PT
-    symmetric H runs in the basis where H is real; the structural zeros this
-    gives are exact in the report, which is in H's own basis."""
+    """``eig`` of an H that is exactly real after a diagonal quarter-turn
+    similarity runs in that basis, read from H itself with or without a
+    frame; the structural zeros this gives are exact in the report, which is
+    in H's own basis."""
 
     def test_pa_matrix_is_exactly_pt_symmetric(self):
         # n = 120 reaches the indices where 1j ** k is no longer exact
         h = _pa_matrix(np.random.default_rng(5), 120, definite=True)
         _, frame = pipeline._resolve_frame("alternating", "k", 120, 1e-8)
-        u, turns = frame.pt, conjugation_turns(frame.pt)
+        u, turns = frame.pt, _real_turns(h)
         assert np.array_equal(u @ np.conj(h), h @ u)
+        # the turns read from H are those of the frame: W W^T = u
+        assert np.array_equal(turns, np.arange(120) % 2)
+        assert np.array_equal(np.diag(quarter_turn(1.0, 2 * turns)), u)
         assert not quarter_turn(h, turns - turns[:, np.newaxis]).imag.any()
 
     @pytest.mark.parametrize("definite", [True, False], ids=["real", "pairs"])
@@ -741,6 +745,57 @@ class TestRealBasis:
         other = run_analyze(AnalysisConfig(source_path=paths[1], p_spec=paths[2], t_spec="k"))
         # the real path ran: a real eig gives exact conjugate pairs, and real
         # eigenvectors with exact zero parts
+        values = [complex(*z) for z in real.eigen["values"]]
+        assert all(values[i] == values[j].conjugate() for i, j in real.spectrum["pairs"])
+        right = _matrix_from(real.eigen["right"])[:, real.spectrum["real_indices"]]
+        assert np.all((right.real == 0.0) | (right.imag == 0.0))
+        assert real.spectrum["kind"] == other.spectrum["kind"]
+        assert np.allclose(real.eigen["values"], other.eigen["values"], rtol=0, atol=1e-9 * radius)
+        assert ({k: f["passed"] for k, f in real.flags.items()}
+                == {k: f["passed"] for k, f in other.flags.items()})
+        assert real.diagnostic == other.diagnostic and real.notes == other.notes
+        assert real.pt.get("eta") == other.pt.get("eta")
+        for name, m in real.gram.items():
+            if m is None:
+                assert other.gram[name] is None
+                continue
+            mod, other_mod = np.abs(_matrix_from(m)), np.abs(_matrix_from(other.gram[name]))
+            assert np.linalg.norm(mod - other_mod) <= 1e-8 * np.linalg.norm(mod), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.sampled_from(["dense", "sparse", "blocks"]),
+           st.integers(0, 2**32 - 1))
+    def test_turns_are_read_from_h(self, tmp_path_factory, n, shape, seed):
+        """``H = W A W^dagger`` with A real (dense, with a random zero pattern,
+        or block diagonal) and ``W = diag(1j ** t)`` for random turns t: the
+        turns read from H make it exactly real, ``eig`` takes the real path
+        with no frame given, and the answers are those of the complex path on
+        ``U H U^dagger`` for a random unitary U, within the bounds above."""
+        generator = np.random.default_rng(seed)
+        a = generator.standard_normal((n, n))
+        if shape == "sparse":
+            a *= generator.random((n, n)) < generator.uniform(0.2, 1.0)
+        elif shape == "blocks":
+            block = np.cumsum(generator.random(n) < 0.3)
+            a *= block[:, np.newaxis] == block
+        t = generator.integers(0, 4, n)
+        h = quarter_turn(a, t[:, np.newaxis] - t)
+        q = _real_turns(h)
+        assert q is not None and not quarter_turn(h, q - q[:, np.newaxis]).imag.any()
+        values, vectors = np.linalg.eig(a)
+        radius = np.abs(values).max()
+        gaps = np.abs(values[:, np.newaxis] - values[np.newaxis, :]) + np.eye(n) * radius
+        imag = np.abs(values.imag)
+        assume(radius > 0.0 and gaps.min() > 1e-3 * radius and np.linalg.cond(vectors) < 1e3
+               and np.all((imag < 1e-12 * radius) | (imag > 1e-3 * radius)))
+        u = random_unitary(generator, n)
+        root = tmp_path_factory.getbasetemp()
+        paths = [str(root / name) for name in ("h.json", "uhu.json")]
+        for path, m in zip(paths, (h, u @ h @ u.conj().T)):
+            save_matrix(path, m)
+        assert _real_turns(u @ h @ u.conj().T) is None
+        real = run_analyze(AnalysisConfig(source_path=paths[0]))
+        other = run_analyze(AnalysisConfig(source_path=paths[1]))
         values = [complex(*z) for z in real.eigen["values"]]
         assert all(values[i] == values[j].conjugate() for i, j in real.spectrum["pairs"])
         right = _matrix_from(real.eigen["right"])[:, real.spectrum["real_indices"]]
