@@ -1,7 +1,6 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,19 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pthamil
 from pthamil.cli import _fmt_matrix, _render_csv, main
 from pthamil.matio import format_complex_cell, save_matrix
 from pthamil.pipeline import AnalysisConfig, run_analyze
 from pthamil.twolevel import TwoLevelModel, hamiltonian
-
-
-def _env_with_src() -> dict:
-    """The environment with this pthamil's source directory first on PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(pthamil.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
+from testutil import env_with_src
 
 
 def run_cli(capsys, *argv):
@@ -407,7 +398,7 @@ class TestBatchCommand:
         proc = subprocess.run(
             [sys.executable, "-m", "pthamil", "batch", *paths, "--parallelism", "2",
              "--format", "text"],
-            env=_env_with_src(), capture_output=True, text=True, timeout=120,
+            env=env_with_src(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "".join(f"{p}: ok\n" for p in paths)
@@ -415,7 +406,7 @@ class TestBatchCommand:
     def test_cli_import_leaves_process_pool_unloaded(self):
         probe = ("import sys, pthamil.cli; print(sorted(m for m in ('multiprocessing', "
                  "'concurrent.futures.process') if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
+        proc = subprocess.run([sys.executable, "-c", probe], env=env_with_src(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"

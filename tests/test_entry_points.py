@@ -9,19 +9,15 @@ import sys
 import numpy as np
 import pytest
 
-import pthamil
 from pthamil.matio import save_matrix
+from testutil import env_with_src
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _pthamil(*argv) -> subprocess.CompletedProcess:
-    """Run ``python -m pthamil`` with this pthamil's source directory first on
-    PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(pthamil.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "pthamil", *map(str, argv)], env=env,
+    """Run ``python -m pthamil`` on this pthamil's source."""
+    return subprocess.run([sys.executable, "-m", "pthamil", *map(str, argv)], env=env_with_src(),
                           capture_output=True, text=True, timeout=300)
 
 

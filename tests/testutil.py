@@ -1,11 +1,21 @@
 """Shared helpers for the test suite."""
 
+import os
 from fractions import Fraction
 
 import numpy as np
 
+import pthamil
 from pthamil.antilinear import make_frame
 from pthamil.linalg import SIGMA1
+
+
+def env_with_src() -> dict:
+    """The environment with this pthamil's source directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(pthamil.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def rng(seed=0):
