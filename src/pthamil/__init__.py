@@ -19,10 +19,9 @@ from .antilinear import (
 )
 from .cpt import (
     CommutantOp,
-    SpectrumDiagnostic,
     build_c,
     build_pv,
-    c_pt_diagnostic,
+    c_commutes_with_pt,
     check_p_intertwines,
 )
 from .errors import (

@@ -1,16 +1,15 @@
-"""The PV operator, the discrete C operator, and the [C, PT] diagnostic.
+"""The PV operator, the discrete C operator, and whether C commutes with PT.
 
 When parity intertwines the Hamiltonian with its adjoint (``P^-1 H P = H^dagger``)
 the product ``PV`` commutes with H and its eigenvalues are real; rescaling the
 eigenbasis so those eigenvalues are +-1 turns ``PV`` into a C operator
 (``C^2 = I``, ``[C, H] = 0``). Whether C commutes with PT distinguishes an
-all-real spectrum from conjugate pairs.
+all-real spectrum from conjugate pairs (:func:`c_commutes_with_pt`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -34,11 +33,6 @@ class CommutantOp:
         a = np.asarray(self.alphas, dtype=complex)
         a.setflags(write=False)
         object.__setattr__(self, "alphas", a)
-
-
-class SpectrumDiagnostic(str, Enum):
-    REAL_SPECTRUM = "real_spectrum"
-    COMPLEX_PAIRS = "complex_pairs"
 
 
 def check_p_intertwines(h, p, tol: float = DEFAULT_TOL) -> bool:
@@ -113,17 +107,15 @@ def build_c(es: EigenSystem, cls: SpectrumClass, signs, h,
     return CommutantOp(c, weights, True)
 
 
-def c_pt_diagnostic(c: CommutantOp, u, tol: float = DEFAULT_TOL) -> SpectrumDiagnostic:
-    """Spectrum diagnostic from the antilinear commutator of C with PT, ``v -> u conj(v)``.
+def c_commutes_with_pt(c: CommutantOp, u, tol: float = DEFAULT_TOL) -> bool:
+    """True iff C commutes with the antilinear PT, ``v -> u conj(v)``.
 
     ``[C, PT] = 0`` reduces to ``C u conj(C) = u``; it holds exactly when the
     spectrum is real and fails for conjugate pairs.
     """
     cm = c.matrix
     residual = mat_norm(cm @ u @ np.conj(cm) - u)
-    if residual <= tol * max(1.0, mat_norm(u) * mat_norm(cm) ** 2):
-        return SpectrumDiagnostic.REAL_SPECTRUM
-    return SpectrumDiagnostic.COMPLEX_PAIRS
+    return residual <= tol * max(1.0, mat_norm(u) * mat_norm(cm) ** 2)
 
 
 def diagnostic_is_degenerate(c: CommutantOp, tol: float = DEFAULT_TOL) -> bool:

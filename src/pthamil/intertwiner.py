@@ -54,27 +54,17 @@ class NormReport:
 
 def build_metric(es: EigenSystem, cls: SpectrumClass, h,
                  tol: float = DEFAULT_TOL) -> Intertwiner:
-    """Construct the metric for the given spectrum class.
-
-    All-real: ``V = L^dagger L`` (equivalently ``S^dagger S`` with ``S = L``),
-    Hermitian and positive definite, with ``<R_n|V|R_m>`` the identity by
-    construction. Conjugate pairs: the Hermitian pair-swap combination of
-    left-vector projectors, which intertwines but is indefinite and has zero
-    diagonal on the paired eigenstates. The intertwining residual is measured
-    against ``h``, the matrix ``es`` decomposes.
+    """The metric ``V = L[partner]^dagger L``, hermitized, on every spectrum
+    (:attr:`SpectrumClass.partner`), so ``<R_n|V|R_m>`` is 1 where
+    ``m = partner(n)`` and 0 elsewhere. On an all-real spectrum this is
+    ``L^dagger L``, positive definite; on conjugate pairs V intertwines but is
+    indefinite, with zero diagonal on the paired states, and its positivity
+    is not tested. The intertwining residual is measured against ``h``, the
+    matrix ``es`` decomposes.
     """
-    if cls.kind is SpectrumKind.ALL_REAL:
-        v = es.left.conj().T @ es.left
-        v = 0.5 * (v + v.conj().T)
-        positive = bool((np.linalg.eigvalsh(v) > 0.0).all())
-    else:
-        # sum over n of conj(L[partner(n)]) (x) L[n], partner swapping each pair
-        partner = np.arange(es.dim)
-        for n_plus, n_minus in cls.pairs:
-            partner[n_plus], partner[n_minus] = n_minus, n_plus
-        v = es.left[partner].conj().T @ es.left
-        v = 0.5 * (v + v.conj().T)
-        positive = False
+    v = es.left[cls.partner].conj().T @ es.left
+    v = 0.5 * (v + v.conj().T)
+    positive = cls.kind is SpectrumKind.ALL_REAL and bool((np.linalg.eigvalsh(v) > 0.0).all())
     hermitian = mat_norm(v - v.conj().T) <= tol * max(1.0, mat_norm(v))
     denom = mat_norm(v) * mat_norm(h)
     residual = mat_norm(v @ h - h.conj().T @ v) / denom if denom > 0.0 else 0.0
@@ -92,11 +82,14 @@ def v_gram(
     """Gram matrices of the Dirac, V, parity and PT-conjugate inner products,
     with the flags of the V Gram's structure under ``cls``.
 
-    The Dirac, V and parity Grams are evaluated on the given eigensystem; the
-    PT-conjugate Gram, formed when both ``p`` and ``phases`` are given, uses the
-    phase-fixed states ``phases`` carries (its diagonal is rephasing-invariant,
-    so the two bases give the same identities). The identities of the parity
-    and PT Grams hold only where P intertwines H, which the caller decides.
+    The V Gram is checked against ``I[partner]``: the identity
+    (``v_gram_identity``) or the pair swap (``v_gram_pair_swap`` and
+    ``v_gram_zero_diagonal_on_pairs``). The Dirac, V and parity Grams are
+    evaluated on the given eigensystem; the PT-conjugate Gram, formed when
+    both ``p`` and ``phases`` are given, uses the phase-fixed states
+    ``phases`` carries (its diagonal is rephasing-invariant, so the two bases
+    give the same identities). The identities of the parity and PT Grams hold
+    only where P intertwines H, which the caller decides.
     """
     r = es.right
     dirac = r.conj().T @ r
@@ -105,22 +98,14 @@ def v_gram(
     pnorm = r.conj().T @ p @ r if p is not None else None
     ptnorm = pt_gram(p, phases) if (p is not None and phases is not None) else None
 
-    flags = {}
-    eye = np.eye(es.dim)
-    if cls.kind is SpectrumKind.ALL_REAL:
-        res = mat_norm(vnorm - eye)
-        flags["v_gram_identity"] = Flag(res <= tol * es.dim, float(res), tol * es.dim)
+    bound = tol * es.dim
+    res = mat_norm(vnorm - np.eye(es.dim)[cls.partner])
+    if cls.pairs:
+        diag = float(max(abs(vnorm[i, i]) for pair in cls.pairs for i in pair))
+        flags = {"v_gram_pair_swap": Flag(res <= bound, res, bound),
+                 "v_gram_zero_diagonal_on_pairs": Flag(diag <= bound, diag, bound)}
     else:
-        expected = np.zeros((es.dim, es.dim), dtype=complex)
-        for n in cls.real_indices:
-            expected[n, n] = 1.0
-        for n_plus, n_minus in cls.pairs:
-            expected[n_plus, n_minus] = 1.0
-            expected[n_minus, n_plus] = 1.0
-        res = mat_norm(vnorm - expected)
-        flags["v_gram_pair_swap"] = Flag(res <= tol * es.dim, float(res), tol * es.dim)
-        diag = max(abs(vnorm[i, i]) for pair in cls.pairs for i in pair) if cls.pairs else 0.0
-        flags["v_gram_zero_diagonal_on_pairs"] = Flag(diag <= tol * es.dim, float(diag), tol * es.dim)
+        flags = {"v_gram_identity": Flag(res <= bound, res, bound)}
     return NormReport(dirac, vnorm, pnorm, ptnorm, flags)
 
 
@@ -136,7 +121,6 @@ class TimeIndependence:
     """
 
     times: tuple
-    gram0: np.ndarray
     drift: np.ndarray
     present: np.ndarray
     passed: np.ndarray
@@ -146,17 +130,17 @@ class TimeIndependence:
     ok: bool
 
 
-def verify_time_independence(es: EigenSystem, v, times, tol: float = 1e-8) -> TimeIndependence:
-    """Evolve every eigenstate of ``es`` with ``exp(-iHt)``, H the matrix it
-    decomposes, and bound the drift of the V inner products, entry by entry.
+def verify_time_independence(values, gram0, times, tol: float = 1e-8) -> TimeIndependence:
+    """Evolve the V Gram ``gram0 = R^dagger V R`` of the eigenstates ``R``
+    with energies ``values`` under ``exp(-iHt)``, and bound its drift, entry
+    by entry.
 
     Also checks the selection rule: an entry ``(n, m)`` of the initial Gram may
     be nonzero only when ``E_m = conj(E_n)`` — for a real spectrum the
     diagonal, for conjugate pairs the cross-pair transitions.
     """
-    v = as_matrix(v, "V")
-    r = es.right
-    gram0 = r.conj().T @ v @ r
+    values = np.asarray(values, dtype=complex)
+    gram0 = as_matrix(gram0, "Gram")
     threshold = tol * max(1.0, mat_norm(gram0))  # also the floor of a present entry
     present = np.abs(gram0) > threshold
     drift = np.zeros(gram0.shape, dtype=float)
@@ -165,21 +149,20 @@ def verify_time_independence(es: EigenSystem, v, times, tol: float = 1e-8) -> Ti
     # propagator would erase decaying modes by cancellation. One row of phases
     # per time; the n x n update stays one time at a time to keep memory at n^2
     times = tuple(float(t) for t in times)
-    phases = np.exp((-1j * es.values)[np.newaxis, :] * np.array(times)[:, np.newaxis])
+    phases = np.exp((-1j * values)[np.newaxis, :] * np.array(times)[:, np.newaxis])
     for phase in phases:
         gram_t = np.conj(phase)[:, np.newaxis] * gram0 * phase[np.newaxis, :]
         np.maximum(drift, np.abs(gram_t - gram0), out=drift)
     passed = (drift <= threshold) | ~present
 
     # entry (n, m) may be present only when E_m = conj(E_n); row-major order
-    mismatch = np.abs(es.values[np.newaxis, :] - np.conj(es.values)[:, np.newaxis])
-    scale = spectral_scale(es.values)
+    mismatch = np.abs(values[np.newaxis, :] - np.conj(values)[:, np.newaxis])
+    scale = spectral_scale(values)
     violations = [tuple(nm) for nm in np.argwhere(present & (mismatch > tol * scale)).tolist()]
     max_drift = float(drift[present].max()) if present.any() else 0.0
     max_shadow = float(drift[~present].max()) if not present.all() else 0.0
     return TimeIndependence(
         times,
-        gram0,
         drift,
         present,
         passed,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .antilinear import calibrate, make_frame
-from .cpt import build_c, build_pv, c_pt_diagnostic, check_p_intertwines, diagnostic_is_degenerate
+from .cpt import build_c, build_pv, c_commutes_with_pt, check_p_intertwines, diagnostic_is_degenerate
 from .errors import (
     InvalidFrame,
     NonDiagonalizable,
@@ -131,8 +131,8 @@ def _load_hamiltonian(cfg: AnalysisConfig):
 def _default_frame_specs(cfg: AnalysisConfig):
     p_spec, t_spec = cfg.p_spec, cfg.t_spec
     if p_spec == "none":
-        return None, None
-    if cfg.model == "two-level":
+        p_spec = None
+    elif cfg.model == "two-level":
         p_spec = p_spec or "sigma1"
         t_spec = t_spec or "kisigma1"
     elif cfg.model == "fock-x":
@@ -144,15 +144,11 @@ def _default_frame_specs(cfg: AnalysisConfig):
 
 
 def _build_frame(p_spec, t_spec, dim: int, check_tol: float):
-    p = u = None
-    if p_spec:
-        p = _P_BUILTINS[p_spec](dim) if p_spec in _P_BUILTINS else load_matrix(p_spec)
-    if t_spec:
-        u = _T_BUILTINS[t_spec](dim) if t_spec in _T_BUILTINS else load_matrix(t_spec)
-    if p is None or u is None:
-        return p, None
-    frame = make_frame(p, u, check_tol)
-    return frame.p, frame  # frame.p: P read-only, complex
+    if p_spec is None:
+        return None
+    p = _P_BUILTINS[p_spec](dim) if p_spec in _P_BUILTINS else load_matrix(p_spec)
+    u = _T_BUILTINS[t_spec](dim) if t_spec in _T_BUILTINS else load_matrix(t_spec)
+    return make_frame(p, u, check_tol)
 
 
 #: built-in frames are constants: one entry per (names, dim, tol), shared
@@ -161,14 +157,12 @@ _builtin_frame = functools.lru_cache(maxsize=32)(_build_frame)
 
 
 def _resolve_frame(p_spec, t_spec, dim: int, check_tol: float):
-    """``(p, frame)`` for specs that are each a built-in name, a file path or
-    None; ``frame`` is None unless both are given. A built-in frame comes from
-    the per-process cache; a file is read and its frame validated on every
-    call, so a rewritten file takes effect. Either way the frame is its
-    matrices: the same P and T give the same analysis however spelled."""
-    named = ((p_spec is None or p_spec in _P_BUILTINS)
-             and (t_spec is None or t_spec in _T_BUILTINS))
-    if named and (p_spec or t_spec):
+    """The :class:`PTFrame` of specs that are each a built-in name or a file
+    path, or None when both specs are None. A built-in frame comes from the
+    per-process cache; a file is read and its frame validated on every call,
+    so a rewritten file takes effect. Either way the frame is its matrices:
+    the same P and T give the same analysis however spelled."""
+    if p_spec in _P_BUILTINS and t_spec in _T_BUILTINS:
         return _builtin_frame(p_spec, t_spec, dim, check_tol)
     return _build_frame(p_spec, t_spec, dim, check_tol)
 
@@ -269,7 +263,8 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     notes: list = []
 
     p_spec, t_spec = _default_frame_specs(cfg)
-    p, frame = _resolve_frame(p_spec, t_spec, h.shape[0], check_tol)
+    frame = _resolve_frame(p_spec, t_spec, h.shape[0], check_tol)
+    p, pt = (None, None) if frame is None else (frame.p, frame.pt)
     es = eigendecompose(h, tol)  # may raise NonDiagonalizable
     cls = classify(es, tol)      # may raise UnpairedComplexEigenvalue
     real_case = cls.kind is SpectrumKind.ALL_REAL
@@ -278,8 +273,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     if p is not None and not p_intertwines:
         notes.append("P does not intertwine H with its adjoint; PV and C norms skipped")
     # on a recombined degenerate group every later section uses the new basis
-    es, phases, pt_skipped, uncalibrated = calibrate(
-        es, cls, p, None if frame is None else frame.pt, p_intertwines, tol)
+    es, phases, pt_skipped, uncalibrated = calibrate(es, cls, p, pt, p_intertwines, tol)
     if uncalibrated:
         notes.append(
             f"parity calibration skipped for states {uncalibrated}: "
@@ -287,8 +281,8 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         )
 
     pt_section: dict = {}
-    if frame is not None:
-        symmetric = antilinear_symmetry_check(h, frame.pt, check_tol)
+    if pt is not None:
+        symmetric = antilinear_symmetry_check(h, pt, check_tol)
         pt_section["symmetry_check"] = bool(symmetric)
         if not symmetric:
             notes.append("H is not PT symmetric under the supplied frame")
@@ -334,15 +328,16 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         commutant = build_c(es, cls, signs, h, tol)
         c_section = {"matrix": _matrix(commutant.matrix),
                      "signs": [int(s) for s in signs]}
-        if frame is None:
+        if pt is None:
             diagnostic = {"skipped": "no frame supplied for the [C, PT] diagnostic"}
         else:
-            diagnostic = c_pt_diagnostic(commutant, frame.pt, check_tol).value
-            c_section["commutes_with_pt"] = diagnostic == "real_spectrum"
+            commutes = c_commutes_with_pt(commutant, pt, check_tol)
+            c_section["commutes_with_pt"] = commutes
+            diagnostic = "real_spectrum" if commutes else "complex_pairs"
             if diagnostic_is_degenerate(commutant, tol):
                 notes.append("diagnostic degenerate: C is proportional to the identity")
 
-    tic = verify_time_independence(es, itw.v, cfg.times, check_tol)
+    tic = verify_time_independence(es.values, norm_report.vnorm, cfg.times, check_tol)
     flags = dict(norm_report.flags)
     if p_intertwines:  # the parity and PT Gram identities need P to intertwine H
         if real_case:  # the reality of the parity overlaps is a real-spectrum theorem

@@ -29,7 +29,8 @@ class SpectrumClass:
     ``pairs`` holds index pairs ``(n_plus, n_minus)`` with
     ``values[n_plus] == conj(values[n_minus])`` and ``Im values[n_plus] >= 0``;
     ``real_indices`` lists the remaining (real) eigenvalues. Together they
-    partition all indices.
+    partition all indices. ``partner`` is the same structure as one
+    permutation: ``partner[n]`` is the index of ``conj(values[n])``.
     """
 
     kind: SpectrumKind
@@ -39,6 +40,14 @@ class SpectrumClass:
     @classmethod
     def all_real(cls, dim: int) -> "SpectrumClass":
         return cls(SpectrumKind.ALL_REAL, (), tuple(range(dim)))
+
+    @property
+    def partner(self) -> np.ndarray:
+        """The involution fixing each real index and swapping each pair."""
+        partner = np.arange(len(self.real_indices) + 2 * len(self.pairs))
+        for n_plus, n_minus in self.pairs:
+            partner[n_plus], partner[n_minus] = n_minus, n_plus
+        return partner
 
 
 def spectral_scale(values) -> float:

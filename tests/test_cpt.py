@@ -1,14 +1,13 @@
-"""Tests for the PV operator, the C operator, and the [C, PT] diagnostic."""
+"""Tests for the PV operator, the C operator, and whether C commutes with PT."""
 
 import numpy as np
 import pytest
 
 from pthamil.antilinear import calibrate, parity_overlaps
 from pthamil.cpt import (
-    SpectrumDiagnostic,
     build_c,
     build_pv,
-    c_pt_diagnostic,
+    c_commutes_with_pt,
     check_p_intertwines,
     diagnostic_is_degenerate,
 )
@@ -147,7 +146,7 @@ class TestDiagnostic:
         frame = canonical_two_level_frame()
         h, es, cls, itw = _real_system()
         pv = build_pv(SIGMA1, itw.v, es, h)
-        assert c_pt_diagnostic(pv, frame.pt) is SpectrumDiagnostic.REAL_SPECTRUM
+        assert c_commutes_with_pt(pv, frame.pt) is True
 
     def test_complex_phase(self):
         frame = canonical_two_level_frame()
@@ -155,13 +154,13 @@ class TestDiagnostic:
         es = eigendecompose(h)
         cls = classify(es)
         c = build_c(es, cls, [1], h)
-        assert c_pt_diagnostic(c, frame.pt) is SpectrumDiagnostic.COMPLEX_PAIRS
+        assert c_commutes_with_pt(c, frame.pt) is False
 
     def test_identity_c_is_degenerate(self):
         frame = canonical_two_level_frame()
         h, es, cls, _ = _real_system()
         c = build_c(es, cls, [1, 1], h)
-        assert c_pt_diagnostic(c, frame.pt) is SpectrumDiagnostic.REAL_SPECTRUM
+        assert c_commutes_with_pt(c, frame.pt) is True
         assert diagnostic_is_degenerate(c)
 
     def test_sampled_family(self):
@@ -178,11 +177,11 @@ class TestDiagnostic:
                     es = calibrate(es, cls, SIGMA1, None, True)[0]
                     itw = build_metric(es, cls, h)
                     op = build_pv(SIGMA1, itw.v, es, h)
-                    expected = SpectrumDiagnostic.REAL_SPECTRUM
+                    expected = True
                 else:
                     op = build_c(es, cls, [1], h)
-                    expected = SpectrumDiagnostic.COMPLEX_PAIRS
-                assert c_pt_diagnostic(op, frame.pt) is expected
+                    expected = False
+                assert c_commutes_with_pt(op, frame.pt) is expected
 
 
 class TestPairCompleteness:

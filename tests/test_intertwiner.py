@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pthamil.antilinear import calibrate
+from pthamil.errors import NonDiagonalizable, UnpairedComplexEigenvalue
 from pthamil.intertwiner import (
     build_metric,
     v_gram,
@@ -13,7 +16,7 @@ from pthamil.intertwiner import (
 from pthamil.linalg import SIGMA1, eigendecompose, identity, quarter_turn
 from pthamil.spectra import SpectrumKind, classify
 from pthamil.twolevel import TwoLevelModel, closed_forms, hamiltonian
-from testutil import random_real, rng
+from testutil import pa_matrix, random_real, rng
 
 
 def _system(alpha, beta):
@@ -22,6 +25,13 @@ def _system(alpha, beta):
     cls = classify(es)
     es = calibrate(es, cls, SIGMA1, None, True)[0]  # a pair spectrum comes back as is
     return h, es, cls
+
+
+def _evolve(es, v, times, tol=1e-8):
+    """``verify_time_independence`` of the V Gram ``R^dagger V R`` of ``es``,
+    and that Gram."""
+    gram0 = es.right.conj().T @ v @ es.right
+    return verify_time_independence(es.values, gram0, times, tol), gram0
 
 
 def _pa(generator, n, shift):
@@ -121,6 +131,45 @@ class TestBuildMetric:
             assert abs(gram[n_minus, n_minus]) <= 1e-12
 
 
+def _two_branch_metric(es, cls):
+    """V as formed with one branch per spectrum kind: ``L^dagger L`` on an
+    all-real spectrum, the pair swap of left vectors otherwise."""
+    if cls.kind is SpectrumKind.ALL_REAL:
+        v = es.left.conj().T @ es.left
+    else:
+        partner = np.arange(es.dim)
+        for n_plus, n_minus in cls.pairs:
+            partner[n_plus], partner[n_minus] = n_minus, n_plus
+        v = es.left[partner].conj().T @ es.left
+    return 0.5 * (v + v.conj().T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 7), st.booleans(), st.integers(0, 2**32 - 1)),
+                       min_size=1, max_size=3),
+       repeat=st.booleans())
+def test_partner_and_one_metric_formula_on_direct_sums(blocks, repeat):
+    """On direct sums of P·A blocks (real, pair, mixed, and, with a block
+    repeated, degenerate spectra), ``partner`` is the involution that fixes
+    exactly the real indices and swaps each pair, and ``V = L[partner]^dagger
+    L`` is the two-branch metric bit for bit."""
+    parts = [pa_matrix(np.random.default_rng(seed), n, definite) for n, definite, seed in blocks]
+    h = scipy.linalg.block_diag(*parts, *parts[:1] * repeat)
+    try:
+        es = eigendecompose(h)
+        cls = classify(es)
+    except (NonDiagonalizable, UnpairedComplexEigenvalue):
+        assume(False)
+    partner, index = cls.partner, np.arange(es.dim)
+    assert np.array_equal(partner[partner], index)
+    assert np.flatnonzero(partner == index).tolist() == list(cls.real_indices)
+    for n_plus, n_minus in cls.pairs:
+        assert (partner[n_plus], partner[n_minus]) == (n_minus, n_plus)
+    itw = build_metric(es, cls, h)
+    assert np.array_equal(itw.v, _two_branch_metric(es, cls))
+    assert itw.positive == (cls.kind is SpectrumKind.ALL_REAL)
+
+
 class TestVGram:
     def test_two_level_dirac_overlap(self):
         # closed form: u-^dagger u+ = beta / sqrt(alpha^2 - beta^2) = 3/4
@@ -155,18 +204,18 @@ class TestTimeIndependence:
         h, es, cls = _system(5, 3)
         itw = build_metric(es, cls, h)
         times = (0.0, 0.7, 3.1)
-        tic = verify_time_independence(es, itw.v, times)
+        tic, gram0 = _evolve(es, itw.v, times)
         assert tic.ok and tic.max_drift <= 1e-10
         for t in times:
             u = scipy.linalg.expm(-1j * h * t)
             evolved = u @ es.right
             gram = evolved.conj().T @ itw.v @ evolved
-            assert np.allclose(gram, tic.gram0, atol=1e-10)
+            assert np.allclose(gram, gram0, atol=1e-10)
 
     def test_complex_phase_selection_rule(self):
         h, es, cls = _system(3, 5)
         itw = build_metric(es, cls, h)
-        tic = verify_time_independence(es, itw.v, (0.0, 0.5, 1.7, 4.3))
+        tic, gram0 = _evolve(es, itw.v, (0.0, 0.5, 1.7, 4.3))
         assert tic.ok
         assert tic.selection_violations == ()
         n_plus, n_minus = cls.pairs[0]
@@ -177,7 +226,7 @@ class TestTimeIndependence:
         u = scipy.linalg.expm(-1j * h * 0.3)
         evolved = u @ es.right
         gram = evolved.conj().T @ itw.v @ evolved
-        assert abs(gram[n_plus, n_minus] - tic.gram0[n_plus, n_minus]) <= 1e-9
+        assert abs(gram[n_plus, n_minus] - gram0[n_plus, n_minus]) <= 1e-9
 
     @pytest.mark.parametrize("seed,n", [(1, 2), (2, 5), (3, 8)])
     def test_selection_violations_match_entry_loop(self, seed, n):
@@ -186,7 +235,7 @@ class TestTimeIndependence:
         h = random_real(rng(seed), n)
         es = eigendecompose(h)
         tol = 1e-8
-        tic = verify_time_independence(es, identity(n), (0.0, 0.5), tol)
+        tic, _ = _evolve(es, identity(n), (0.0, 0.5), tol)
         scale = max(np.abs(es.values))
         expected = tuple(
             (i, j) for i in range(n) for j in range(n)
@@ -205,8 +254,7 @@ class TestTimeIndependence:
         a = random_real(generator, 8) + 1j * random_real(generator, 8)
         v = a @ a.conj().T
         times = (0.0, 0.3, 1.1)
-        tic = verify_time_independence(es, v, times)
-        gram0 = es.right.conj().T @ v @ es.right
+        tic, gram0 = _evolve(es, v, times)
         drift = np.zeros(gram0.shape)
         for t in times:
             evolved = es.right * np.exp(-1j * es.values * t)
@@ -221,12 +269,12 @@ class TestTimeIndependence:
         es = eigendecompose(h)
         v = build_metric(es, classify(es), h).v
         times = (0.0, 0.5, 1.7, 4.3)
-        tic = verify_time_independence(es, v, times)
+        tic, gram0 = _evolve(es, v, times)
         drift = np.zeros((8, 8))
         for t in times:
             phase = np.exp(-1j * es.values * float(t))
-            gram_t = np.conj(phase)[:, np.newaxis] * tic.gram0 * phase[np.newaxis, :]
-            drift = np.maximum(drift, np.abs(gram_t - tic.gram0))
+            gram_t = np.conj(phase)[:, np.newaxis] * gram0 * phase[np.newaxis, :]
+            drift = np.maximum(drift, np.abs(gram_t - gram0))
         assert np.array_equal(tic.drift, drift)
 
     def test_shadow_is_initial_dust_times_growth(self):
@@ -236,25 +284,25 @@ class TestTimeIndependence:
         es = eigendecompose(h)
         itw = build_metric(es, classify(es), h)
         times = (0.5, 2.0)
-        tic = verify_time_independence(es, itw.v, times)
+        tic, gram0 = _evolve(es, itw.v, times)
         shadow = 0.0
         for t in times:
             phase = np.exp(-1j * es.values * t)
             growth = np.abs(np.conj(phase)[:, None] * phase[None, :] - 1.0)
-            shadow = max(shadow, np.max((np.abs(tic.gram0) * growth)[~tic.present]))
+            shadow = max(shadow, np.max((np.abs(gram0) * growth)[~tic.present]))
         assert tic.max_shadow > 0.0
         assert abs(tic.max_shadow - shadow) <= 1e-12 * shadow
 
     def test_time_zero_trivially_constant(self):
         h, es, cls = _system(2, 1)
         itw = build_metric(es, cls, h)
-        tic = verify_time_independence(es, itw.v, (0.0,))
+        tic, _ = _evolve(es, itw.v, (0.0,))
         assert tic.ok and tic.max_drift == 0.0
 
     @pytest.mark.parametrize("alpha, beta", [(5, 3), (3, 5)], ids=["real", "pair"])
     def test_no_times_no_drift(self, alpha, beta):
         h, es, cls = _system(alpha, beta)
-        tic = verify_time_independence(es, build_metric(es, cls, h).v, ())
+        tic, _ = _evolve(es, build_metric(es, cls, h).v, ())
         assert tic.times == ()
         assert tic.drift.shape == (2, 2) and not tic.drift.any()
         assert tic.passed.all() and tic.ok
@@ -276,9 +324,8 @@ class TestTimeIndependence:
         # rebuild V H - H^dagger V from Gram data and energies
         h, es, cls = _system(5, 3)
         itw = build_metric(es, cls, h)
-        tic = verify_time_independence(es, itw.v, (0.0, 0.5, 1.7, 4.3))
+        tic, gram = _evolve(es, itw.v, (0.0, 0.5, 1.7, 4.3))
         assert tic.ok
-        gram = es.right.conj().T @ itw.v @ es.right
         commutator_eigenbasis = gram * (
             es.values[np.newaxis, :] - np.conj(es.values)[:, np.newaxis]
         )

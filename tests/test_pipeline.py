@@ -23,7 +23,7 @@ from pthamil.pipeline import (
     run_batch,
 )
 from pthamil.twolevel import TwoLevelModel, hamiltonian
-from testutil import random_unitary
+from testutil import pa_matrix, random_unitary
 
 
 def _matrix_from(d):
@@ -205,13 +205,12 @@ class TestFrameCache:
         assert first == second and emit_report(first) == emit_report(second)
 
     def test_cached_frame_is_shared_and_read_only(self):
-        p, frame = pipeline._resolve_frame("alternating", "k", 4, 1e-8)
-        assert pipeline._resolve_frame("alternating", "k", 4, 1e-8)[1] is frame
-        assert p is frame.p
-        for array in (p, frame.pt):
+        frame = pipeline._resolve_frame("alternating", "k", 4, 1e-8)
+        assert pipeline._resolve_frame("alternating", "k", 4, 1e-8) is frame
+        for array in (frame.p, frame.pt):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 7.0
-        assert np.array_equal(p, np.diag([1.0, -1.0, 1.0, -1.0]))
+        assert np.array_equal(frame.p, np.diag([1.0, -1.0, 1.0, -1.0]))
         assert np.array_equal(frame.pt, np.diag([1.0, -1.0, 1.0, -1.0]))
 
     def test_wrong_size_builtin_raises_every_call(self, tmp_path):
@@ -318,7 +317,7 @@ class TestParityFlagGating:
     def test_present_only_where_p_intertwines(self, tmp_path_factory, n, definite, doubled,
                                               p_spec, seed):
         generator = np.random.default_rng(seed)
-        h = _pa_matrix(generator, n, definite)
+        h = pa_matrix(generator, n, definite)
         if doubled:
             # diag(H, H) is P A under the alternating parity of 2n too, with A
             # -> diag(A, -A) for odd n; every eigenvalue is then degenerate
@@ -432,9 +431,9 @@ class TestRoundTrip:
         assert parse_report(emit_report(report)) == report
 
     @pytest.mark.parametrize("definite", [True, False], ids=["real", "pairs"])
-    def test_parse_emit_identity_pa_matrix(self, tmp_path, definite):
+    def test_parse_emit_identitypa_matrix(self, tmp_path, definite):
         path = tmp_path / "h.json"
-        save_matrix(str(path), _pa_matrix(np.random.default_rng(12), 12, definite))
+        save_matrix(str(path), pa_matrix(np.random.default_rng(12), 12, definite))
         report = run_analyze(AnalysisConfig(source_path=str(path), p_spec="alternating",
                                             t_spec="k"))
         assert isinstance(report.eigen["right"]["re"], np.ndarray)  # arrays until emitted
@@ -571,20 +570,6 @@ class TestBatch:
         assert dict(os.environ) == before
 
 
-def _pa_matrix(rng, n, definite):
-    """``H = P A`` with P the alternating parity and A Hermitian with
-    ``conj(A) = P A P``; a positive definite A gives a real spectrum, an
-    indefinite one conjugate pairs. ``A = D S D^dagger`` with ``D = diag(1j **
-    k)`` places its phases as exact quarter turns: ``1j ** k`` itself carries
-    rounding dust from k = 100 on, which would break the exact PT symmetry."""
-    s = rng.normal(size=(n, n))
-    s = (s + s.T) / 2
-    if definite:
-        s += (0.5 - np.linalg.eigvalsh(s)[0]) * np.eye(n)
-    k = np.arange(n)
-    return (-1.0) ** k[:, None] * quarter_turn(s, k[:, None] - k)
-
-
 def _split_floats(obj):
     """The structure of ``obj`` with every float replaced by None, and the
     floats in order."""
@@ -611,8 +596,8 @@ class TestBatchWorkers:
         rng = np.random.default_rng(11)
         root = tmp_path_factory.mktemp("workers")
         real, pairs = str(root / "real.json"), str(root / "pairs.csv")
-        save_matrix(real, _pa_matrix(rng, 40, definite=True))
-        save_matrix(pairs, _pa_matrix(rng, 24, definite=False))
+        save_matrix(real, pa_matrix(rng, 40, definite=True))
+        save_matrix(pairs, pa_matrix(rng, 24, definite=False))
         return [real, pairs]
 
     @pytest.mark.parametrize("frame", [False, True])
@@ -659,8 +644,8 @@ class TestRealBasis:
 
     def test_pa_matrix_is_exactly_pt_symmetric(self):
         # n = 120 reaches the indices where 1j ** k is no longer exact
-        h = _pa_matrix(np.random.default_rng(5), 120, definite=True)
-        _, frame = pipeline._resolve_frame("alternating", "k", 120, 1e-8)
+        h = pa_matrix(np.random.default_rng(5), 120, definite=True)
+        frame = pipeline._resolve_frame("alternating", "k", 120, 1e-8)
         u, turns = frame.pt, _real_turns(h)
         assert np.array_equal(u @ np.conj(h), h @ u)
         # the turns read from H are those of the frame: W W^T = u
@@ -671,7 +656,7 @@ class TestRealBasis:
     @pytest.mark.parametrize("definite", [True, False], ids=["real", "pairs"])
     def test_frame_spelling_does_not_change_the_analysis(self, tmp_path, definite):
         """The alternating parity given as a file is the built-in one."""
-        h = _pa_matrix(np.random.default_rng(21), 14, definite)
+        h = pa_matrix(np.random.default_rng(21), 14, definite)
         h_path, p_path = str(tmp_path / "h.json"), str(tmp_path / "p.csv")
         save_matrix(h_path, h)
         save_matrix(p_path, pipeline._P_BUILTINS["alternating"](14))
@@ -690,8 +675,8 @@ class TestRealBasis:
         assert np.array_equal(p, p.conj().T)
 
     @pytest.mark.parametrize("h,quarter_turned", [
-        (_pa_matrix(np.random.default_rng(12), 12, definite=True), False),
-        (_pa_matrix(np.random.default_rng(13), 13, definite=True), False),
+        (pa_matrix(np.random.default_rng(12), 12, definite=True), False),
+        (pa_matrix(np.random.default_rng(13), 13, definite=True), False),
         (_odd_pivot_pa(), True),
     ], ids=["n12", "n13", "odd-pivot"])
     def test_structural_zeros_are_exact(self, tmp_path, h, quarter_turned):
@@ -729,7 +714,7 @@ class TestRealBasis:
         file-given parity ``Q P Q^T`` with T = K (so ``u_PT = Q P Q^T``, the
         complex path), for a random real orthogonal Q."""
         generator = np.random.default_rng(seed)
-        h = _pa_matrix(generator, n, definite)
+        h = pa_matrix(generator, n, definite)
         values = np.linalg.eigvals(h)
         radius = np.abs(values).max()
         gaps = np.abs(values[:, np.newaxis] - values[np.newaxis, :]) + np.eye(n) * radius

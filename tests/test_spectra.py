@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from pthamil.errors import NonDiagonalizable, UnpairedComplexEigenvalue
 from pthamil.linalg import EigenSystem, eigendecompose, identity
 from pthamil.spectra import (
+    SpectrumClass,
     SpectrumKind,
     antilinear_symmetry_check,
     classify,
@@ -49,6 +50,11 @@ class TestClassify:
             for n_plus, n_minus in cls.pairs:
                 assert es.values[n_plus].imag >= 0.0
                 assert abs(es.values[n_plus] - np.conj(es.values[n_minus])) <= 1e-9
+
+    def test_partner_fixes_real_indices_and_swaps_pairs(self):
+        cls = SpectrumClass(SpectrumKind.CONJUGATE_PAIRS, ((0, 3), (4, 1)), (2,))
+        assert cls.partner.tolist() == [3, 4, 2, 0, 1]
+        assert SpectrumClass.all_real(3).partner.tolist() == [0, 1, 2]
 
     def test_degenerate_real_eigenvalues_allowed(self):
         cls = classify(eigendecompose(np.diag([1.0, 1.0, 2.0])))

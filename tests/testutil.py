@@ -7,7 +7,7 @@ import numpy as np
 
 import pthamil
 from pthamil.antilinear import make_frame
-from pthamil.linalg import SIGMA1
+from pthamil.linalg import SIGMA1, quarter_turn
 
 
 def env_with_src() -> dict:
@@ -43,6 +43,20 @@ def random_invertible(generator, n, max_cond=50.0):
         s = random_complex(generator, n)
         if np.linalg.cond(s) <= max_cond:
             return s
+
+
+def pa_matrix(rng, n, definite):
+    """``H = P A`` with P the alternating parity and A Hermitian with
+    ``conj(A) = P A P``; a positive definite A gives a real spectrum, an
+    indefinite one conjugate pairs. ``A = D S D^dagger`` with ``D = diag(1j **
+    k)`` places its phases as exact quarter turns: ``1j ** k`` itself carries
+    rounding dust from k = 100 on, which would break the exact PT symmetry."""
+    s = rng.normal(size=(n, n))
+    s = (s + s.T) / 2
+    if definite:
+        s += (0.5 - np.linalg.eigvalsh(s)[0]) * np.eye(n)
+    k = np.arange(n)
+    return (-1.0) ** k[:, None] * quarter_turn(s, k[:, None] - k)
 
 
 def canonical_two_level_frame():
