@@ -140,6 +140,8 @@ def _default_frame_specs(cfg: AnalysisConfig):
         t_spec = t_spec or "k"
     elif p_spec is not None and t_spec is None:
         t_spec = "k"
+    if p_spec is None and t_spec is not None:
+        raise ParseError("a time reversal (--t) needs a parity (--p) to form a PT frame")
     return p_spec, t_spec
 
 

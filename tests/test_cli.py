@@ -219,6 +219,27 @@ class TestExitCodes:
         assert code == 2
         assert "frame" in err
 
+    @pytest.mark.parametrize("frame", [
+        ["--file", "h.csv", "--t", "k"],
+        ["--file", "h.csv", "--p", "none", "--t", "k"],
+        ["--model", "two-level", "--alpha", "5", "--beta", "3", "--p", "none", "--t", "kisigma1"],
+    ], ids=["file", "file-p-none", "two-level-p-none"])
+    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    def test_time_reversal_without_parity_rejected(self, capsys, tmp_path, monkeypatch,
+                                                   command, frame):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h.csv").write_text("1,2\n2,1\n")
+        code, out, _ = run_cli(capsys, command, *frame, "--times", "0", "1", "--format", "json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError"
+        assert "--t" in error["message"] and "--p" in error["message"]
+
+    def test_time_reversal_with_the_model_parity(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "--model", "two-level", "--alpha", "5",
+                               "--beta", "3", "--t", "kisigma1", "--format", "json")
+        assert code == 0 and json.loads(out)["provenance"]["p"] == "sigma1"
+
     def test_error_as_json(self, capsys, tmp_path):
         path = tmp_path / "jordan.json"
         save_matrix(str(path), hamiltonian(TwoLevelModel(2, 2)))
