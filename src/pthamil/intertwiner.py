@@ -142,17 +142,20 @@ def verify_time_independence(values, gram0, times, tol: float = 1e-8) -> TimeInd
     values = np.asarray(values, dtype=complex)
     gram0 = as_matrix(gram0, "Gram")
     threshold = tol * max(1.0, mat_norm(gram0))  # also the floor of a present entry
-    present = np.abs(gram0) > threshold
+    magnitude = np.abs(gram0)
+    present = magnitude > threshold
     drift = np.zeros(gram0.shape, dtype=float)
-    # exp(-iHt) acts on its own eigenvectors by pure phases D, so the evolved
-    # Gram (R D)^dagger V (R D) is the initial one rescaled; forming the dense
-    # propagator would erase decaying modes by cancellation. One row of phases
-    # per time; the n x n update stays one time at a time to keep memory at n^2
+    # exp(-iHt) acts on its own eigenvectors by pure phases, so entry (n, m) of
+    # the evolved Gram is gram0[n, m] exp(i (conj(E_n) - E_m) t): bounded on a
+    # present entry, where E_m = conj(E_n), however fast each mode grows. Each
+    # mode's own phase, or the dense propagator, would overflow or cancel. One
+    # time at a time keeps memory at n^2; an exactly zero entry stays zero
     times = tuple(float(t) for t in times)
-    phases = np.exp((-1j * values)[np.newaxis, :] * np.array(times)[:, np.newaxis])
-    for phase in phases:
-        gram_t = np.conj(phase)[:, np.newaxis] * gram0 * phase[np.newaxis, :]
-        np.maximum(drift, np.abs(gram_t - gram0), out=drift)
+    rates = 1j * (np.conj(values)[:, np.newaxis] - values[np.newaxis, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in times:
+            np.maximum(drift, magnitude * np.abs(np.exp(rates * t) - 1.0), out=drift)
+    drift[magnitude == 0.0] = 0.0
     passed = (drift <= threshold) | ~present
 
     # entry (n, m) may be present only when E_m = conj(E_n); row-major order

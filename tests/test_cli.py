@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -487,3 +488,18 @@ class TestEvolveCommand:
         )
         assert code == 0
         assert json.loads(out)["max_drift"] <= 1e-8
+
+    @pytest.mark.parametrize("horizon", ["180", "1e4"])
+    def test_long_times_pass_without_warnings(self, capsys, horizon):
+        # each pair mode grows as e^{4t}: the modes' own phases overflow from
+        # t ~ 177 on, the cross-pair entries' factors never do
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(
+                capsys, "evolve", "--model", "two-level", "--alpha", "3", "--beta", "5",
+                "--times", "0", horizon, "--format", "json",
+            )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["flags"]["time_independent"]["passed"]
+        assert payload["max_drift"] <= 1e-8

@@ -1,5 +1,7 @@
 """Tests for similarity construction, the metric, Gram reports, and evolution."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -262,9 +264,10 @@ class TestTimeIndependence:
         assert tic.present.all() and np.max(drift) > 0.1
         assert np.linalg.norm(tic.drift - drift) <= 1e-12 * np.linalg.norm(drift)
 
-    def test_phase_rows_match_per_time_loop(self):
-        # the phases of all times come from one exp; the arithmetic of each
-        # entry is the per-time loop's, so the drift is equal bit for bit
+    def test_entry_factors_match_per_entry_loop(self):
+        # each entry moves by its own factor exp(i (conj(E_n) - E_m) t), never
+        # by a product of two mode phases, so the drift equals that of factors
+        # formed entry by entry, bit for bit
         h = _pa_pairs(rng(47), 8)
         es = eigendecompose(h)
         v = build_metric(es, classify(es), h).v
@@ -272,10 +275,24 @@ class TestTimeIndependence:
         tic, gram0 = _evolve(es, v, times)
         drift = np.zeros((8, 8))
         for t in times:
-            phase = np.exp(-1j * es.values * float(t))
-            gram_t = np.conj(phase)[:, np.newaxis] * gram0 * phase[np.newaxis, :]
-            drift = np.maximum(drift, np.abs(gram_t - gram0))
+            factors = np.array([[np.exp(1j * (np.conj(e_n) - e_m) * t) for e_m in es.values]
+                                for e_n in es.values])
+            drift = np.maximum(drift, np.abs(gram0) * np.abs(factors - 1.0))
         assert np.array_equal(tic.drift, drift)
+
+    @pytest.mark.parametrize("alpha, beta", [(3, 5), (5, 3)], ids=["pair", "real"])
+    def test_long_times_neither_overflow_nor_warn(self, alpha, beta):
+        # at t = 1e4 each pair mode grows by e^{4t}, far beyond the float
+        # range; the present entries' factors stay bounded, and an exactly
+        # zero entry keeps a zero shadow rather than 0 * inf = NaN
+        h, es, cls = _system(alpha, beta)
+        gram0 = v_gram(es, build_metric(es, cls, h), cls).vnorm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tic = verify_time_independence(es.values, gram0, (0.0, 180.0, 1e4))
+        assert tic.ok and tic.max_drift <= 1e-8
+        zero = verify_time_independence(es.values, np.where(tic.present, gram0, 0.0), (1e4,))
+        assert zero.ok and zero.max_shadow == 0.0 and not np.isnan(zero.drift).any()
 
     def test_shadow_is_initial_dust_times_growth(self):
         # an analytically-zero entry's shadow is its t = 0 dust scaled by the
