@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pthamil.matio import save_matrix
+from pthamil.twolevel import TwoLevelModel, hamiltonian
 from testutil import env_with_src
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -19,6 +20,58 @@ def _pthamil(*argv) -> subprocess.CompletedProcess:
     """Run ``python -m pthamil`` on this pthamil's source."""
     return subprocess.run([sys.executable, "-m", "pthamil", *map(str, argv)], env=env_with_src(),
                           capture_output=True, text=True, timeout=300)
+
+
+def _report(*argv) -> dict:
+    """The JSON report of ``python -m pthamil analyze``, which must exit 0."""
+    proc = _pthamil("analyze", *argv, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_every_command_runs_from_the_module_entry_point():
+    report = _report("--model", "two-level", "--alpha", "3", "--beta", "1")
+    assert report["provenance"]["schema"] == 2 and "S" not in report, sorted(report)
+    for argv in (("two-level", "--alpha", "5", "--beta", "3"),
+                 ("fock-demo", "--x", "0", "--nmax", "60"),
+                 ("evolve", "--model", "two-level", "--alpha", "3", "--beta", "5",
+                  "--times", "0", "1")):
+        proc = _pthamil(*argv, "--format", "json")
+        assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def test_parity_flags_are_gated(tmp_path):
+    # two copies of a 3 x 3 P·A block: the alternating parity intertwines H,
+    # the identity does not
+    path = tmp_path / "pa6.csv"
+    path.write_text("3,1i,0.5,0,0,0\n1i,-2,-0.5i,0,0,0\n0.5,-0.5i,4,0,0,0\n"
+                    "0,0,0,3,1i,0.5\n0,0,0,1i,-2,-0.5i\n0,0,0,0.5,-0.5i,4\n")
+    gated = {"p_gram_real", "pt_gram_equals_v_gram"}
+    flags = _report("--file", path, "--p", "identity", "--t", "k")["flags"]
+    assert not gated & flags.keys() and all(f["passed"] for f in flags.values()), flags
+    flags = _report("--file", path, "--p", "alternating", "--t", "k")["flags"]
+    assert gated <= flags.keys() and all(f["passed"] for f in flags.values()), flags
+
+
+def test_calibration_from_the_entry_point():
+    real = _report("--model", "two-level", "--alpha", "5", "--beta", "3")
+    assert real["pt"]["eta"] == [[1, 0], [-1, 0]], real["pt"]
+    alphas = [complex(*a) for a in real["pv"]["alphas"]]
+    assert all(abs(abs(a) - 1) < 1e-12 and a.imag == 0 for a in alphas), alphas
+    assert alphas[0].real * alphas[1].real < 0, alphas
+    assert real["c"]["commutes_with_pt"] is True, real["c"]
+    pt = _report("--model", "two-level", "--alpha", "3", "--beta", "5")["pt"]
+    assert pt["skipped"].startswith("complex-pair spectrum: PT maps each state onto its partner"), pt
+
+
+def test_batch_workers_print_json_reports(tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.csv"]
+    save_matrix(str(paths[0]), hamiltonian(TwoLevelModel(5, 3)))
+    save_matrix(str(paths[1]), hamiltonian(TwoLevelModel(3, 5)))
+    proc = _pthamil("batch", *paths, "--parallelism", "2", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    entries = json.loads(proc.stdout)
+    assert len(entries) == 2 and all("report" in e for e in entries), entries
 
 
 def test_batch_status_line_names_a_failed_flag(tmp_path):
@@ -57,25 +110,20 @@ class TestRealBasisAt120:
         odd = np.add.outer(np.arange(self.N), np.arange(self.N)) % 2 == 1
         assert not re[odd].any() and not im[~odd].any(), "V misses the parity zero pattern"
 
-    def _analyze(self, *argv) -> dict:
-        proc = _pthamil("analyze", *argv, "--format", "json")
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
-
     def test_named_and_file_given_parity(self, files):
         h_path, p_path = files
-        named = self._analyze("--file", h_path, "--p", "alternating", "--t", "k")
+        named = _report("--file", h_path, "--p", "alternating", "--t", "k")
         flags = named["flags"]
         assert flags and all(f["passed"] for f in flags.values()), flags
         self._assert_parity_zero_pattern(named)
-        given = self._analyze("--file", h_path, "--p", p_path, "--t", "k")
+        given = _report("--file", h_path, "--p", p_path, "--t", "k")
         named.pop("provenance")
         given.pop("provenance")
         assert named == given, sorted(k for k in named if named[k] != given[k])
 
     def test_without_a_frame(self, files):
         h_path, _ = files
-        report = self._analyze("--file", h_path)
+        report = _report("--file", h_path)
         flags = report["flags"]
         assert flags and all(f["passed"] for f in flags.values()), flags
         self._assert_parity_zero_pattern(report)
