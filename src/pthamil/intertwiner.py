@@ -158,10 +158,10 @@ def verify_time_independence(values, gram0, times, tol: float = 1e-8) -> TimeInd
     drift[magnitude == 0.0] = 0.0
     passed = (drift <= threshold) | ~present
 
-    # entry (n, m) may be present only when E_m = conj(E_n); row-major order
-    mismatch = np.abs(values[np.newaxis, :] - np.conj(values)[:, np.newaxis])
-    scale = spectral_scale(values)
-    violations = [tuple(nm) for nm in np.argwhere(present & (mismatch > tol * scale)).tolist()]
+    # entry (n, m) may be present only when E_m = conj(E_n), where its rate is
+    # |conj(E_n) - E_m| = 0; row-major order
+    mismatch = np.abs(rates) > tol * spectral_scale(values)
+    violations = [tuple(nm) for nm in np.argwhere(present & mismatch).tolist()]
     max_drift = float(drift[present].max()) if present.any() else 0.0
     max_shadow = float(drift[~present].max()) if not present.all() else 0.0
     return TimeIndependence(
