@@ -431,7 +431,7 @@ class TestRoundTrip:
         assert parse_report(emit_report(report)) == report
 
     @pytest.mark.parametrize("definite", [True, False], ids=["real", "pairs"])
-    def test_parse_emit_identitypa_matrix(self, tmp_path, definite):
+    def test_parse_emit_identity_pa_matrix(self, tmp_path, definite):
         path = tmp_path / "h.json"
         save_matrix(str(path), pa_matrix(np.random.default_rng(12), 12, definite))
         report = run_analyze(AnalysisConfig(source_path=str(path), p_spec="alternating",
