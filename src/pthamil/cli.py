@@ -40,24 +40,42 @@ def _fmt_res(x: float) -> str:
     return f"{x:.3e}"
 
 
+def _magnitudes(a: np.ndarray) -> tuple:
+    """``"%.12g"`` (``f"{x:.12g}"``) of each distinct ``|x|`` in ``a``, and for
+    each entry of ``a`` the index of its string."""
+    mags, inverse = np.unique(np.abs(a.ravel()), return_inverse=True)
+    strs = ("%.12g\n" * len(mags) % tuple(mags.tolist())).split("\n")[:-1]
+    return strs, inverse.reshape(a.shape)
+
+
+def _matrix_cells(d: dict) -> list:
+    """Rows of the ``format_complex_cell`` cells of ``d["re"]`` and ``d["im"]``
+    (arrays, or nested lists), each distinct magnitude formatted once. A cell
+    is the signed real string where the imaginary part is zero, the signed
+    imaginary string and ``i`` where only the real part is zero, and otherwise
+    the real string, the sign of the imaginary part (``-`` for NaN) and its
+    string with ``i``."""
+    re = np.asarray(d["re"], dtype=float)
+    im = np.asarray(d["im"], dtype=float)
+    strs, index = _magnitudes(re)
+    signed = np.array(strs + ["-" + s for s in strs], dtype=object)
+    cells = signed[index + len(strs) * (np.signbit(re) & ~np.isnan(re))]
+    strs, index = _magnitudes(im)
+    imag = np.array([s + "i" for s in strs], dtype=object)[index]
+    im_zero, re_zero = im == 0.0, re == 0.0
+    alone = ~im_zero & re_zero
+    cells[alone] = imag[alone]
+    negative = alone & (im < 0.0)
+    cells[negative] = "-" + cells[negative]
+    both = ~im_zero & ~re_zero
+    cells[both] += np.where(im[both] > 0.0, "+", "-").astype(object) + imag[both]
+    return cells.tolist()
+
+
 def _fmt_matrix(d: dict, indent: str = "  ") -> str:
-    """Rows of ``format_complex_cell`` cells of ``d["re"]`` and ``d["im"]``
-    (arrays, or nested lists), each right-aligned to 22 characters; a row's
-    numbers are formatted by one ``%`` operation each for the real and the
-    imaginary parts (``"%.12g"`` is ``f"{x:.12g}"``)."""
-    lines = []
-    for xs, ys in zip(np.asarray(d["re"]).tolist(), np.asarray(d["im"]).tolist()):
-        n = len(xs)
-        res = ("%.12g\n" * n % tuple(xs)).split("\n")
-        ims = ("%.12g\n" * n % tuple(map(abs, ys))).split("\n")
-        cells = tuple([
-            r if y == 0.0
-            else (("-" if y < 0 else "") + a + "i" if x == 0.0
-                  else r + ("+" if y > 0 else "-") + a + "i")
-            for x, y, r, a in zip(xs, ys, res, ims)
-        ])
-        lines.append(indent + ("%22s  " * n % cells)[:-2])
-    return "\n".join(lines)
+    """Rows of :func:`_matrix_cells`, each cell right-aligned to 22 characters."""
+    return "\n".join(indent + ("%22s  " * len(row) % tuple(row))[:-2]
+                     for row in _matrix_cells(d))
 
 
 def _print_section(title: str) -> None:
@@ -125,10 +143,8 @@ def _render_csv(report: AnalysisReport) -> None:
     print(f"spectrum,kind,{report.spectrum['kind']}")
     for i, (re, im) in enumerate(report.eigen["values"]):
         print(f"eigen,value_{i},{format_complex_cell(complex(re, im))}")
-    rows = zip(np.asarray(report.v["re"]).tolist(), np.asarray(report.v["im"]).tolist())
-    for i, (xs, ys) in enumerate(rows):
-        cells = ",".join(format_complex_cell(complex(x, y)) for x, y in zip(xs, ys))
-        print(f"V,row_{i},\"{cells}\"")
+    for i, row in enumerate(_matrix_cells(report.v)):
+        print(f"V,row_{i},\"{','.join(row)}\"")
     print(f"time_independence,max_drift,{_fmt_res(report.time_independence['max_drift'])}")
     for name, flag in sorted(report.flags.items()):
         print(f"flags,{name},{'pass' if flag['passed'] else 'fail'}")

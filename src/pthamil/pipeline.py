@@ -3,9 +3,10 @@ the JSON report representation.
 
 A report is data in the JSON layout: dicts, lists, numbers, strings, complex
 numbers as ``[re, im]`` pairs, and matrices in the ``{"dim", "re", "im"}``
-layout of the matrix file format, whose ``re`` and ``im`` stay numpy arrays
-until ``to_dict`` converts them. Two reports are equal when their emitted
-forms are, so ``parse(emit(report)) == report`` holds exactly.
+layout of the matrix file format, whose ``re`` and ``im`` stay numpy arrays:
+``emit_report`` writes them as they are, and ``to_dict`` converts them to
+lists. Two reports are equal when their emitted forms are, so
+``parse(emit(report)) == report`` holds exactly.
 """
 
 from __future__ import annotations
@@ -205,7 +206,11 @@ class AnalysisReport:
     notes: list
 
     def to_dict(self) -> dict:
-        return _plain({
+        return _plain(self._tree())
+
+    def _tree(self) -> dict:
+        """The report under its key names, matrices still arrays."""
+        return {
             "provenance": self.provenance,
             "spectrum": self.spectrum,
             "eigen": self.eigen,
@@ -219,7 +224,7 @@ class AnalysisReport:
             "selection_rule_violations": self.selection_rule_violations,
             "flags": self.flags,
             "notes": self.notes,
-        })
+        }
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AnalysisReport) and self.to_dict() == other.to_dict()
@@ -234,8 +239,9 @@ class AnalysisReport:
 
 def emit_report(report: AnalysisReport) -> str:
     """The report as JSON text: 2-space indentation, sorted keys, shortest
-    round-trip floats (:func:`pthamil.jsontext.dumps`)."""
-    return dumps(report.to_dict())
+    round-trip floats (:func:`pthamil.jsontext.dumps`), written straight from
+    the matrices' arrays; the same bytes as ``dumps(report.to_dict())``."""
+    return dumps(report._tree())
 
 
 def parse_report(text: str) -> AnalysisReport:

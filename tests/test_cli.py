@@ -1,5 +1,8 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
+import functools
+import io
 import json
 import subprocess
 import sys
@@ -136,9 +139,38 @@ entries = st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e300, -1e300, 1e-300, -1e-300,
 
 @st.composite
 def matrix_dicts(draw):
-    n = draw(st.integers(1, 5))
-    rows = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
-    return {"dim": n, "re": draw(rows), "im": draw(rows)}
+    """n x n matrices up to n = 24 whose parts draw from one small pool, so
+    that magnitudes repeat within and across the real and imaginary parts."""
+    n = draw(st.integers(1, 24))
+    pool = draw(st.lists(entries, min_size=1, max_size=8))
+
+    def part():
+        picks = draw(st.binary(min_size=n * n, max_size=n * n))
+        return [[pool[b % len(pool)] for b in picks[i:i + n]] for i in range(0, n * n, n)]
+
+    return {"dim": n, "re": part(), "im": part()}
+
+
+def reference_csv_rows(d: dict) -> list:
+    """The CSV rows of V cell by cell: ``format_complex_cell`` joined by commas."""
+    return [
+        f'V,row_{i},"' + ",".join(format_complex_cell(complex(x, y))
+                                  for x, y in zip(xs, ys)) + '"'
+        for i, (xs, ys) in enumerate(zip(d["re"], d["im"]))
+    ]
+
+
+@functools.lru_cache(maxsize=1)
+def two_level_report():
+    return run_analyze(AnalysisConfig(model="two-level", alpha=5.0, beta=3.0))
+
+
+def csv_v_rows(d: dict) -> list:
+    """The V rows ``_render_csv`` writes for a report whose metric V is ``d``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _render_csv(replace(two_level_report(), v=d))
+    return [line for line in out.getvalue().splitlines() if line.startswith("V,")]
 
 
 class TestOutputLayout:
@@ -146,8 +178,17 @@ class TestOutputLayout:
     @given(matrix_dicts(), st.sampled_from(["  ", "    "]))
     def test_matrix_text_matches_cell_reference(self, d, indent):
         assert _fmt_matrix(d, indent) == reference_matrix_text(d, indent)
+        assert csv_v_rows(d) == reference_csv_rows(d)
 
-    def test_matrix_text_special_cells(self, capsys):
+    def test_nan_cells(self):
+        # format_complex_cell's sign for a NaN imaginary part is "-" after a
+        # real part and none alone; a NaN real part is never signed
+        nan = float("nan")
+        d = {"dim": 2, "re": [[1.5, 0.0], [nan, -nan]], "im": [[nan, -nan], [0.0, -2.0]]}
+        assert _fmt_matrix(d, "").split() == ["1.5-nani", "nani", "nan", "nan-2i"]
+        assert csv_v_rows(d) == ['V,row_0,"1.5-nani,nani"', 'V,row_1,"nan,nan-2i"']
+
+    def test_matrix_text_special_cells(self):
         # zero, signed zero, pure imaginary, integral and extreme cells
         d = {"dim": 3,
              "re": [[0.0, -0.0, 0.0], [2.0, -0.0, 1e300], [1e-300, -7.0, 0.5]],
@@ -156,15 +197,8 @@ class TestOutputLayout:
         assert _fmt_matrix(d, "  ").splitlines()[0] == "  " + "  ".join(
             f"{c:>22}" for c in ("0", "-0", "-1i"))
         # the CSV rows of the same matrix, as the metric V of a report
-        report = replace(run_analyze(AnalysisConfig(model="two-level", alpha=5.0, beta=3.0)),
-                         v=d)
-        _render_csv(report)
-        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("V,")]
-        assert rows == [
-            f'V,row_{i},"' + ",".join(format_complex_cell(complex(x, y))
-                                      for x, y in zip(xs, ys)) + '"'
-            for i, (xs, ys) in enumerate(zip(d["re"], d["im"]))
-        ]
+        rows = csv_v_rows(d)
+        assert rows == reference_csv_rows(d)
         assert rows[0] == 'V,row_0,"0,-0,-1i"'
 
     @pytest.mark.parametrize(

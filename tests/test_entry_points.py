@@ -11,7 +11,7 @@ import pytest
 
 from pthamil.matio import save_matrix
 from pthamil.twolevel import TwoLevelModel, hamiltonian
-from testutil import env_with_src
+from testutil import env_with_src, pa_matrix
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,6 +62,18 @@ def test_calibration_from_the_entry_point():
     assert real["c"]["commutes_with_pt"] is True, real["c"]
     pt = _report("--model", "two-level", "--alpha", "3", "--beta", "5")["pt"]
     assert pt["skipped"].startswith("complex-pair spectrum: PT maps each state onto its partner"), pt
+
+
+def test_json_report_is_in_json_dumps_layout(tmp_path):
+    # n = 40: every report matrix is above the size below which dumps writes
+    # an array row by row
+    path = tmp_path / "pa40.json"
+    save_matrix(str(path), pa_matrix(np.random.default_rng(40), 40, definite=True))
+    proc = _pthamil("analyze", "--file", path, "--p", "alternating", "--t", "k",
+                    "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    relaid = json.dumps(json.loads(proc.stdout), indent=2, sort_keys=True)
+    assert proc.stdout == relaid + "\n"
 
 
 def test_batch_workers_print_json_reports(tmp_path):

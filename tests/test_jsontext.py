@@ -1,5 +1,6 @@
 """Tests for the JSON text layout: ``jsontext.dumps`` must write exactly the
-bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, the reference."""
+bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, the reference, and a
+2-D float64 array as the reference writes its ``tolist()``."""
 
 import json
 
@@ -39,6 +40,22 @@ trees = st.recursive(
 )
 
 
+#: few values, so that an array repeats them: both zeros, both NaNs, both
+#: infinities, the smallest subnormals and reprs in exponent form
+ARRAY_POOL = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), float("-inf"),
+              5e-324, -5e-324, 1e16, 1e-5, 0.1, -2.5]
+
+
+@st.composite
+def float_arrays(draw):
+    """2-D float64 arrays from 1 x 1 to 24 x 24, on both sides of the size
+    below which ``dumps`` writes an array row by row."""
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    pool = draw(st.lists(st.sampled_from(ARRAY_POOL) | st.floats(), min_size=1, max_size=6))
+    picks = draw(st.binary(min_size=rows * cols, max_size=rows * cols))
+    return np.array([pool[b % len(pool)] for b in picks], dtype=np.float64).reshape(rows, cols)
+
+
 class TestDumps:
     @settings(max_examples=300, deadline=None)
     @given(trees)
@@ -64,7 +81,27 @@ class TestDumps:
     def test_edge_cases(self, obj):
         assert dumps(obj) == reference(obj)
 
-    @pytest.mark.parametrize("obj", [np.int64(3), [object()], {"a": np.bool_(True)}])
+    @settings(max_examples=300, deadline=None)
+    @given(float_arrays())
+    def test_float_array_matches_json_dumps_of_its_list(self, a):
+        assert dumps({"m": a, "n": [a, 1.5]}) == reference({"m": a.tolist(),
+                                                            "n": [a.tolist(), 1.5]})
+
+    def test_float_array_signs_and_specials(self):
+        # every special value in one array above the row-by-row size
+        a = np.tile(np.array(ARRAY_POOL), (12, 1))
+        assert a.size >= 100
+        text = dumps(a)
+        assert text == reference(a.tolist())
+        assert all(s in text for s in ("-0.0", "-5e-324", "-Infinity", "NaN"))
+        assert "-NaN" not in text
+
+    @pytest.mark.parametrize("obj", [
+        np.int64(3), [object()], {"a": np.bool_(True)},
+        # numpy arrays other than 2-D float64 ones
+        np.arange(3), np.zeros((12, 12), dtype=int), np.zeros(200), np.array(1.5),
+        {"a": np.zeros((12, 12), dtype=complex)}, [np.zeros((12, 12), dtype=np.float32)],
+    ])
     def test_rejects_what_json_cannot_write(self, obj):
         with pytest.raises(TypeError):
             reference(obj)

@@ -309,7 +309,9 @@ class TestDegenerateSpectrum:
 
 class TestParityFlagGating:
     """``p_gram_real`` and ``pt_gram_equals_v_gram`` test identities that hold
-    only where P intertwines H: they appear only then, and then pass."""
+    only where P intertwines H: they appear only then, and then pass; and
+    they do appear then, the first on a real spectrum, the second wherever
+    the PT phases were fixed."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 12), st.booleans(), st.booleans(),
@@ -334,6 +336,10 @@ class TestParityFlagGating:
                    if name in ("p_gram_real", "pt_gram_equals_v_gram")}
         assert intertwines or not present, present
         assert all(flag["passed"] for flag in present.values()), present
+        if intertwines and report.spectrum["kind"] == "all_real":
+            assert "p_gram_real" in present, report.flags
+        if intertwines and "skipped" not in report.pt:
+            assert "pt_gram_equals_v_gram" in present, report.flags
 
 
 _NO_PARITY = "no parity supplied"
