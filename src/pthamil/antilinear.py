@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidFrame
-from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm, quarter_turn
+from .linalg import (DEFAULT_TOL, EigenSystem, as_matrix, check_tier, mat_norm, quarter_turn,
+                     residual_bound)
 from .spectra import SpectrumClass, SpectrumKind, spectral_scale
 
 
@@ -58,8 +59,8 @@ def make_frame(p, u_t, tol: float = DEFAULT_TOL) -> PTFrame:
         "[P, T] = 0": mat_norm(u_pt - u_t @ np.conj(p)),
         "(PT)^2 = I": mat_norm(u_pt @ np.conj(u_pt) - eye),
     }
-    scale = max(1.0, mat_norm(p), mat_norm(u_t))
-    bad = {k: v for k, v in checks.items() if v > tol * scale}
+    bound = residual_bound(tol, max(mat_norm(p), mat_norm(u_t)))
+    bad = {k: v for k, v in checks.items() if v > bound}
     if bad:
         detail = ", ".join(f"{k} (residual {v:.3e})" for k, v in bad.items())
         raise InvalidFrame(f"frame constraints violated: {detail}")
@@ -117,7 +118,7 @@ def _pt_plus_basis(a, tol):
     ``sum Re(z_j) c_j = sum Im(z_j) c_j = 0``.
     """
     k = a.shape[0]
-    if mat_norm(a @ np.conj(a) - np.eye(k)) > max(1e-8, tol) * max(1.0, mat_norm(a) ** 2):
+    if mat_norm(a @ np.conj(a) - np.eye(k)) > residual_bound(check_tier(tol), mat_norm(a) ** 2):
         raise _NoPTBasis("PT does not square to one on the degenerate subspace")
     m = np.block([[a.real, a.imag], [a.imag, -a.real]])
     vectors, singular, _ = np.linalg.svd(0.5 * (np.eye(2 * k) + m))
@@ -133,13 +134,13 @@ def parity_overlaps(es: EigenSystem, p) -> np.ndarray:
     return np.sum(np.conj(es.right) * (p @ es.right), axis=0)
 
 
-def _recombine_degenerate(pt, es, groups, p, tol) -> np.ndarray:
+def _recombine_degenerate(pt, es, groups, p, p_floor, tol) -> np.ndarray:
     """Right vectors with each degenerate group replaced by a PT-fixed basis.
 
     The parity form ``W^dagger P W`` is real on PT-fixed vectors, so a real
     rotation, which keeps them PT-fixed, diagonalizes it; the columns are then
     scaled to ``|<w|P|w>| = 1``. Without ``p``, or when the form has an
-    eigenvalue at or below the parity-calibration floor, they are unit-norm.
+    eigenvalue at or below ``p_floor`` (the calibration floor), they are unit-norm.
     """
     right = np.array(es.right)
     for group in groups:
@@ -148,12 +149,12 @@ def _recombine_degenerate(pt, es, groups, p, tol) -> np.ndarray:
         images = pt @ np.conj(right[:, idx])
         a = es.left[idx, :] @ images
         leak = images - right[:, idx] @ a
-        if mat_norm(leak) > max(1e-8, tol) * max(1.0, mat_norm(images)):
+        if mat_norm(leak) > residual_bound(check_tier(tol), mat_norm(images)):
             raise _NoPTBasis("PT does not preserve a degenerate eigenspace")
         cols = right[:, idx] @ _pt_plus_basis(a, tol)
         if p is not None:
             form, rotation = np.linalg.eigh((cols.conj().T @ p @ cols).real)
-            if np.abs(form).min() > tol * max(1.0, mat_norm(p)):
+            if np.abs(form).min() > p_floor:
                 right[:, idx] = (cols @ rotation) / np.sqrt(np.abs(form))
                 continue
         right[:, idx] = cols / np.linalg.norm(cols, axis=0)  # real rescale keeps eta
@@ -164,6 +165,10 @@ def _recombine_degenerate(pt, es, groups, p, tol) -> np.ndarray:
 _NO_FRAME = "no parity/time-reversal frame supplied"
 _PAIRS = ("complex-pair spectrum: PT maps each state onto its partner, "
           "so per-state PT phases do not exist")
+#: ``|<L_n|PT|R_n>|`` of a PT eigenstate is one; below this it is none
+_MIN_PT_COEFF = 0.5
+#: a phase is real when its imaginary part is below this fraction of its modulus
+_REAL_PHASE_TOL = 1e-6
 
 
 def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt,
@@ -192,10 +197,12 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt,
     if cls.kind is not SpectrumKind.ALL_REAL:
         return es, None, _PAIRS if pt is not None else _NO_FRAME, []
     p = as_matrix(p, "P") if p is not None else None
+    # a parity overlap at or below this floor neither calibrates nor signs a state
+    p_floor = residual_bound(tol, mat_norm(p)) if p is not None else None
     uncalibrated = []
     if p_intertwines:
         magnitudes = np.abs(parity_overlaps(es, p))
-        small = magnitudes <= tol * max(1.0, mat_norm(p))
+        small = magnitudes <= p_floor
         es = es.rescaled(1.0 / np.sqrt(np.where(small, 1.0, magnitudes)))
         uncalibrated = np.flatnonzero(small).tolist()
     if pt is None:
@@ -206,7 +213,7 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt,
 
     groups = _degenerate_groups(es.values, tol)
     try:
-        phased = es.with_right(_recombine_degenerate(pt, es, groups, p, tol)) if groups else es
+        phased = es.with_right(_recombine_degenerate(pt, es, groups, p, p_floor, tol)) if groups else es
     except _NoPTBasis as exc:
         return unavailable(exc)
     right, left = phased.right, phased.left
@@ -214,8 +221,8 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt,
     images = pt @ np.conj(right)
     coeff = np.einsum("ij,ji->i", left, images)
     residual = np.linalg.norm(images - coeff * right, axis=0)
-    bound = max(1e-8, tol) * np.maximum(1.0, np.linalg.norm(images, axis=0))
-    bad = (np.abs(coeff) < 0.5) | (residual > bound)
+    bound = residual_bound(check_tier(tol), np.linalg.norm(images, axis=0))
+    bad = (np.abs(coeff) < _MIN_PT_COEFF) | (residual > bound)
     if bad.any():
         j = int(np.argmax(bad))
         return unavailable(f"state {j} is not a PT eigenstate (residual {residual[j]:.3e})")
@@ -225,8 +232,8 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt,
     targets = np.where((np.abs(eta_raw.imag) <= tol) & (eta_raw.real < 0.0), -1.0, 1.0)
     if p is not None:
         overlaps = parity_overlaps(phased, p)
-        usable = ((np.abs(overlaps) > tol * max(1.0, mat_norm(p)))
-                  & (np.abs(overlaps.imag) <= 1e-6 * np.abs(overlaps)))
+        usable = ((np.abs(overlaps) > p_floor)
+                  & (np.abs(overlaps.imag) <= _REAL_PHASE_TOL * np.abs(overlaps)))
         targets = np.where(usable, np.where(overlaps.real > 0.0, 1.0, -1.0), targets)
 
     # half the angle: whole quarter turns (a real eta_raw) exactly, as exp(0.5j * pi) != 1j
@@ -237,7 +244,8 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt,
 
     images = pt @ np.conj(system.right)  # re-read every phase as the final consistency check
     coeff = np.einsum("ij,ji->i", system.left, images)
-    bad = ((np.abs(coeff) < 0.5) | (np.abs(coeff - np.abs(coeff) * targets) > 1e-6 * np.abs(coeff))
+    bad = ((np.abs(coeff) < _MIN_PT_COEFF)
+           | (np.abs(coeff - np.abs(coeff) * targets) > _REAL_PHASE_TOL * np.abs(coeff))
            | (np.linalg.norm(images - coeff * system.right, axis=0) > bound))
     if bad.any():
         return unavailable(f"phase fix failed to land state {int(np.argmax(bad))} on a real branch")

@@ -246,7 +246,8 @@ def _cmd_batch(args) -> int:
                         if args.tol is not None else None,
                         reports=json_out)
     if json_out:
-        print(dumps(entries))
+        # each report written from its arrays, as emit_report writes one
+        print(dumps([dict(e, report=e["report"]._tree()) if "report" in e else e for e in entries]))
     else:
         for entry in entries:
             failed = ", ".join(entry.get("failed_flags", ()))

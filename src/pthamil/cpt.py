@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCommuting, PTHamilError
-from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm
+from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, check_tier, mat_norm, residual_bound
 from .spectra import SpectrumClass, SpectrumKind
 
 
@@ -40,9 +40,9 @@ def check_p_intertwines(h, p, tol: float = DEFAULT_TOL) -> bool:
     h = as_matrix(h, "H")
     p = as_matrix(p, "P")
     eye = np.eye(p.shape[0])
-    if mat_norm(p @ p - eye) > tol * max(1.0, mat_norm(p) ** 2):
+    if mat_norm(p @ p - eye) > residual_bound(tol, mat_norm(p) ** 2):
         raise ValueError("P must square to the identity")
-    return mat_norm(p @ h @ p - h.conj().T) <= tol * max(1.0, mat_norm(h))
+    return mat_norm(p @ h @ p - h.conj().T) <= residual_bound(tol, mat_norm(h))
 
 
 def build_pv(p, v, es: EigenSystem, h, tol: float = DEFAULT_TOL) -> CommutantOp:
@@ -59,16 +59,15 @@ def build_pv(p, v, es: EigenSystem, h, tol: float = DEFAULT_TOL) -> CommutantOp:
     v = as_matrix(v, "V")
     pv = p @ v
     comm = mat_norm(pv @ h - h @ pv)
-    if comm > tol * max(1.0, mat_norm(pv) * mat_norm(h)):
+    if comm > residual_bound(tol, mat_norm(pv) * mat_norm(h)):
         raise NotCommuting(f"[PV, H] residual {comm:.3e} exceeds tolerance")
     alphas = np.diag(es.left @ pv @ es.right).copy()
-    alpha_scale = max(1.0, float(np.abs(alphas).max()))
-    if float(np.abs(alphas.imag).max()) > tol * alpha_scale:
+    if float(np.abs(alphas.imag).max()) > residual_bound(tol, float(np.abs(alphas).max())):
         raise ValueError(
             "PV eigenvalues are not real; this is expected for a "
             "complex-conjugate-pair spectrum, where PV plays no role"
         )
-    squares = mat_norm(pv @ pv - np.eye(es.dim)) <= tol * max(1.0, mat_norm(pv) ** 2)
+    squares = mat_norm(pv @ pv - np.eye(es.dim)) <= residual_bound(tol, mat_norm(pv) ** 2)
     return CommutantOp(pv, alphas.real.astype(complex), squares)
 
 
@@ -100,9 +99,9 @@ def build_c(es: EigenSystem, cls: SpectrumClass, signs, h,
     eye = np.eye(es.dim)
     sq = mat_norm(c @ c - eye)
     comm = mat_norm(c @ h - h @ c)
-    if sq > max(1e-8, tol) * max(1.0, mat_norm(c) ** 2):
+    if sq > residual_bound(check_tier(tol), mat_norm(c) ** 2):
         raise PTHamilError(f"constructed C fails C^2 = I (residual {sq:.3e})")
-    if comm > max(1e-8, tol) * max(1.0, mat_norm(c) * mat_norm(h)):
+    if comm > residual_bound(check_tier(tol), mat_norm(c) * mat_norm(h)):
         raise PTHamilError(f"constructed C fails [C, H] = 0 (residual {comm:.3e})")
     return CommutantOp(c, weights, True)
 
@@ -115,7 +114,7 @@ def c_commutes_with_pt(c: CommutantOp, u, tol: float = DEFAULT_TOL) -> bool:
     """
     cm = c.matrix
     residual = mat_norm(cm @ u @ np.conj(cm) - u)
-    return residual <= tol * max(1.0, mat_norm(u) * mat_norm(cm) ** 2)
+    return residual <= residual_bound(tol, mat_norm(u) * mat_norm(cm) ** 2)
 
 
 def diagnostic_is_degenerate(c: CommutantOp, tol: float = DEFAULT_TOL) -> bool:
@@ -123,5 +122,5 @@ def diagnostic_is_degenerate(c: CommutantOp, tol: float = DEFAULT_TOL) -> bool:
     everything and carries no information."""
     cm = c.matrix
     eye = np.eye(cm.shape[0])
-    scale = max(1.0, mat_norm(cm))
-    return (mat_norm(cm - eye) <= tol * scale) or (mat_norm(cm + eye) <= tol * scale)
+    bound = residual_bound(tol, mat_norm(cm))
+    return (mat_norm(cm - eye) <= bound) or (mat_norm(cm + eye) <= bound)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientOverflow
-from .linalg import DEFAULT_TOL, eigendecompose
+from .linalg import DEFAULT_TOL, eigendecompose, residual_bound
 
 #: Squares of coefficients this large would still sum finitely in float range.
 OVERFLOW_LIMIT = 1e150
@@ -123,4 +123,4 @@ def oscillator_contrast(nmax: int, tol: float = DEFAULT_TOL) -> bool:
     are unit-normalized (the divergence is specific to position eigenstates)."""
     es = eigendecompose(oscillator_hamiltonian(nmax), tol)
     norms = np.linalg.norm(es.right, axis=0)
-    return bool(np.all(np.abs(norms - 1.0) <= tol * max(1.0, float(nmax))))
+    return bool(np.all(np.abs(norms - 1.0) <= residual_bound(tol, float(nmax))))

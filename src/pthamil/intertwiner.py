@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .antilinear import PTPhases, pt_gram
-from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm
+from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, check_tier, mat_norm, residual_bound
 from .spectra import SpectrumClass, SpectrumKind, spectral_scale
 
 
@@ -65,7 +65,7 @@ def build_metric(es: EigenSystem, cls: SpectrumClass, h,
     v = es.left[cls.partner].conj().T @ es.left
     v = 0.5 * (v + v.conj().T)
     positive = cls.kind is SpectrumKind.ALL_REAL and bool((np.linalg.eigvalsh(v) > 0.0).all())
-    hermitian = mat_norm(v - v.conj().T) <= tol * max(1.0, mat_norm(v))
+    hermitian = mat_norm(v - v.conj().T) <= residual_bound(tol, mat_norm(v))
     denom = mat_norm(v) * mat_norm(h)
     residual = mat_norm(v @ h - h.conj().T @ v) / denom if denom > 0.0 else 0.0
     return Intertwiner(v, positive, hermitian, float(residual))
@@ -78,9 +78,10 @@ def v_gram(
     p=None,
     phases: PTPhases | None = None,
     tol: float = DEFAULT_TOL,
+    p_intertwines: bool = False,
 ) -> NormReport:
     """Gram matrices of the Dirac, V, parity and PT-conjugate inner products,
-    with the flags of the V Gram's structure under ``cls``.
+    with the flags of their structure under ``cls``.
 
     The V Gram is checked against ``I[partner]``: the identity
     (``v_gram_identity``) or the pair swap (``v_gram_pair_swap`` and
@@ -88,8 +89,9 @@ def v_gram(
     evaluated on the given eigensystem; the PT-conjugate Gram, formed when
     both ``p`` and ``phases`` are given, uses the phase-fixed states
     ``phases`` carries (its diagonal is rephasing-invariant, so the two bases
-    give the same identities). The identities of the parity and PT Grams hold
-    only where P intertwines H, which the caller decides.
+    give the same identities). The identities of the parity and PT Grams,
+    ``p_gram_real`` and ``pt_gram_equals_v_gram``, are checked only where P
+    intertwines H: ``p_intertwines``, which the caller decides.
     """
     r = es.right
     dirac = r.conj().T @ r
@@ -106,6 +108,14 @@ def v_gram(
                  "v_gram_zero_diagonal_on_pairs": Flag(diag <= bound, diag, bound)}
     else:
         flags = {"v_gram_identity": Flag(res <= bound, res, bound)}
+    if p_intertwines and cls.kind is SpectrumKind.ALL_REAL:  # a real-spectrum theorem
+        above = np.abs(pnorm) > tol
+        res = float(np.abs(pnorm.imag[above]).max()) if above.any() else 0.0
+        threshold = residual_bound(tol, mat_norm(pnorm))
+        flags["p_gram_real"] = Flag(res <= threshold, res, threshold)
+    if p_intertwines and ptnorm is not None:
+        res = mat_norm(ptnorm - vnorm)
+        flags["pt_gram_equals_v_gram"] = Flag(res <= bound, res, bound)
     return NormReport(dirac, vnorm, pnorm, ptnorm, flags)
 
 
@@ -130,7 +140,7 @@ class TimeIndependence:
     ok: bool
 
 
-def verify_time_independence(values, gram0, times, tol: float = 1e-8) -> TimeIndependence:
+def verify_time_independence(values, gram0, times, tol=check_tier(DEFAULT_TOL)) -> TimeIndependence:
     """Evolve the V Gram ``gram0 = R^dagger V R`` of the eigenstates ``R``
     with energies ``values`` under ``exp(-iHt)``, and bound its drift, entry
     by entry.
@@ -141,7 +151,7 @@ def verify_time_independence(values, gram0, times, tol: float = 1e-8) -> TimeInd
     """
     values = np.asarray(values, dtype=complex)
     gram0 = as_matrix(gram0, "Gram")
-    threshold = tol * max(1.0, mat_norm(gram0))  # also the floor of a present entry
+    threshold = residual_bound(tol, mat_norm(gram0))  # also the floor of a present entry
     magnitude = np.abs(gram0)
     present = magnitude > threshold
     drift = np.zeros(gram0.shape, dtype=float)

@@ -17,6 +17,23 @@ from .errors import ConvergenceFailure, NonDiagonalizable
 #: Default relative tolerance for every comparison in the toolkit.
 DEFAULT_TOL = 1e-10
 
+
+def residual_bound(tol, scale):
+    """``tol * max(1.0, scale)``, the bound of every scaled residual; an array
+    scale gives one bound per entry (``np.maximum``: a NaN scale stays NaN)."""
+    return tol * (np.maximum(1.0, scale) if isinstance(scale, np.ndarray) else max(1.0, scale))
+
+
+def gram_tier(tol: float) -> float:
+    """``tol`` floored at 1e-9: the tolerance of the Gram-matrix and metric flags."""
+    return max(tol, 1e-9)
+
+
+def check_tier(tol: float) -> float:
+    """``tol`` floored at 1e-8: the tolerance of the structural checks."""
+    return max(tol, 1e-8)
+
+
 SIGMA0 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -61,14 +61,14 @@ def matrix_to_dict(m) -> dict:
 def matrix_from_dict(d, name: str = "matrix") -> np.ndarray:
     if not isinstance(d, dict) or "re" not in d:
         raise ParseError(f"{name}: expected an object with an 're' field")
-    re = np.asarray(d["re"], dtype=float) if _is_numeric_table(d["re"]) else None
-    if re is None or re.ndim != 2:
+    re = _float_table(d["re"])
+    if re is None:
         raise ParseError(f"{name}: 're' must be a rectangular table of numbers")
     im = d.get("im")
     if im is None:
         im = np.zeros_like(re)
     else:
-        im = np.asarray(im, dtype=float) if _is_numeric_table(im) else None
+        im = _float_table(im)
         if im is None or im.shape != re.shape:
             raise ParseError(f"{name}: 'im' must match the shape of 're'")
     dim = d.get("dim", re.shape[0])
@@ -82,14 +82,20 @@ def matrix_from_dict(d, name: str = "matrix") -> np.ndarray:
         raise ParseError(str(exc)) from exc
 
 
-def _is_numeric_table(rows) -> bool:
-    # JSON true/false load as bool, a subclass of int, and are not numbers;
-    # a row is checked by its set of entry types, not entry by entry
-    return isinstance(rows, list) and rows and all(
-        isinstance(r, list) and bool not in (types := set(map(type, r)))
-        and all(issubclass(t, (int, float)) for t in types)
-        for r in rows
-    )
+def _float_table(rows):
+    """``rows`` as a 2-D float array, or None unless it is a non-empty list of
+    equally long lists of numbers that fit a float. JSON true/false load as
+    bool, a subclass of int, and are not numbers; a row is checked by its set
+    of entry types, not entry by entry."""
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(r, list) and len(r) == len(rows[0])
+            and bool not in (types := set(map(type, r)))
+            and all(issubclass(t, (int, float)) for t in types) for r in rows)):
+        return None
+    try:
+        return np.asarray(rows, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
 
 
 def load_matrix(path: str) -> np.ndarray:

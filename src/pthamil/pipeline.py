@@ -32,7 +32,7 @@ from .errors import (
 from .fockdemo import truncated_position_matrix
 from .intertwiner import Flag, build_metric, v_gram, verify_time_independence
 from .jsontext import dumps
-from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, eigendecompose, identity, mat_norm
+from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, check_tier, eigendecompose, gram_tier, identity
 from .matio import load_matrix
 from .spectra import SpectrumKind, antilinear_symmetry_check, classify
 from .twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
@@ -265,8 +265,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     first.
     """
     tol = resolve_tol(cfg)
-    gram_tol = max(tol, 1e-9)
-    check_tol = max(gram_tol, 1e-8)
+    gram_tol, check_tol = gram_tier(tol), check_tier(tol)
     h, source_info = _load_hamiltonian(cfg)
     notes: list = []
 
@@ -309,7 +308,8 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             )
 
     itw = build_metric(es, cls, h, tol)
-    norm_report = v_gram(es, itw, cls, p=p, phases=phases, tol=gram_tol)
+    norm_report = v_gram(es, itw, cls, p=p, phases=phases, tol=gram_tol,
+                         p_intertwines=p_intertwines)
 
     # the C signs: the given ones, else the defaults, else None with the reason
     if not real_case:
@@ -347,16 +347,6 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
 
     tic = verify_time_independence(es.values, norm_report.vnorm, cfg.times, check_tol)
     flags = dict(norm_report.flags)
-    if p_intertwines:  # the parity and PT Gram identities need P to intertwine H
-        if real_case:  # the reality of the parity overlaps is a real-spectrum theorem
-            pnorm = norm_report.pnorm
-            above = np.abs(pnorm) > gram_tol
-            res = float(np.abs(pnorm.imag[above]).max()) if above.any() else 0.0
-            threshold = gram_tol * max(1.0, mat_norm(pnorm))
-            flags["p_gram_real"] = Flag(res <= threshold, res, threshold)
-        if phases is not None:
-            res = mat_norm(norm_report.ptnorm - norm_report.vnorm)
-            flags["pt_gram_equals_v_gram"] = Flag(res <= gram_tol * es.dim, res, gram_tol * es.dim)
     flags["metric_intertwines"] = Flag(itw.residual <= gram_tol, itw.residual, gram_tol)
     flags["time_independent"] = Flag(bool(tic.passed.all()), tic.max_drift, check_tol)
 
@@ -468,7 +458,7 @@ def _batch_entry(path: str, base_cfg: AnalysisConfig | None, reports: bool = Tru
     except PTHamilError as exc:
         return {"path": path, "error": error_entry(exc)}
     if reports:
-        return {"path": path, "report": report.to_dict()}
+        return {"path": path, "report": report}
     failed = sorted(name for name, flag in report.flags.items() if not flag["passed"])
     return {"path": path, "failed_flags": failed} if failed else {"path": path}
 
@@ -477,13 +467,14 @@ def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = Non
               reports: bool = True) -> list:
     """Analyze many files; output order always matches input order.
 
-    Each entry is ``{"path": ..., "report": ...}`` for a file whose analysis
-    succeeded and ``{"path": ..., "error": ...}`` (an ``error_entry``) for one
-    that failed. With ``reports=False`` a success is ``{"path": ...}``, plus
+    Each entry is ``{"path": ..., "report": ...}``, with the
+    :class:`AnalysisReport`, for a file whose analysis succeeded and
+    ``{"path": ..., "error": ...}`` (an ``error_entry``) for one that failed.
+    With ``reports=False`` a success is ``{"path": ...}``, plus
     ``"failed_flags"`` (their sorted names) when any flag failed: every file is
-    still fully analyzed, so the same files fail, but no report is converted,
-    sent back from a worker or kept. ``batch --format text`` asks for statuses
-    only; ``batch --format json`` prints the full reports.
+    still fully analyzed, so the same files fail, but no report is sent back
+    from a worker or kept. ``batch --format text`` asks for statuses only;
+    ``batch --format json`` prints the full reports.
 
     With one worker (``parallelism == 1`` or a single file) the files are
     analyzed in this process. Otherwise ``min(parallelism, len(paths))``

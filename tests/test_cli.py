@@ -239,6 +239,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "analyze", "--file", str(path))
         assert code == 2
 
+    def test_ragged_json_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "ragged.json"
+        path.write_text('{"re": [[1, 2], [3, 4]], "im": [[0, 1], [2]]}')
+        code, _, err = run_cli(capsys, "analyze", "--file", str(path))
+        assert code == 2
+        assert err == f"error: {path}: 'im' must match the shape of 're'\n"
+
     def test_missing_model_parameters(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--model", "two-level")
         assert code == 2
@@ -394,6 +401,19 @@ class TestBatchCommand:
         lines = out.splitlines()
         assert lines[0] == f"{good}: ok" and lines[2] == f"{good}: ok"
         assert lines[1].startswith(f"{bad}: error: {bad}: not UTF-8 text")
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_ragged_json_is_one_error_line(self, capsys, tmp_path, parallelism):
+        good = tmp_path / "ok.csv"
+        save_matrix(str(good), hamiltonian(TwoLevelModel(5, 3)))
+        ragged = tmp_path / "ragged.json"
+        ragged.write_text('{"re": [[1, 2], [3]]}')
+        code, out, _ = run_cli(capsys, "batch", str(good), str(ragged),
+                               "--parallelism", parallelism, "--format", "text")
+        assert code == 1
+        assert out.splitlines() == [
+            f"{good}: ok",
+            f"{ragged}: error: {ragged}: 're' must be a rectangular table of numbers"]
 
     def test_empty_batch(self, capsys):
         code, out, _ = run_cli(capsys, "batch")

@@ -183,6 +183,14 @@ class TestVGram:
         assert np.allclose(report.pnorm, np.diag([1.0, -1.0]), atol=1e-12)
         assert report.flags["v_gram_identity"].passed
 
+    @pytest.mark.parametrize("p_intertwines", [False, True])
+    def test_parity_flags_only_where_p_intertwines(self, p_intertwines):
+        h, es, cls = _system(5, 3)
+        itw = build_metric(es, cls, h)
+        report = v_gram(es, itw, cls, p=SIGMA1, tol=1e-9, p_intertwines=p_intertwines)
+        assert ("p_gram_real" in report.flags) is p_intertwines
+        assert all(flag.passed for flag in report.flags.values())
+
     def test_hermitian_all_identities(self):
         h = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
         es = eigendecompose(h)

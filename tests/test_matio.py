@@ -109,6 +109,24 @@ def test_non_numeric_entries_rejected(d):
         matrix_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"re": [[1, 2], [3]]}', "'re' must be a rectangular table"),
+        ('{"re": [[1], [2, 3]]}', "'re' must be a rectangular table"),
+        ('{"re": [[1, 2], [3, 4]], "im": [[0, 1], [2]]}', "'im' must match the shape"),
+        ('{"re": [[1, 0], [0, 1%s]]}' % ("0" * 400), "'re' must be a rectangular table"),
+    ],
+    ids=["ragged-re-short-last", "ragged-re-short-first", "ragged-im", "int-beyond-float"],
+)
+def test_json_table_not_rectangular_numbers(tmp_path, text, message):
+    # numpy raises ValueError (inhomogeneous shape) or OverflowError on these
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{path}: {message}"):
+        load_matrix(str(path))
+
+
 def test_non_utf8_file(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("1,2\n3,\u00e9\n".encode("latin-1"))

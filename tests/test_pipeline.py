@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -576,6 +577,42 @@ class TestBatch:
         assert dict(os.environ) == before
 
 
+#: a JSON table cell: numbers (NaN, infinities and an integer beyond the float
+#: range among them), bools, strings and null
+_JSON_CELLS = st.one_of(st.integers(-3, 3), st.floats(), st.just(10**400), st.booleans(),
+                        st.text(max_size=2), st.none())
+_JSON_TABLES = st.lists(st.lists(_JSON_CELLS, max_size=3), max_size=3)
+_BAD_JSON = st.fixed_dictionaries(
+    {"re": _JSON_TABLES},
+    optional={"im": _JSON_TABLES, "dim": st.one_of(st.integers(-1, 4), st.floats(), st.text(max_size=2),
+                                                   st.booleans(), st.none())},
+).map(lambda d: json.dumps(d).encode())
+_CSV_CELLS = st.sampled_from(["1", "-2i", "1+i", "0.5", "", "x", "nan", "inf", "1e400", "true"])
+_BAD_CSV = st.lists(st.lists(_CSV_CELLS, min_size=1, max_size=3), max_size=3).map(
+    lambda rows: "\n".join(",".join(r) for r in rows).encode())
+_BAD_FILES = st.lists(st.one_of(
+    st.tuples(st.just(".json"), _BAD_JSON),
+    st.tuples(st.just(".csv"), _BAD_CSV),
+    st.tuples(st.sampled_from([".json", ".csv", ".txt"]), st.binary(max_size=16)),
+), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_BAD_FILES)
+def test_batch_never_raises_on_a_bad_file(files):
+    """``run_batch`` turns every malformed file into its own entry: ragged
+    ``re``/``im`` rows, bool and string cells, NaN and infinities, a wrong or
+    non-integer ``dim``, empty files, random bytes and ragged CSV."""
+    with tempfile.TemporaryDirectory() as root:
+        paths = []
+        for k, (ext, content) in enumerate(files):
+            paths.append(os.path.join(root, f"f{k}{ext}"))
+            with open(paths[-1], "wb") as fh:
+                fh.write(content)
+        entries = run_batch(paths, reports=False)
+    assert [e["path"] for e in entries] == paths
+
+
 def _split_floats(obj):
     """The structure of ``obj`` with every float replaced by None, and the
     floats in order."""
@@ -611,10 +648,10 @@ class TestBatchWorkers:
         base = AnalysisConfig(source_path="-", p_spec="alternating", t_spec="k") if frame else None
         serial = run_batch(files, parallelism=1, base_cfg=base)
         parallel = run_batch(files, parallelism=2, base_cfg=base)
-        assert [e["report"]["spectrum"]["kind"] for e in serial] == ["all_real", "conjugate_pairs"]
+        assert [e["report"].spectrum["kind"] for e in serial] == ["all_real", "conjugate_pairs"]
         for one, other in zip(serial, parallel):
-            shape, floats = _split_floats(one)
-            other_shape, other_floats = _split_floats(other)
+            shape, floats = _split_floats(dict(one, report=one["report"].to_dict()))
+            other_shape, other_floats = _split_floats(dict(other, report=other["report"].to_dict()))
             assert shape == other_shape
             assert np.allclose(other_floats, floats, rtol=1e-8, atol=1e-10)
 
