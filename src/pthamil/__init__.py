@@ -46,10 +46,8 @@ from .fockdemo import (
 from .intertwiner import (
     Intertwiner,
     NormReport,
-    TimeIndependence,
     build_metric,
     v_gram,
-    verify_time_independence,
 )
 from .linalg import (
     DEFAULT_TOL,

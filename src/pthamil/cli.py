@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``analyze``, ``batch``, ``two-level``, ``fock-demo``, ``evolve``.
+Subcommands: ``analyze``, ``batch``, ``two-level``, ``fock-demo``.
 Exit codes: 0 success, 2 parse/configuration error, 3 no antilinear symmetry,
 4 exceptional point, 1 anything else. Floats print to 12 significant digits,
 residuals in scientific notation. ``PTHAMIL_TOL`` overrides the default
@@ -14,13 +14,12 @@ import sys
 
 import numpy as np
 
-from .errors import PTHamilError
+from .errors import ParseError, PTHamilError
 from .fockdemo import divergence_witness, expand_position_state, oscillator_contrast
 from .jsontext import dumps
 from .matio import format_complex_cell
 from .pipeline import (
     AnalysisConfig,
-    DEFAULT_TIMES,
     EXIT_OK,
     AnalysisReport,
     emit_report,
@@ -98,7 +97,7 @@ def _render_text(report: AnalysisReport) -> None:
     _print_section("metric V")
     v = report.v
     print(_fmt_matrix(v))
-    print(f"  hermitian: {v['hermitian']}  positive: {v['positive']}"
+    print(f"  positive: {v['positive']}"
           f"  intertwining residual: {_fmt_res(v['residual'])}")
     _print_section("gram matrices")
     for name in ("dirac", "v", "p", "pt"):
@@ -121,12 +120,6 @@ def _render_text(report: AnalysisReport) -> None:
     _print_section("diagnostic")
     diag = report.diagnostic
     print(f"  {diag if isinstance(diag, str) else 'skipped: ' + diag['skipped']}")
-    _print_section("time independence")
-    ti = report.time_independence
-    print(f"  times: {[_fmt(t) for t in ti['times']]}")
-    print(f"  max drift: {_fmt_res(ti['max_drift'])}")
-    if report.selection_rule_violations:
-        print(f"  selection-rule violations: {report.selection_rule_violations}")
     _print_section("flags")
     for name, flag in sorted(report.flags.items()):
         status = "pass" if flag["passed"] else "FAIL"
@@ -145,7 +138,6 @@ def _render_csv(report: AnalysisReport) -> None:
         print(f"eigen,value_{i},{format_complex_cell(complex(re, im))}")
     for i, row in enumerate(_matrix_cells(report.v)):
         print(f"V,row_{i},\"{','.join(row)}\"")
-    print(f"time_independence,max_drift,{_fmt_res(report.time_independence['max_drift'])}")
     for name, flag in sorted(report.flags.items()):
         print(f"flags,{name},{'pass' if flag['passed'] else 'fail'}")
 
@@ -159,28 +151,17 @@ def _emit(report: AnalysisReport, output: str) -> None:
         _render_text(report)
 
 
-def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        group = sub.add_mutually_exclusive_group(required=True)
-        group.add_argument("--file", help="Hamiltonian matrix file (JSON or CSV)")
-        group.add_argument("--model", choices=("two-level", "fock-x"),
-                           help="builtin model instead of a file")
-        sub.add_argument("--alpha", type=float, help="two-level parameter alpha")
-        sub.add_argument("--beta", type=float, help="two-level parameter beta")
-        sub.add_argument("--nmax", type=int, help="fock-x truncation size")
-        sub.add_argument("--p", dest="p_spec",
-                         help="parity matrix: file, builtin (sigma1|sigma2|sigma3|identity|alternating), or 'none'")
-        sub.add_argument("--t", dest="t_spec",
-                         help="time reversal: file holding u of v->u*conj(v), or builtin (k|ki|kisigma1)")
-        sub.add_argument("--c-signs", help="comma-separated +-1 weights for the C operator")
-    sub.add_argument("--tol", type=float, help="tolerance override (default 1e-10 or PTHAMIL_TOL)")
-    sub.add_argument("--format", dest="output", choices=("text", "json", "csv"), default="text")
+def _c_signs(text: str) -> tuple:
+    signs = []
+    for token in text.split(","):
+        try:
+            signs.append(int(token))
+        except ValueError:
+            raise ParseError(f"--c-signs: {token!r} is not an integer") from None
+    return tuple(signs)
 
 
 def _config_from_args(args) -> AnalysisConfig:
-    c_signs = None
-    if getattr(args, "c_signs", None):
-        c_signs = tuple(int(s) for s in args.c_signs.split(","))
     return AnalysisConfig(
         source_path=args.file,
         model=args.model,
@@ -190,8 +171,7 @@ def _config_from_args(args) -> AnalysisConfig:
         p_spec=args.p_spec,
         t_spec=args.t_spec,
         tol=args.tol,
-        times=tuple(args.times) if getattr(args, "times", None) else DEFAULT_TIMES,
-        c_signs=c_signs,
+        c_signs=_c_signs(args.c_signs) if args.c_signs else None,
         output=args.output,
     )
 
@@ -205,9 +185,20 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     analyze = subs.add_parser("analyze", help="full analysis of one Hamiltonian")
-    _add_common(analyze)
-    analyze.add_argument("--times", type=float, nargs="+",
-                         help=f"evolution time samples (default {list(DEFAULT_TIMES)})")
+    source = analyze.add_mutually_exclusive_group(required=True)
+    source.add_argument("--file", help="Hamiltonian matrix file (JSON or CSV)")
+    source.add_argument("--model", choices=("two-level", "fock-x"),
+                        help="builtin model instead of a file")
+    analyze.add_argument("--alpha", type=float, help="two-level parameter alpha")
+    analyze.add_argument("--beta", type=float, help="two-level parameter beta")
+    analyze.add_argument("--nmax", type=int, help="fock-x truncation size")
+    analyze.add_argument("--p", dest="p_spec",
+                         help="parity matrix: file, builtin (sigma1|sigma2|sigma3|identity|alternating), or 'none'")
+    analyze.add_argument("--t", dest="t_spec",
+                         help="time reversal: file holding u of v->u*conj(v), or builtin (k|ki|kisigma1)")
+    analyze.add_argument("--c-signs", help="comma-separated +-1 weights for the C operator")
+    analyze.add_argument("--tol", type=float, help="tolerance override (default 1e-10 or PTHAMIL_TOL)")
+    analyze.add_argument("--format", dest="output", choices=("text", "json", "csv"), default="text")
 
     batch = subs.add_parser("batch", help="analyze many matrix files")
     batch.add_argument("paths", nargs="*", help="matrix files")
@@ -226,10 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     fock.add_argument("--nmax", type=int, default=2000)
     fock.add_argument("--csv", help="write the coefficient table to this CSV file")
     fock.add_argument("--format", dest="output", choices=("text", "json"), default="text")
-
-    evolve = subs.add_parser("evolve", help="time-independence check of the V inner product")
-    _add_common(evolve)
-    evolve.add_argument("--times", type=float, nargs="+", required=True)
     return parser
 
 
@@ -327,37 +314,11 @@ def _cmd_fock_demo(args) -> int:
     return EXIT_OK
 
 
-def _cmd_evolve(args) -> int:
-    report = run_analyze(_config_from_args(args))
-    payload = {
-        "times": report.time_independence["times"],
-        "max_drift": report.time_independence["max_drift"],
-        "max_zero_entry_shadow": report.time_independence["max_zero_entry_shadow"],
-        "selection_rule_violations": report.selection_rule_violations,
-        "flags": {"time_independent": report.flags["time_independent"]},
-    }
-    if args.output == "json":
-        print(dumps(payload))
-        return EXIT_OK
-    print(f"times: {[_fmt(t) for t in payload['times']]}")
-    print(f"max drift of <R_n(t)|V|R_m(t)>: {_fmt_res(payload['max_drift'])}")
-    if payload["max_zero_entry_shadow"] > 0.0:
-        print(f"amplified shadow of zero entries: {_fmt_res(payload['max_zero_entry_shadow'])}"
-              " (precision dust scaled by mode growth, not drift)")
-    flag = payload["flags"]["time_independent"]
-    print(f"time independent: {'pass' if flag['passed'] else 'FAIL'}"
-          f" (threshold {_fmt_res(flag['threshold'])})")
-    if payload["selection_rule_violations"]:
-        print(f"selection-rule violations: {payload['selection_rule_violations']}")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "batch": _cmd_batch,
     "two-level": _cmd_two_level,
     "fock-demo": _cmd_fock_demo,
-    "evolve": _cmd_evolve,
 }
 
 

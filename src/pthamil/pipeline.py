@@ -30,7 +30,7 @@ from .errors import (
     UnpairedComplexEigenvalue,
 )
 from .fockdemo import truncated_position_matrix
-from .intertwiner import Flag, build_metric, v_gram, verify_time_independence
+from .intertwiner import Flag, build_metric, v_gram
 from .jsontext import dumps
 from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, check_tier, eigendecompose, gram_tier, identity
 from .matio import load_matrix
@@ -39,8 +39,6 @@ from .twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
 
 #: Environment variable overriding the default tolerance.
 TOL_ENV_VAR = "PTHAMIL_TOL"
-
-DEFAULT_TIMES = (0.0, 0.5, 1.7, 4.3)
 
 _P_BUILTINS = {
     "sigma1": lambda dim: _require_dim(SIGMA1, dim, "sigma1"),
@@ -76,7 +74,6 @@ class AnalysisConfig:
     p_spec: str | None = None
     t_spec: str | None = None
     tol: float | None = None
-    times: tuple = DEFAULT_TIMES
     c_signs: tuple | None = None
     output: str = "text"
 
@@ -91,9 +88,6 @@ class AnalysisConfig:
             raise ValueError("tolerance must be finite")
         if self.output not in ("text", "json", "csv"):
             raise ValueError(f"unknown output format {self.output!r}")
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        if not np.all(np.isfinite(self.times)):
-            raise ValueError("times must be finite")
         if self.c_signs is not None and len(self.c_signs) == 0:
             object.__setattr__(self, "c_signs", None)  # no signs given: the defaults
 
@@ -200,8 +194,6 @@ class AnalysisReport:
     pv: dict
     c: dict
     diagnostic: str | dict
-    time_independence: dict
-    selection_rule_violations: list
     flags: dict
     notes: list
 
@@ -220,8 +212,6 @@ class AnalysisReport:
             "pv": self.pv,
             "c": self.c,
             "diagnostic": self.diagnostic,
-            "time_independence": self.time_independence,
-            "selection_rule_violations": self.selection_rule_violations,
             "flags": self.flags,
             "notes": self.notes,
         }
@@ -252,7 +242,7 @@ def parse_report(text: str) -> AnalysisReport:
 
 def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     """Run the full pipeline: classify, build the metric and its Gram matrices,
-    then the parity-dependent sections, the diagnostic, and time independence.
+    then the parity-dependent sections and the diagnostic.
 
     Raises ParseError for an unreadable input or frame (before the rest),
     NonDiagonalizable at an exceptional point, and UnpairedComplexEigenvalue
@@ -307,7 +297,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
                 "recombined into a PT eigenbasis; all sections use that basis"
             )
 
-    itw = build_metric(es, cls, h, tol)
+    itw = build_metric(es, cls, h)
     norm_report = v_gram(es, itw, cls, p=p, phases=phases, tol=gram_tol,
                          p_intertwines=p_intertwines)
 
@@ -345,10 +335,8 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             if diagnostic_is_degenerate(commutant, tol):
                 notes.append("diagnostic degenerate: C is proportional to the identity")
 
-    tic = verify_time_independence(es.values, norm_report.vnorm, cfg.times, check_tol)
     flags = dict(norm_report.flags)
     flags["metric_intertwines"] = Flag(itw.residual <= gram_tol, itw.residual, gram_tol)
-    flags["time_independent"] = Flag(bool(tic.passed.all()), tic.max_drift, check_tol)
 
     return AnalysisReport(
         provenance={
@@ -356,10 +344,9 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "version": __version__,
             "source": source_info,
             "tol": tol,
-            "times": list(cfg.times),
             "p": p_spec,
             "t": t_spec,
-            "schema": 2,  # version of the report layout
+            "schema": 3,  # version of the report layout
         },
         spectrum={
             "kind": cls.kind.value,
@@ -376,7 +363,6 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         },
         v=dict(
             _matrix(itw.v),
-            hermitian=bool(itw.hermitian),
             positive=bool(itw.positive),
             residual=float(itw.residual),
         ),
@@ -390,12 +376,6 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         pv=pv_section,
         c=c_section,
         diagnostic=diagnostic,
-        time_independence={
-            "times": list(tic.times),
-            "max_drift": tic.max_drift,
-            "max_zero_entry_shadow": tic.max_shadow,
-        },
-        selection_rule_violations=[list(vio) for vio in tic.selection_violations],
         flags={
             name: {"passed": bool(f.passed), "residual": float(f.residual),
                    "threshold": float(f.threshold)}
@@ -451,7 +431,6 @@ def _batch_entry(path: str, base_cfg: AnalysisConfig | None, reports: bool = Tru
         p_spec=base_cfg.p_spec if base_cfg else None,
         t_spec=base_cfg.t_spec if base_cfg else None,
         tol=base_cfg.tol if base_cfg else None,
-        times=base_cfg.times if base_cfg else DEFAULT_TIMES,
     )
     try:
         report = run_analyze(cfg)

@@ -16,7 +16,7 @@ from pthamil.antilinear import calibrate, pt_gram
 from pthamil.cpt import build_c, build_pv, c_commutes_with_pt
 from pthamil.errors import NonDiagonalizable, UnpairedComplexEigenvalue
 from pthamil.fockdemo import divergence_witness
-from pthamil.intertwiner import build_metric, v_gram, verify_time_independence
+from pthamil.intertwiner import build_metric, v_gram
 from pthamil.linalg import eigendecompose
 from pthamil.pipeline import AnalysisConfig, run_analyze
 from pthamil.spectra import SpectrumKind, classify
@@ -28,7 +28,9 @@ from testutil import (
     random_unitary,
     rng,
     scaled_coefficient_exact,
+    selection_rule_violations,
     squared_terms_exact,
+    v_gram_drift,
 )
 
 
@@ -90,7 +92,7 @@ def test_criterion_2_randomized_metric_existence():
                 assert float(np.min(np.linalg.eigvalsh(itw.v))) > 0.0
             else:
                 count_pairs += 1
-                assert itw.hermitian
+                assert np.array_equal(itw.v, itw.v.conj().T)
                 gram = es.right.conj().T @ itw.v @ es.right
                 for pair in cls.pairs:
                     for index in pair:
@@ -100,24 +102,27 @@ def test_criterion_2_randomized_metric_existence():
 
 def test_criterion_3_time_independence_and_selection_rule():
     with criterion("3 time independence and selection rule"):
+        # oracle: the V Gram of the eigenvectors evolved by the dense
+        # propagator exp(-iHt); the selection rule read from that Gram and
+        # the eigenvalues
         times = (0.0, 0.5, 1.7, 4.3)
         for alpha, beta in ((5.0, 3.0), (3.0, 5.0)):
             h = hamiltonian(TwoLevelModel(alpha, beta))
             es = eigendecompose(h)
             cls = classify(es)
-            gram = v_gram(es, build_metric(es, cls, h), cls).vnorm
-            tic = verify_time_independence(es.values, gram, times, tol=1e-8)
-            assert tic.max_drift <= 1e-8
-            assert tic.selection_violations == ()
+            itw = build_metric(es, cls, h)
+            gram = v_gram(es, itw, cls).vnorm
+            assert v_gram_drift(h, es.right, itw.v, times, digits=40) <= 1e-8
+            assert selection_rule_violations(es.values, gram, 1e-8) == []
         generator = rng(1003)
         for _ in range(100):
             h = random_real(generator, 6, unit_radius=True)
             es = eigendecompose(h)
             cls = classify(es)
-            gram = v_gram(es, build_metric(es, cls, h), cls).vnorm
-            tic = verify_time_independence(es.values, gram, times, tol=1e-8)
-            assert tic.max_drift <= 1e-8
-            assert tic.selection_violations == ()
+            itw = build_metric(es, cls, h)
+            gram = v_gram(es, itw, cls).vnorm
+            assert v_gram_drift(h, es.right, itw.v, times) <= 1e-8
+            assert selection_rule_violations(es.values, gram, 1e-8) == []
             if cls.kind is SpectrumKind.CONJUGATE_PAIRS:
                 floor = 1e-8 * max(1.0, np.linalg.norm(gram))
                 for n in range(6):

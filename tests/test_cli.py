@@ -6,7 +6,6 @@ import io
 import json
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -266,12 +265,12 @@ class TestExitCodes:
         ["--file", "h.csv", "--p", "none", "--t", "k"],
         ["--model", "two-level", "--alpha", "5", "--beta", "3", "--p", "none", "--t", "kisigma1"],
     ], ids=["file", "file-p-none", "two-level-p-none"])
-    @pytest.mark.parametrize("command", ["analyze", "evolve"])
+    @pytest.mark.parametrize("command", ["analyze"])
     def test_time_reversal_without_parity_rejected(self, capsys, tmp_path, monkeypatch,
                                                    command, frame):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "h.csv").write_text("1,2\n2,1\n")
-        code, out, _ = run_cli(capsys, command, *frame, "--times", "0", "1", "--format", "json")
+        code, out, _ = run_cli(capsys, command, *frame, "--format", "json")
         assert code == 2
         error = json.loads(out)["error"]
         assert error["type"] == "ParseError"
@@ -315,17 +314,17 @@ class TestExitCodes:
         assert err == "error: PTHAMIL_TOL is not a number: 'bogus'\n"
 
     @pytest.mark.parametrize("output", ["text", "json"])
-    @pytest.mark.parametrize("times", [["nan"], ["inf", "1"]])
-    @pytest.mark.parametrize("command", ["analyze", "evolve"])
-    def test_non_finite_times_rejected(self, capsys, command, times, output):
-        code, out, err = run_cli(capsys, command, "--model", "two-level", "--alpha", "5",
-                                 "--beta", "3", "--times", *times, "--format", output)
+    @pytest.mark.parametrize("signs, token", [("1,x", "x"), ("1,,-1", ""), ("+1,1.0", "1.0")])
+    def test_unparseable_c_signs_named(self, capsys, signs, token, output):
+        code, out, err = run_cli(capsys, "analyze", "--model", "two-level", "--alpha", "5",
+                                 "--beta", "3", "--c-signs", signs, "--format", output)
+        message = f"--c-signs: {token!r} is not an integer"
         assert code == 2
         if output == "json":
-            assert (json.loads(out), err) == ({"error": {"type": "ValueError", "exit_code": 2,
-                                                         "message": "times must be finite"}}, "")
+            assert (json.loads(out), err) == ({"error": {"type": "ParseError", "exit_code": 2,
+                                                         "message": message}}, "")
         else:
-            assert (out, err) == ("", "error: times must be finite\n")
+            assert (out, err) == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--model", "two-level", "--alpha", "5", "--beta", "3", "--tol", "inf"],
@@ -343,14 +342,6 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *command, "--alpha", "5", "--beta", "3")
         assert code == 2
         assert (out, err) == ("", "error: PTHAMIL_TOL must be finite, got 'inf'\n")
-
-    @pytest.mark.parametrize("command", ["analyze", "evolve"])
-    def test_empty_times_is_usage_error(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--model", "two-level", "--alpha", "3", "--beta", "1", "--times"])
-        assert exc.value.code == 2
-        _, err = capsys.readouterr()
-        assert "--times: expected at least one argument" in err
 
     @pytest.mark.parametrize("x", ["nan", "inf"])
     @pytest.mark.parametrize("nmax", ["10", "60"])
@@ -523,37 +514,3 @@ class TestFockDemoCommand:
         assert payload["fitted_tail_exponent"] > -1.0
         assert payload["oscillator_contrast"] is True
 
-
-class TestEvolveCommand:
-    def test_real_phase(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "evolve", "--model", "two-level", "--alpha", "5", "--beta", "3",
-            "--times", "0", "0.7", "3.1", "--format", "json",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["max_drift"] <= 1e-8
-        assert payload["selection_rule_violations"] == []
-
-    def test_complex_phase(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "evolve", "--model", "two-level", "--alpha", "3", "--beta", "5",
-            "--times", "0", "0.5", "1.7", "4.3", "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["max_drift"] <= 1e-8
-
-    @pytest.mark.parametrize("horizon", ["180", "1e4"])
-    def test_long_times_pass_without_warnings(self, capsys, horizon):
-        # each pair mode grows as e^{4t}: the modes' own phases overflow from
-        # t ~ 177 on, the cross-pair entries' factors never do
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, _ = run_cli(
-                capsys, "evolve", "--model", "two-level", "--alpha", "3", "--beta", "5",
-                "--times", "0", horizon, "--format", "json",
-            )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["flags"]["time_independent"]["passed"]
-        assert payload["max_drift"] <= 1e-8

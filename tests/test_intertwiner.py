@@ -1,6 +1,5 @@
 """Tests for similarity construction, the metric, Gram reports, and evolution."""
 
-import warnings
 
 import numpy as np
 import pytest
@@ -10,15 +9,11 @@ from hypothesis import strategies as st
 
 from pthamil.antilinear import calibrate
 from pthamil.errors import NonDiagonalizable, UnpairedComplexEigenvalue
-from pthamil.intertwiner import (
-    build_metric,
-    v_gram,
-    verify_time_independence,
-)
+from pthamil.intertwiner import Intertwiner, build_metric, v_gram
 from pthamil.linalg import SIGMA1, eigendecompose, identity, quarter_turn
 from pthamil.spectra import SpectrumKind, classify
 from pthamil.twolevel import TwoLevelModel, closed_forms, hamiltonian
-from testutil import pa_matrix, random_real, rng
+from testutil import pa_matrix, random_real, rng, selection_rule_violations, v_gram_drift
 
 
 def _system(alpha, beta):
@@ -27,13 +22,6 @@ def _system(alpha, beta):
     cls = classify(es)
     es = calibrate(es, cls, SIGMA1, None, True)[0]  # a pair spectrum comes back as is
     return h, es, cls
-
-
-def _evolve(es, v, times, tol=1e-8):
-    """``verify_time_independence`` of the V Gram ``R^dagger V R`` of ``es``,
-    and that Gram."""
-    gram0 = es.right.conj().T @ v @ es.right
-    return verify_time_independence(es.values, gram0, times, tol), gram0
 
 
 def _pa(generator, n, shift):
@@ -92,7 +80,7 @@ class TestBuildMetric:
         h, es, cls = _system(5, 3)
         itw = build_metric(es, cls, h)
         assert np.allclose(itw.v, np.diag([0.5, 2.0]), atol=1e-12)
-        assert itw.positive and itw.hermitian
+        assert itw.positive and np.array_equal(itw.v, itw.v.conj().T)
         assert itw.residual <= 1e-12
         # V = S^dagger S for the similarity S = L of this eigensystem
         s = es.left
@@ -123,7 +111,7 @@ class TestBuildMetric:
     def test_complex_pair_metric(self):
         h, es, cls = _system(3, 5)
         itw = build_metric(es, cls, h)
-        assert itw.hermitian and not itw.positive
+        assert np.array_equal(itw.v, itw.v.conj().T) and not itw.positive
         assert itw.residual <= 1e-12
         h_dag = h.conj().T
         assert np.allclose(itw.v @ h @ np.linalg.inv(itw.v), h_dag, atol=1e-10)
@@ -191,6 +179,26 @@ class TestVGram:
         assert ("p_gram_real" in report.flags) is p_intertwines
         assert all(flag.passed for flag in report.flags.values())
 
+    def test_one_entry_between_the_bounds_fails_v_gram_entries(self):
+        # above n = 100 the Frobenius bound tol * n of v_gram_identity admits
+        # one off-partner entry above the check-tier floor 1e-8 * ||G||
+        n = 200
+        h = pa_matrix(rng(48), n, definite=True)
+        es = eigendecompose(h)
+        cls = classify(es)
+        itw = build_metric(es, cls, h)
+        flags = v_gram(es, itw, cls, tol=1e-9).flags
+        floor, bound = flags["v_gram_entries"].threshold, flags["v_gram_identity"].threshold
+        assert all(flag.passed for flag in flags.values()) and floor < bound
+        entry = 0.5 * (floor + bound)
+        bump = np.zeros((n, n))
+        bump[0, 1] = entry  # R^dagger L^dagger bump L R = bump, as L R = I
+        v = itw.v + es.left.conj().T @ bump @ es.left
+        flags = v_gram(es, Intertwiner(v, False, itw.residual), cls, tol=1e-9).flags
+        assert flags["v_gram_identity"].passed
+        assert not flags["v_gram_entries"].passed
+        assert abs(flags["v_gram_entries"].residual - entry) <= 1e-6 * entry
+
     def test_hermitian_all_identities(self):
         h = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
         es = eigendecompose(h)
@@ -209,132 +217,70 @@ class TestVGram:
 
 
 class TestTimeIndependence:
+    # oracle: the V Gram of the eigenvectors evolved by the dense propagator
+    # exp(-iHt) (testutil.v_gram_drift), and the selection rule read from the
+    # V Gram and the eigenvalues (testutil.selection_rule_violations)
+
     def test_two_level_real_phase_constant(self):
-        # oracle: independent dense propagator from scipy.linalg.expm
         h, es, cls = _system(5, 3)
         itw = build_metric(es, cls, h)
-        times = (0.0, 0.7, 3.1)
-        tic, gram0 = _evolve(es, itw.v, times)
-        assert tic.ok and tic.max_drift <= 1e-10
-        for t in times:
-            u = scipy.linalg.expm(-1j * h * t)
-            evolved = u @ es.right
-            gram = evolved.conj().T @ itw.v @ evolved
-            assert np.allclose(gram, gram0, atol=1e-10)
+        assert v_gram_drift(h, es.right, itw.v, (0.0, 0.7, 3.1)) <= 1e-10
 
     def test_complex_phase_selection_rule(self):
         h, es, cls = _system(3, 5)
         itw = build_metric(es, cls, h)
-        tic, gram0 = _evolve(es, itw.v, (0.0, 0.5, 1.7, 4.3))
-        assert tic.ok
-        assert tic.selection_violations == ()
+        gram0 = v_gram(es, itw, cls).vnorm
+        assert selection_rule_violations(es.values, gram0, 1e-8) == []
+        present = np.abs(gram0) > 1e-8 * max(1.0, np.linalg.norm(gram0))
         n_plus, n_minus = cls.pairs[0]
-        assert not tic.present[n_plus, n_plus]
-        assert not tic.present[n_minus, n_minus]
-        assert tic.present[n_plus, n_minus] and tic.present[n_minus, n_plus]
-        # moderate-time cross-check against the dense propagator
-        u = scipy.linalg.expm(-1j * h * 0.3)
-        evolved = u @ es.right
-        gram = evolved.conj().T @ itw.v @ evolved
-        assert abs(gram[n_plus, n_minus] - gram0[n_plus, n_minus]) <= 1e-9
+        assert not present[n_plus, n_plus]
+        assert not present[n_minus, n_minus]
+        assert present[n_plus, n_minus] and present[n_minus, n_plus]
+        assert v_gram_drift(h, es.right, itw.v, (0.0, 0.5, 1.7, 4.3), digits=40) <= 1e-8
+        # float64 resolves the pair at moderate times
+        assert v_gram_drift(h, es.right, itw.v, (0.3,)) <= 1e-9
 
     @pytest.mark.parametrize("seed,n", [(1, 2), (2, 5), (3, 8)])
     def test_selection_violations_match_entry_loop(self, seed, n):
         # the Dirac product (V = I) breaks the selection rule off the diagonal;
-        # reference: the entry-by-entry loop, in row-major order
+        # each violation the entry loop finds is off its partner, so
+        # v_gram_entries FAILs with at least its magnitude
         h = random_real(rng(seed), n)
         es = eigendecompose(h)
-        tol = 1e-8
-        tic, _ = _evolve(es, identity(n), (0.0, 0.5), tol)
-        scale = max(np.abs(es.values))
-        expected = tuple(
-            (i, j) for i in range(n) for j in range(n)
-            if tic.present[i, j] and abs(es.values[j] - np.conj(es.values[i])) > tol * scale
-        )
-        assert expected and tic.selection_violations == expected
-        assert all(type(k) is int for vio in tic.selection_violations for k in vio)
+        cls = classify(es)
+        report = v_gram(es, Intertwiner(identity(n), False, 0.0), cls, tol=1e-9)
+        violations = selection_rule_violations(es.values, report.vnorm, 1e-8)
+        flag = report.flags["v_gram_entries"]
+        assert violations and not flag.passed
+        assert flag.residual >= max(abs(report.vnorm[nm]) for nm in violations)
 
     @pytest.mark.parametrize("definite", [True, False], ids=["real", "pairs"])
     def test_phase_form_matches_matmul_reference(self, definite):
-        # a V that does not intertwine H, so every Gram entry moves; reference:
-        # the Gram of the evolved eigenvectors by two matrix products
+        # a V that does not intertwine H, so every Gram entry moves, each by
+        # its own factor exp(i (conj(E_n) - E_m) t) under the dense
+        # propagator; the V-Gram flags see that V
         generator = rng(45)
         h = _pa_real(generator, 8) if definite else _pa_pairs(generator, 8)
         es = eigendecompose(h)
         a = random_real(generator, 8) + 1j * random_real(generator, 8)
         v = a @ a.conj().T
-        times = (0.0, 0.3, 1.1)
-        tic, gram0 = _evolve(es, v, times)
-        drift = np.zeros(gram0.shape)
-        for t in times:
-            evolved = es.right * np.exp(-1j * es.values * t)
-            drift = np.maximum(drift, np.abs(evolved.conj().T @ v @ evolved - gram0))
-        assert tic.present.all() and np.max(drift) > 0.1
-        assert np.linalg.norm(tic.drift - drift) <= 1e-12 * np.linalg.norm(drift)
-
-    def test_entry_factors_match_per_entry_loop(self):
-        # each entry moves by its own factor exp(i (conj(E_n) - E_m) t), never
-        # by a product of two mode phases, so the drift equals that of factors
-        # formed entry by entry, bit for bit
-        h = _pa_pairs(rng(47), 8)
-        es = eigendecompose(h)
-        v = build_metric(es, classify(es), h).v
-        times = (0.0, 0.5, 1.7, 4.3)
-        tic, gram0 = _evolve(es, v, times)
-        drift = np.zeros((8, 8))
-        for t in times:
-            factors = np.array([[np.exp(1j * (np.conj(e_n) - e_m) * t) for e_m in es.values]
-                                for e_n in es.values])
-            drift = np.maximum(drift, np.abs(gram0) * np.abs(factors - 1.0))
-        assert np.array_equal(tic.drift, drift)
-
-    @pytest.mark.parametrize("alpha, beta", [(3, 5), (5, 3)], ids=["pair", "real"])
-    def test_long_times_neither_overflow_nor_warn(self, alpha, beta):
-        # at t = 1e4 each pair mode grows by e^{4t}, far beyond the float
-        # range; the present entries' factors stay bounded, and an exactly
-        # zero entry keeps a zero shadow rather than 0 * inf = NaN
-        h, es, cls = _system(alpha, beta)
-        gram0 = v_gram(es, build_metric(es, cls, h), cls).vnorm
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tic = verify_time_independence(es.values, gram0, (0.0, 180.0, 1e4))
-        assert tic.ok and tic.max_drift <= 1e-8
-        zero = verify_time_independence(es.values, np.where(tic.present, gram0, 0.0), (1e4,))
-        assert zero.ok and zero.max_shadow == 0.0 and not np.isnan(zero.drift).any()
-
-    def test_shadow_is_initial_dust_times_growth(self):
-        # an analytically-zero entry's shadow is its t = 0 dust scaled by the
-        # phases, not the fresh dust of a product at each time
-        h = _pa_pairs(rng(46), 8)
-        es = eigendecompose(h)
-        itw = build_metric(es, classify(es), h)
-        times = (0.5, 2.0)
-        tic, gram0 = _evolve(es, itw.v, times)
-        shadow = 0.0
-        for t in times:
-            phase = np.exp(-1j * es.values * t)
-            growth = np.abs(np.conj(phase)[:, None] * phase[None, :] - 1.0)
-            shadow = max(shadow, np.max((np.abs(gram0) * growth)[~tic.present]))
-        assert tic.max_shadow > 0.0
-        assert abs(tic.max_shadow - shadow) <= 1e-12 * shadow
+        gram0 = es.right.conj().T @ v @ es.right
+        rates = 1j * (np.conj(es.values)[:, np.newaxis] - es.values[np.newaxis, :])
+        for t in (0.3, 1.1):
+            evolved = scipy.linalg.expm(-1j * h * t) @ es.right
+            gram = evolved.conj().T @ v @ evolved
+            assert np.linalg.norm(gram - gram0 * np.exp(rates * t)) <= 1e-10 * np.linalg.norm(gram)
+        assert v_gram_drift(h, es.right, v, (0.0, 0.3, 1.1)) > 0.1
+        report = v_gram(es, Intertwiner(v, False, 0.0), classify(es), tol=1e-9)
+        assert not any(flag.passed for flag in report.flags.values())
 
     def test_time_zero_trivially_constant(self):
+        # the oracle's own baseline: exp(0) is the identity, with no rounding
         h, es, cls = _system(2, 1)
-        itw = build_metric(es, cls, h)
-        tic, _ = _evolve(es, itw.v, (0.0,))
-        assert tic.ok and tic.max_drift == 0.0
-
-    @pytest.mark.parametrize("alpha, beta", [(5, 3), (3, 5)], ids=["real", "pair"])
-    def test_no_times_no_drift(self, alpha, beta):
-        h, es, cls = _system(alpha, beta)
-        tic, _ = _evolve(es, build_metric(es, cls, h).v, ())
-        assert tic.times == ()
-        assert tic.drift.shape == (2, 2) and not tic.drift.any()
-        assert tic.passed.all() and tic.ok
-        assert tic.max_drift == 0.0 and tic.max_shadow == 0.0
+        assert v_gram_drift(h, es.right, build_metric(es, cls, h).v, (0.0,)) == 0.0
 
     def test_evolution_operator_matches_expm(self):
-        # verify_time_independence evolves eigenvectors by their phases alone
+        # exp(-iHt) acts on its own eigenvectors by pure phases
         h = random_real(rng(31), 5, unit_radius=True)
         es = eigendecompose(h)
         for t in (0.4, 1.3):
@@ -349,8 +295,8 @@ class TestTimeIndependence:
         # rebuild V H - H^dagger V from Gram data and energies
         h, es, cls = _system(5, 3)
         itw = build_metric(es, cls, h)
-        tic, gram = _evolve(es, itw.v, (0.0, 0.5, 1.7, 4.3))
-        assert tic.ok
+        gram = v_gram(es, itw, cls).vnorm
+        assert v_gram_drift(h, es.right, itw.v, (0.0, 0.5, 1.7, 4.3)) <= 1e-8
         commutator_eigenbasis = gram * (
             es.values[np.newaxis, :] - np.conj(es.values)[:, np.newaxis]
         )
@@ -370,7 +316,7 @@ class TestMetricProperties:
             cls = classify(es)
             itw = build_metric(es, cls, h)
             assert itw.residual <= 1e-9
-            assert itw.hermitian
+            assert np.array_equal(itw.v, itw.v.conj().T)
             if cls.kind is SpectrumKind.ALL_REAL:
                 seen_real += 1
                 assert itw.positive

@@ -1,16 +1,29 @@
-"""Every ``python`` code block of the README runs as written."""
+"""Every ``python`` code block of the README runs as written, and every
+``pthamil`` command line of its ``bash`` blocks parses."""
 
 import os
 import re
+import shlex
 
 import pytest
+
+from pthamil.cli import build_parser
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def _python_blocks() -> list:
+def _blocks(language: str) -> list:
     with open(README, encoding="utf-8") as fh:
-        return re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+        return re.findall(rf"^```{language}\n(.*?)^```", fh.read(), re.M | re.S)
+
+
+def _python_blocks() -> list:
+    return _blocks("python")
+
+
+def _command_lines() -> list:
+    return [line for block in _blocks("bash") for line in block.splitlines()
+            if line.startswith("pthamil ")]
 
 
 def test_readme_has_python_blocks():
@@ -21,3 +34,18 @@ def test_readme_has_python_blocks():
 def test_python_block_runs(index):
     code = _python_blocks()[index]
     exec(compile(code, f"README.md python block {index}", "exec"), {"__name__": "readme"})
+
+
+def test_readme_has_command_lines():
+    assert _command_lines()
+
+
+@pytest.mark.parametrize("index", range(len(_command_lines())))
+def test_command_line_parses(index):
+    # the real parser: a subcommand or option the CLI no longer has fails
+    # here; the files a line names need not exist
+    line = _command_lines()[index]
+    try:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+    except SystemExit as exc:
+        pytest.fail(f"README line {line!r} does not parse (exit {exc.code})")

@@ -3,7 +3,9 @@
 import os
 from fractions import Fraction
 
+import mpmath
 import numpy as np
+import scipy.linalg
 
 import pthamil
 from pthamil.antilinear import make_frame
@@ -57,6 +59,43 @@ def pa_matrix(rng, n, definite):
         s += (0.5 - np.linalg.eigvalsh(s)[0]) * np.eye(n)
     k = np.arange(n)
     return (-1.0) ** k[:, None] * quarter_turn(s, k[:, None] - k)
+
+
+def v_gram_drift(h, right, v, times, digits=None):
+    """Largest entry of ``|G(t) - G(0)|`` over ``times``, where ``G(t)`` is
+    the V Gram ``<R_n(t)|V|R_m(t)>`` of the eigenvectors ``right`` evolved by
+    the dense propagator ``exp(-iHt)``: ``scipy.linalg.expm`` in float64, or
+    ``mpmath.expm`` at ``digits`` significant digits. A mode that grows as
+    ``e^{|Im E| t}`` amplifies the rounding of the decaying ones with it; the
+    two-level pair ``alpha = 3, beta = 5`` grows by ``e^{34}`` at ``t = 4.3``,
+    beyond what float64 resolves, but not beyond 40 digits."""
+    gram0 = right.conj().T @ v @ right
+    drift = 0.0
+    if digits is None:
+        for t in times:
+            evolved = scipy.linalg.expm(-1j * h * t) @ right
+            drift = max(drift, float(np.abs(evolved.conj().T @ v @ evolved - gram0).max()))
+        return drift
+    with mpmath.workdps(digits):
+        h_mp, r_mp, v_mp = (mpmath.matrix(m.tolist()) for m in (h, right, v))
+        for t in times:
+            evolved = mpmath.expm(-1j * t * h_mp) * r_mp
+            gram = np.array((evolved.H * v_mp * evolved).tolist(), dtype=complex)
+            drift = max(drift, float(np.abs(gram - gram0).max()))
+    return drift
+
+
+def selection_rule_violations(values, gram, tol):
+    """The entries ``(n, m)``, in row-major order, of a V Gram above the floor
+    ``tol * max(1, ||gram||)`` whose energies break ``E_m = conj(E_n)`` by
+    more than ``tol`` times the spectral radius: under ``exp(-iHt)`` entry
+    ``(n, m)`` moves by ``exp(i (conj(E_n) - E_m) t)``, so only the entries
+    that keep the rule may be nonzero."""
+    floor = tol * max(1.0, np.linalg.norm(gram))
+    scale = max(np.abs(values))
+    n = len(values)
+    return [(i, j) for i in range(n) for j in range(n)
+            if abs(gram[i, j]) > floor and abs(values[j] - np.conj(values[i])) > tol * scale]
 
 
 def canonical_two_level_frame():
