@@ -128,36 +128,34 @@ def _pt_plus_basis(a, tol):
     return vectors[:k, :k] + 1j * vectors[k:, :k]
 
 
-def parity_overlaps(es: EigenSystem, p) -> np.ndarray:
+def parity_overlaps(es: EigenSystem, frame: PTFrame) -> np.ndarray:
     """Diagonal parity matrix elements ``<R_n|P|R_n>``."""
-    p = as_matrix(p, "P")
-    return np.sum(np.conj(es.right) * (p @ es.right), axis=0)
+    return np.sum(np.conj(es.right) * (frame.p @ es.right), axis=0)
 
 
-def _recombine_degenerate(pt, es, groups, p, p_floor, tol) -> np.ndarray:
+def _recombine_degenerate(frame, es, groups, p_floor, tol) -> np.ndarray:
     """Right vectors with each degenerate group replaced by a PT-fixed basis.
 
     The parity form ``W^dagger P W`` is real on PT-fixed vectors, so a real
     rotation, which keeps them PT-fixed, diagonalizes it; the columns are then
-    scaled to ``|<w|P|w>| = 1``. Without ``p``, or when the form has an
-    eigenvalue at or below ``p_floor`` (the calibration floor), they are unit-norm.
+    scaled to ``|<w|P|w>| = 1``. When the form has an eigenvalue at or below
+    ``p_floor`` (the calibration floor), they are unit-norm instead.
     """
     right = np.array(es.right)
     for group in groups:
         idx = np.asarray(group)
         # antilinear action on the group span, in the group's own basis
-        images = pt @ np.conj(right[:, idx])
+        images = frame.pt @ np.conj(right[:, idx])
         a = es.left[idx, :] @ images
         leak = images - right[:, idx] @ a
         if mat_norm(leak) > residual_bound(check_tier(tol), mat_norm(images)):
             raise _NoPTBasis("PT does not preserve a degenerate eigenspace")
         cols = right[:, idx] @ _pt_plus_basis(a, tol)
-        if p is not None:
-            form, rotation = np.linalg.eigh((cols.conj().T @ p @ cols).real)
-            if np.abs(form).min() > p_floor:
-                right[:, idx] = (cols @ rotation) / np.sqrt(np.abs(form))
-                continue
-        right[:, idx] = cols / np.linalg.norm(cols, axis=0)  # real rescale keeps eta
+        form, rotation = np.linalg.eigh((cols.conj().T @ frame.p @ cols).real)
+        if np.abs(form).min() > p_floor:
+            right[:, idx] = (cols @ rotation) / np.sqrt(np.abs(form))
+        else:
+            right[:, idx] = cols / np.linalg.norm(cols, axis=0)  # real rescale keeps eta
     return right
 
 
@@ -171,54 +169,53 @@ _MIN_PT_COEFF = 0.5
 _REAL_PHASE_TOL = 1e-6
 
 
-def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt,
+def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
               p_intertwines: bool, tol: float = DEFAULT_TOL) -> tuple:
     """Calibrate a real-spectrum eigenbasis so its PT-conjugate norm is the V norm.
 
     Returns ``(system, phases, skipped, uncalibrated)``.
 
-    1. When ``p`` intertwines H (``p_intertwines``, the caller's decision),
-       each state is rescaled to ``|<R_n|P|R_n>| = 1``: parity calibration,
-       under which the PV eigenvalues are +-1. States whose overlap is below
-       tolerance keep their scale and are listed in ``uncalibrated``.
-    2. Given ``pt``, the matrix of PT, degenerate eigenvalue groups are
-       recombined so PT acts diagonally on them, P-orthonormally when ``p``
-       is given, and every state is rephased so ``PT R_n = eta_n R_n`` with
-       eta_n = +-1. The branch is the sign of the parity overlap where that
-       is usable (the choice that makes the PT-conjugate norm positive);
-       otherwise a real phase is kept and anything else rotated to +1.
-       ``phases``, a :class:`PTPhases`, carries the rephased system.
+    1. When the frame's P intertwines H (``p_intertwines``, the caller's
+       decision), each state is rescaled to ``|<R_n|P|R_n>| = 1``: parity
+       calibration, under which the PV eigenvalues are +-1. States whose
+       overlap is below tolerance keep their scale and are listed in
+       ``uncalibrated``.
+    2. Degenerate eigenvalue groups are recombined P-orthonormally so PT acts
+       diagonally on them, and every state is rephased so ``PT R_n = eta_n
+       R_n`` with eta_n = +-1. The branch is the sign of the parity overlap
+       where that is usable (the choice that makes the PT-conjugate norm
+       positive); otherwise a real phase is kept and anything else rotated
+       to +1. ``phases``, a :class:`PTPhases`, carries the rephased system.
 
     ``system`` is the basis every later section uses: the rephased one when a
     degenerate group was recombined, else the parity-calibrated one. Where no
-    phases exist, ``phases`` is None and ``skipped`` the reason; a
-    conjugate-pair spectrum comes back unchanged.
+    phases exist, ``phases`` is None and ``skipped`` the reason; without a
+    frame, or on a conjugate-pair spectrum, ``es`` comes back unchanged.
     """
+    if frame is None:
+        return es, None, _NO_FRAME, []
     if cls.kind is not SpectrumKind.ALL_REAL:
-        return es, None, _PAIRS if pt is not None else _NO_FRAME, []
-    p = as_matrix(p, "P") if p is not None else None
+        return es, None, _PAIRS, []
     # a parity overlap at or below this floor neither calibrates nor signs a state
-    p_floor = residual_bound(tol, mat_norm(p)) if p is not None else None
+    p_floor = residual_bound(tol, mat_norm(frame.p))
     uncalibrated = []
     if p_intertwines:
-        magnitudes = np.abs(parity_overlaps(es, p))
+        magnitudes = np.abs(parity_overlaps(es, frame))
         small = magnitudes <= p_floor
         es = es.rescaled(1.0 / np.sqrt(np.where(small, 1.0, magnitudes)))
         uncalibrated = np.flatnonzero(small).tolist()
-    if pt is None:
-        return es, None, _NO_FRAME, uncalibrated
 
     def unavailable(why):
         return es, None, f"PT phases unavailable: {why}", uncalibrated
 
     groups = _degenerate_groups(es.values, tol)
     try:
-        phased = es.with_right(_recombine_degenerate(pt, es, groups, p, p_floor, tol)) if groups else es
+        phased = es.with_right(_recombine_degenerate(frame, es, groups, p_floor, tol)) if groups else es
     except _NoPTBasis as exc:
         return unavailable(exc)
     right, left = phased.right, phased.left
 
-    images = pt @ np.conj(right)
+    images = frame.pt @ np.conj(right)
     coeff = np.einsum("ij,ji->i", left, images)
     residual = np.linalg.norm(images - coeff * right, axis=0)
     bound = residual_bound(check_tier(tol), np.linalg.norm(images, axis=0))
@@ -230,11 +227,10 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt,
 
     # without a usable parity overlap: keep a real phase, rotate the rest to +1
     targets = np.where((np.abs(eta_raw.imag) <= tol) & (eta_raw.real < 0.0), -1.0, 1.0)
-    if p is not None:
-        overlaps = parity_overlaps(phased, p)
-        usable = ((np.abs(overlaps) > p_floor)
-                  & (np.abs(overlaps.imag) <= _REAL_PHASE_TOL * np.abs(overlaps)))
-        targets = np.where(usable, np.where(overlaps.real > 0.0, 1.0, -1.0), targets)
+    overlaps = parity_overlaps(phased, frame)
+    usable = ((np.abs(overlaps) > p_floor)
+              & (np.abs(overlaps.imag) <= _REAL_PHASE_TOL * np.abs(overlaps)))
+    targets = np.where(usable, np.where(overlaps.real > 0.0, 1.0, -1.0), targets)
 
     # half the angle: whole quarter turns (a real eta_raw) exactly, as exp(0.5j * pi) != 1j
     angles = np.angle(eta_raw) - np.angle(targets)
@@ -242,7 +238,7 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt,
     fixes = np.where(turns % 1 == 0, quarter_turn(1.0, turns.astype(int)), np.exp(0.5j * angles))
     system = phased.rescaled(fixes, phased.condition)  # unit-modulus factors keep cond
 
-    images = pt @ np.conj(system.right)  # re-read every phase as the final consistency check
+    images = frame.pt @ np.conj(system.right)  # re-read every phase as the final consistency check
     coeff = np.einsum("ij,ji->i", system.left, images)
     bad = ((np.abs(coeff) < _MIN_PT_COEFF)
            | (np.abs(coeff - np.abs(coeff) * targets) > _REAL_PHASE_TOL * np.abs(coeff))
@@ -253,7 +249,7 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, p, pt,
     return (system if groups else es), phases, None, uncalibrated
 
 
-def pt_gram(p, phases: PTPhases) -> np.ndarray:
+def pt_gram(frame: PTFrame, phases: PTPhases) -> np.ndarray:
     """Full matrix of PT-conjugate inner products of the rephased states."""
-    raw = phases.system.right.conj().T @ p @ phases.system.right
+    raw = phases.system.right.conj().T @ frame.p @ phases.system.right
     return raw / phases.eta[:, np.newaxis]

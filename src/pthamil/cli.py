@@ -115,6 +115,9 @@ def _render_text(report: AnalysisReport) -> None:
             if k == "matrix":
                 print(f"  {k}:")
                 print(_fmt_matrix(val, indent="    "))
+            elif k in ("eta", "phase_fix", "alphas"):  # [re, im] lists, one row of cells
+                re, im = np.array(val, dtype=float).T
+                print(f"  {k}: {', '.join(_matrix_cells({'re': [re], 'im': [im]})[0])}")
             elif k != "skipped":
                 print(f"  {k}: {val}")
     _print_section("diagnostic")

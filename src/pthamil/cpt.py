@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .antilinear import PTFrame
 from .errors import NotCommuting, PTHamilError
+from .intertwiner import Intertwiner
 from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, check_tier, mat_norm, residual_bound
 from .spectra import SpectrumClass, SpectrumKind
 
@@ -45,9 +47,11 @@ def check_p_intertwines(h, p, tol: float = DEFAULT_TOL) -> bool:
     return mat_norm(p @ h @ p - h.conj().T) <= residual_bound(tol, mat_norm(h))
 
 
-def build_pv(p, v, es: EigenSystem, h, tol: float = DEFAULT_TOL) -> CommutantOp:
-    """Form ``PV`` for a parity the caller found to intertwine ``h``, the matrix
-    ``es`` decomposes, verify it commutes, and extract its (real) eigenvalues.
+def build_pv(frame: PTFrame, itw: Intertwiner, es: EigenSystem,
+             tol: float = DEFAULT_TOL) -> CommutantOp:
+    """Form ``PV`` from the frame's parity, which the caller found to
+    intertwine ``es.h``, and the metric ``itw.v``, verify it commutes with
+    ``es.h``, and extract its (real) eigenvalues.
 
     ``squares_to_identity`` records the explicit test ``P V P V == I``
     (equivalently ``P V P == V^-1``, stated without inverting V, whose
@@ -55,11 +59,9 @@ def build_pv(p, v, es: EigenSystem, h, tol: float = DEFAULT_TOL) -> CommutantOp:
     ``alpha_n <R_n|P|R_n> = 1`` holds for any eigenvector scaling; the alphas
     are +-1 exactly when the states are parity-calibrated.
     """
-    p = as_matrix(p, "P")
-    v = as_matrix(v, "V")
-    pv = p @ v
-    comm = mat_norm(pv @ h - h @ pv)
-    if comm > residual_bound(tol, mat_norm(pv) * mat_norm(h)):
+    pv = frame.p @ itw.v
+    comm = mat_norm(pv @ es.h - es.h @ pv)
+    if comm > residual_bound(tol, mat_norm(pv) * mat_norm(es.h)):
         raise NotCommuting(f"[PV, H] residual {comm:.3e} exceeds tolerance")
     alphas = np.diag(es.left @ pv @ es.right).copy()
     if float(np.abs(alphas.imag).max()) > residual_bound(tol, float(np.abs(alphas).max())):
@@ -71,10 +73,9 @@ def build_pv(p, v, es: EigenSystem, h, tol: float = DEFAULT_TOL) -> CommutantOp:
     return CommutantOp(pv, alphas.real.astype(complex), squares)
 
 
-def build_c(es: EigenSystem, cls: SpectrumClass, signs, h,
-            tol: float = DEFAULT_TOL) -> CommutantOp:
+def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL) -> CommutantOp:
     """C operator from biorthogonal projectors with +-1 weights, checked
-    against ``h``, the matrix ``es`` decomposes.
+    against ``es.h``, the matrix ``es`` decomposes.
 
     All-real spectrum: one sign per eigenstate. Conjugate pairs: one sign per
     pair, realized with opposite weights ``(s, -s)`` on the two members (real
@@ -98,21 +99,21 @@ def build_c(es: EigenSystem, cls: SpectrumClass, signs, h,
     c = (es.right * weights) @ es.left
     eye = np.eye(es.dim)
     sq = mat_norm(c @ c - eye)
-    comm = mat_norm(c @ h - h @ c)
+    comm = mat_norm(c @ es.h - es.h @ c)
     if sq > residual_bound(check_tier(tol), mat_norm(c) ** 2):
         raise PTHamilError(f"constructed C fails C^2 = I (residual {sq:.3e})")
-    if comm > residual_bound(check_tier(tol), mat_norm(c) * mat_norm(h)):
+    if comm > residual_bound(check_tier(tol), mat_norm(c) * mat_norm(es.h)):
         raise PTHamilError(f"constructed C fails [C, H] = 0 (residual {comm:.3e})")
     return CommutantOp(c, weights, True)
 
 
-def c_commutes_with_pt(c: CommutantOp, u, tol: float = DEFAULT_TOL) -> bool:
-    """True iff C commutes with the antilinear PT, ``v -> u conj(v)``.
+def c_commutes_with_pt(c: CommutantOp, frame: PTFrame, tol: float = DEFAULT_TOL) -> bool:
+    """True iff C commutes with the frame's antilinear PT, ``v -> u conj(v)``.
 
     ``[C, PT] = 0`` reduces to ``C u conj(C) = u``; it holds exactly when the
     spectrum is real and fails for conjugate pairs.
     """
-    cm = c.matrix
+    cm, u = c.matrix, frame.pt
     residual = mat_norm(cm @ u @ np.conj(cm) - u)
     return residual <= residual_bound(tol, mat_norm(u) * mat_norm(cm) ** 2)
 

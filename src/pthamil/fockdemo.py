@@ -49,12 +49,12 @@ def expand_position_state(x: float, c0: float = 1.0, nmax: int = 100) -> FockExp
     c = np.zeros(nmax + 1, dtype=float)
     c[0] = c0
     c[1] = x * c0
+    if abs(c[1]) > OVERFLOW_LIMIT:  # before the recurrence multiplies it by x
+        raise CoefficientOverflow(1, abs(c[1]))
     for n in range(2, nmax + 1):
         c[n] = (x * c[n - 1] - math.sqrt(n - 1) * c[n - 2]) / math.sqrt(n)
         if abs(c[n]) > OVERFLOW_LIMIT:
             raise CoefficientOverflow(n, abs(c[n]))
-    if abs(c[1]) > OVERFLOW_LIMIT:
-        raise CoefficientOverflow(1, abs(c[1]))
     return FockExpansion(float(x), float(c0), c, np.cumsum(c * c))
 
 

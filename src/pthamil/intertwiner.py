@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antilinear import PTPhases, pt_gram
-from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, check_tier, mat_norm, residual_bound
+from .antilinear import PTFrame, PTPhases, pt_gram
+from .linalg import DEFAULT_TOL, EigenSystem, check_tier, mat_norm, residual_bound
 from .spectra import SpectrumClass, SpectrumKind
 
 
@@ -51,33 +51,27 @@ class NormReport:
     flags: dict = field(default_factory=dict)
 
 
-def build_metric(es: EigenSystem, cls: SpectrumClass, h) -> Intertwiner:
+def build_metric(es: EigenSystem, cls: SpectrumClass) -> Intertwiner:
     """The metric ``V = L[partner]^dagger L``, hermitized as
     ``0.5 (V + V^dagger)``, which is exactly Hermitian in floating point, on
     every spectrum (:attr:`SpectrumClass.partner`), so ``<R_n|V|R_m>`` is 1 where
     ``m = partner(n)`` and 0 elsewhere. On an all-real spectrum this is
     ``L^dagger L``, positive definite; on conjugate pairs V intertwines but is
     indefinite, with zero diagonal on the paired states, and its positivity
-    is not tested. The intertwining residual is measured against ``h``, the
-    matrix ``es`` decomposes.
+    is not tested. The intertwining residual is measured against ``es.h``,
+    the matrix ``es`` decomposes.
     """
     v = es.left[cls.partner].conj().T @ es.left
     v = 0.5 * (v + v.conj().T)
     positive = cls.kind is SpectrumKind.ALL_REAL and bool((np.linalg.eigvalsh(v) > 0.0).all())
-    denom = mat_norm(v) * mat_norm(h)
-    residual = mat_norm(v @ h - h.conj().T @ v) / denom if denom > 0.0 else 0.0
+    denom = mat_norm(v) * mat_norm(es.h)
+    residual = mat_norm(v @ es.h - es.h.conj().T @ v) / denom if denom > 0.0 else 0.0
     return Intertwiner(v, positive, float(residual))
 
 
-def v_gram(
-    es: EigenSystem,
-    itw: Intertwiner,
-    cls: SpectrumClass,
-    p=None,
-    phases: PTPhases | None = None,
-    tol: float = DEFAULT_TOL,
-    p_intertwines: bool = False,
-) -> NormReport:
+def v_gram(es: EigenSystem, itw: Intertwiner, cls: SpectrumClass, frame: PTFrame | None = None,
+           phases: PTPhases | None = None, tol: float = DEFAULT_TOL,
+           p_intertwines: bool = False) -> NormReport:
     """Gram matrices of the Dirac, V, parity and PT-conjugate inner products,
     with the flags of their structure under ``cls``.
 
@@ -87,10 +81,10 @@ def v_gram(
     (``v_gram_entries``, against the check tier). Each entry ``(n, m)`` of
     the V Gram moves under ``exp(-iHt)`` by ``exp(i (conj(E_n) - E_m) t)``,
     so these flags and ``metric_intertwines`` are what certify that the V
-    norm is constant in time. The Dirac, V and parity Grams are
-    evaluated on the given eigensystem; the PT-conjugate Gram, formed when
-    both ``p`` and ``phases`` are given, uses the phase-fixed states
-    ``phases`` carries (its diagonal is rephasing-invariant, so the two bases
+    norm is constant in time. The Dirac, V and (given a ``frame``) parity
+    Grams are evaluated on the given eigensystem; the PT-conjugate Gram,
+    formed when that frame's ``phases`` are given too, uses the phase-fixed
+    states they carry (its diagonal is rephasing-invariant, so the two bases
     give the same identities). The identities of the parity and PT Grams,
     ``p_gram_real`` and ``pt_gram_equals_v_gram``, are checked only where P
     intertwines H: ``p_intertwines``, which the caller decides.
@@ -98,9 +92,8 @@ def v_gram(
     r = es.right
     dirac = r.conj().T @ r
     vnorm = r.conj().T @ itw.v @ r
-    p = as_matrix(p, "P") if p is not None else None
-    pnorm = r.conj().T @ p @ r if p is not None else None
-    ptnorm = pt_gram(p, phases) if (p is not None and phases is not None) else None
+    pnorm = r.conj().T @ frame.p @ r if frame is not None else None
+    ptnorm = pt_gram(frame, phases) if phases is not None else None
 
     bound = tol * es.dim
     deviation = vnorm - np.eye(es.dim)[cls.partner]

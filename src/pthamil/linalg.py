@@ -78,25 +78,27 @@ def mat_norm(a) -> float:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues with biorthogonal right/left eigenvectors.
+    """Eigenvalues with biorthogonal right/left eigenvectors of ``h``.
 
     ``values[n]`` belongs to the right eigenvector ``right[:, n]`` and the left
     eigenvector ``left[n, :]``; ``left @ right`` is the identity within
-    tolerance and ``right @ diag(values) @ left`` is the matrix they diagonalize.
+    tolerance and ``right @ diag(values) @ left`` is ``h``, the validated
+    matrix they diagonalize, against which every later residual is measured.
     """
 
     values: np.ndarray
     right: np.ndarray
     left: np.ndarray
     condition: float
+    h: np.ndarray
 
     def __post_init__(self):
-        for name in ("values", "right", "left"):
+        for name in ("values", "right", "left", "h"):
             arr = np.asarray(getattr(self, name), dtype=complex)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n = self.values.shape[0]
-        if self.right.shape != (n, n) or self.left.shape != (n, n):
+        if any(getattr(self, name).shape != (n, n) for name in ("right", "left", "h")):
             raise ValueError("inconsistent eigensystem shapes")
 
     @property
@@ -107,7 +109,7 @@ class EigenSystem:
         """New system with replaced right eigenvectors; left recomputed as the inverse."""
         right = np.asarray(right, dtype=complex)
         return EigenSystem(self.values.copy(), right, np.linalg.inv(right),
-                           float(np.linalg.cond(right)))
+                           float(np.linalg.cond(right)), self.h)
 
     def rescaled(self, factors, condition: float | None = None) -> "EigenSystem":
         """New system with column ``n`` of ``right`` times ``factors[n]``, and
@@ -116,7 +118,7 @@ class EigenSystem:
         right = self.right * factors
         condition = float(np.linalg.cond(right)) if condition is None else condition
         return EigenSystem(self.values.copy(), right,
-                           self.left / np.reshape(factors, (-1, 1)), condition)
+                           self.left / np.reshape(factors, (-1, 1)), condition, self.h)
 
 
 def canonical_order(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -214,4 +216,4 @@ def eigendecompose(h, tol: float = DEFAULT_TOL) -> EigenSystem:
     if not np.isfinite(condition) or condition > threshold:
         raise NonDiagonalizable(condition, threshold)
     left = np.linalg.inv(r)
-    return EigenSystem(values, r, left, condition)
+    return EigenSystem(values, r, left, condition, h)

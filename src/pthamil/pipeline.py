@@ -261,16 +261,15 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
 
     p_spec, t_spec = _default_frame_specs(cfg)
     frame = _resolve_frame(p_spec, t_spec, h.shape[0], check_tol)
-    p, pt = (None, None) if frame is None else (frame.p, frame.pt)
     es = eigendecompose(h, tol)  # may raise NonDiagonalizable
     cls = classify(es, tol)      # may raise UnpairedComplexEigenvalue
     real_case = cls.kind is SpectrumKind.ALL_REAL
 
-    p_intertwines = p is not None and check_p_intertwines(h, p, check_tol)
-    if p is not None and not p_intertwines:
+    p_intertwines = frame is not None and check_p_intertwines(h, frame.p, check_tol)
+    if frame is not None and not p_intertwines:
         notes.append("P does not intertwine H with its adjoint; PV and C norms skipped")
     # on a recombined degenerate group every later section uses the new basis
-    es, phases, pt_skipped, uncalibrated = calibrate(es, cls, p, pt, p_intertwines, tol)
+    es, phases, pt_skipped, uncalibrated = calibrate(es, cls, frame, p_intertwines, tol)
     if uncalibrated:
         notes.append(
             f"parity calibration skipped for states {uncalibrated}: "
@@ -278,8 +277,8 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         )
 
     pt_section: dict = {}
-    if pt is not None:
-        symmetric = antilinear_symmetry_check(h, pt, check_tol)
+    if frame is not None:
+        symmetric = antilinear_symmetry_check(h, frame.pt, check_tol)
         pt_section["symmetry_check"] = bool(symmetric)
         if not symmetric:
             notes.append("H is not PT symmetric under the supplied frame")
@@ -297,16 +296,15 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
                 "recombined into a PT eigenbasis; all sections use that basis"
             )
 
-    itw = build_metric(es, cls, h)
-    norm_report = v_gram(es, itw, cls, p=p, phases=phases, tol=gram_tol,
-                         p_intertwines=p_intertwines)
+    itw = build_metric(es, cls)
+    norm_report = v_gram(es, itw, cls, frame, phases, gram_tol, p_intertwines)
 
     # the C signs: the given ones, else the defaults, else None with the reason
     if not real_case:
         pv_section = {"skipped": "complex-pair spectrum: PV plays no role"}
         signs = cfg.c_signs or tuple(1 for _ in cls.pairs)
     elif p_intertwines:
-        pv = build_pv(p, itw.v, es, h, check_tol)
+        pv = build_pv(frame, itw, es, check_tol)
         pv_section = {
             "matrix": _matrix(pv.matrix),
             "alphas": _complex_list(pv.alphas),
@@ -315,7 +313,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         signs = cfg.c_signs or tuple(1 if a.real >= 0.0 else -1 for a in pv.alphas)
     else:
         reason = ("P does not intertwine H with its adjoint"
-                  if p is not None else "no parity supplied")
+                  if frame is not None else "no parity supplied")
         pv_section = {"skipped": f"{reason}; the V norm remains available"}
         signs = cfg.c_signs
 
@@ -323,13 +321,13 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         c_section = {"skipped": f"{reason}; supply c_signs to build C anyway"}
         diagnostic = {"skipped": "no C operator was built"}
     else:
-        commutant = build_c(es, cls, signs, h, tol)
+        commutant = build_c(es, cls, signs, tol)
         c_section = {"matrix": _matrix(commutant.matrix),
                      "signs": [int(s) for s in signs]}
-        if pt is None:
+        if frame is None:
             diagnostic = {"skipped": "no frame supplied for the [C, PT] diagnostic"}
         else:
-            commutes = c_commutes_with_pt(commutant, pt, check_tol)
+            commutes = c_commutes_with_pt(commutant, frame, check_tol)
             c_section["commutes_with_pt"] = commutes
             diagnostic = "real_spectrum" if commutes else "complex_pairs"
             if diagnostic_is_degenerate(commutant, tol):
@@ -350,7 +348,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         },
         spectrum={
             "kind": cls.kind.value,
-            "pairs": [list(p_) for p_ in cls.pairs],
+            "pairs": [list(pair) for pair in cls.pairs],
             "real_indices": list(cls.real_indices),
             "condition": es.condition,
             "exceptional_threshold": 1.0 / tol,

@@ -56,10 +56,10 @@ def test_criterion_1_two_level_oracle_equivalence():
         h = hamiltonian(TwoLevelModel(5.0, 3.0))
         es = eigendecompose(h)
         cls = classify(es)
-        es, phases, _, _ = calibrate(es, cls, frame.p, frame.pt, True)
-        itw = build_metric(es, cls, h)
-        report = v_gram(es, itw, cls, p=frame.p, phases=phases)
-        pv = build_pv(frame.p, itw.v, es, h)
+        es, phases, _, _ = calibrate(es, cls, frame, True)
+        itw = build_metric(es, cls)
+        report = v_gram(es, itw, cls, frame, phases)
+        pv = build_pv(frame, itw, es)
 
         assert np.max(np.abs(es.values - np.array([4.0, -4.0]))) <= tol
         assert np.max(np.abs(itw.v - np.diag([0.5, 2.0]))) <= tol
@@ -84,7 +84,7 @@ def test_criterion_2_randomized_metric_existence():
                 h = basis @ np.diag(generator.uniform(-3.0, 3.0, size=6)) @ np.linalg.inv(basis)
             es = eigendecompose(h)
             cls = classify(es)
-            itw = build_metric(es, cls, h)
+            itw = build_metric(es, cls)
             assert itw.residual <= 1e-9
             if cls.kind is SpectrumKind.ALL_REAL:
                 count_real += 1
@@ -110,7 +110,7 @@ def test_criterion_3_time_independence_and_selection_rule():
             h = hamiltonian(TwoLevelModel(alpha, beta))
             es = eigendecompose(h)
             cls = classify(es)
-            itw = build_metric(es, cls, h)
+            itw = build_metric(es, cls)
             gram = v_gram(es, itw, cls).vnorm
             assert v_gram_drift(h, es.right, itw.v, times, digits=40) <= 1e-8
             assert selection_rule_violations(es.values, gram, 1e-8) == []
@@ -119,7 +119,7 @@ def test_criterion_3_time_independence_and_selection_rule():
             h = random_real(generator, 6, unit_radius=True)
             es = eigendecompose(h)
             cls = classify(es)
-            itw = build_metric(es, cls, h)
+            itw = build_metric(es, cls)
             gram = v_gram(es, itw, cls).vnorm
             assert v_gram_drift(h, es.right, itw.v, times) <= 1e-8
             assert selection_rule_violations(es.values, gram, 1e-8) == []
@@ -145,13 +145,13 @@ def test_criterion_4_diagnostic_correctness():
             es = eigendecompose(h)
             cls = classify(es)
             if alpha > beta:
-                es = calibrate(es, cls, frame.p, None, True)[0]
-                itw = build_metric(es, cls, h)
-                op = build_pv(frame.p, itw.v, es, h)
-                assert c_commutes_with_pt(op, frame.pt) is True
+                es = calibrate(es, cls, frame, True)[0]
+                itw = build_metric(es, cls)
+                op = build_pv(frame, itw, es)
+                assert c_commutes_with_pt(op, frame) is True
             else:
-                op = build_c(es, cls, [1], h)
-                assert c_commutes_with_pt(op, frame.pt) is False
+                op = build_c(es, cls, [1])
+                assert c_commutes_with_pt(op, frame) is False
             checked += 1
 
 
@@ -162,10 +162,10 @@ def test_criterion_5_pt_phase_norm_equality():
         def pt_equals_v(h, frame):
             es = eigendecompose(h)
             cls = classify(es)
-            es, phases, _, _ = calibrate(es, cls, frame.p, frame.pt, True)
-            itw = build_metric(es, cls, h)
+            es, phases, _, _ = calibrate(es, cls, frame, True)
+            itw = build_metric(es, cls)
             v_gram_matrix = es.right.conj().T @ itw.v @ es.right
-            return float(np.max(np.abs(pt_gram(frame.p, phases) - v_gram_matrix)))
+            return float(np.max(np.abs(pt_gram(frame, phases) - v_gram_matrix)))
 
         frame = canonical_two_level_frame()
         for _ in range(50):

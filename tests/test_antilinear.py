@@ -4,7 +4,7 @@ normalization and intrinsic phase fixing."""
 import numpy as np
 import pytest
 
-from pthamil.antilinear import calibrate, make_frame, parity_overlaps, pt_gram
+from pthamil.antilinear import PTFrame, calibrate, make_frame, parity_overlaps, pt_gram
 from pthamil.errors import InvalidFrame
 from pthamil.intertwiner import build_metric
 from pthamil.linalg import SIGMA1, SIGMA2, SIGMA3, EigenSystem, eigendecompose, identity
@@ -92,18 +92,20 @@ class TestPTEigenphase:
     """The raw PT phase of each state, as read by ``calibrate``."""
 
     def test_real_vector_under_ki(self):
-        # oracle: PT v = -i conj(v) = -i v for real v; landing on +1 applies e^{-i pi/4}
+        # oracle: PT v = -i conj(v) = -i v for real v; landing on +1 applies
+        # e^{-i pi/4}, for the positive parity overlap of state 0 and the zero
+        # one of state 1 alike
         frame = canonical_two_level_frame()
         es = _real_eigensystem([1.0, 0.5], [0.0, 1.0], [2.0, 1.0])
-        _, phases, skipped, _ = calibrate(es, classify(es), None, frame.pt, False)
+        _, phases, skipped, _ = calibrate(es, classify(es), frame, False)
         assert skipped is None
         assert np.allclose(phases.phase_fix, np.exp(-0.25j * np.pi), atol=1e-12)
         assert np.array_equal(phases.eta, [1.0, 1.0])
 
     def test_real_vector_under_plain_conjugation(self):
-        # a real state is PT-fixed under K: its fix is exactly one
+        # a real state is PT-fixed under K (P = I, T = K): its fix is exactly one
         es = _real_eigensystem([1.0, -0.5], [2.0, 1.0], [3.0, -1.0])
-        _, phases, _, _ = calibrate(es, classify(es), None, identity(2), False)
+        _, phases, _, _ = calibrate(es, classify(es), make_frame(identity(2), identity(2)), False)
         assert np.array_equal(phases.phase_fix, [1.0, 1.0])
         assert np.array_equal(phases.eta, [1.0, 1.0])
 
@@ -111,7 +113,7 @@ class TestPTEigenphase:
         # PT maps a complex-pair eigenstate onto its partner, not itself
         frame = canonical_two_level_frame()
         es = eigendecompose(hamiltonian(TwoLevelModel(3, 5)))
-        out, phases, skipped, _ = calibrate(es, SpectrumClass.all_real(2), None, frame.pt, False)
+        out, phases, skipped, _ = calibrate(es, SpectrumClass.all_real(2), frame, False)
         assert out is es and phases is None
         assert skipped.startswith("PT phases unavailable: state 0 is not a PT eigenstate")
 
@@ -120,7 +122,7 @@ def _fixed_two_level(alpha=5.0, beta=3.0):
     frame = canonical_two_level_frame()
     es = eigendecompose(hamiltonian(TwoLevelModel(alpha, beta)))
     cls = classify(es)
-    es, phases, _, _ = calibrate(es, cls, frame.p, frame.pt, True)
+    es, phases, _, _ = calibrate(es, cls, frame, True)
     return frame, es, cls, phases
 
 
@@ -144,32 +146,40 @@ class TestFixPTPhases:
         # calibrating a calibrated basis again changes nothing: a state with
         # eta = -1 keeps it, every fix is the identity
         frame, _, cls, phases = _fixed_two_level()
-        out, again, _, uncalibrated = calibrate(phases.system, cls, frame.p, frame.pt, True)
+        out, again, _, uncalibrated = calibrate(phases.system, cls, frame, True)
         assert uncalibrated == []
         assert np.allclose(again.eta, phases.eta, atol=1e-12)
         assert np.allclose(again.phase_fix, [1.0, 1.0], atol=1e-10)
         assert np.allclose(out.right, phases.system.right, atol=1e-12)
 
     def test_already_real_phase_kept_without_parity(self):
-        frame, _, cls, phases = _fixed_two_level()
-        _, again, _, _ = calibrate(phases.system, cls, None, frame.pt, False)
+        # without a usable parity overlap (sigma_1 has none on the states of
+        # diag(2, 1)) a real phase is kept: e^{-+i pi/4} e_k carry eta = +1, -1
+        frame = canonical_two_level_frame()
+        es = eigendecompose(np.diag([2.0, 1.0]))
+        es = es.rescaled(np.exp([-0.25j * np.pi, 0.25j * np.pi]), es.condition)
+        _, again, _, _ = calibrate(es, classify(es), frame, False)
         assert np.allclose(again.eta, [1.0, -1.0], atol=1e-12)
-        assert np.allclose(again.phase_fix, [1.0, 1.0], atol=1e-10)
+        # a real fix: the raw -1 reads as -1 - 0i here, at angle -pi, so the
+        # fix is exp(-i pi) = -1, a sign, which keeps eta
+        assert np.allclose(again.phase_fix, [1.0, -1.0], atol=1e-10)
 
     def test_without_parity_lands_on_plus_one(self):
+        # without a usable parity overlap a complex phase rotates to +1: the
+        # raw phase of a real state under K i is -i
         frame = canonical_two_level_frame()
-        es = eigendecompose(hamiltonian(TwoLevelModel(5, 3)))
-        cls = classify(es)
-        _, phases, _, _ = calibrate(es, cls, None, frame.pt, False)
+        es = eigendecompose(np.diag([2.0, 1.0]))
+        _, phases, _, _ = calibrate(es, classify(es), frame, False)
         assert np.allclose(phases.eta, [1.0, 1.0], atol=1e-12)
+        assert np.allclose(phases.phase_fix, np.exp(-0.25j * np.pi), atol=1e-12)
 
     def test_requires_real_spectrum(self):
         # a pair spectrum comes back unchanged, with the reason
         frame = canonical_two_level_frame()
         es = eigendecompose(hamiltonian(TwoLevelModel(3, 5)))
         cls = classify(es)
-        for pt, reason in ((frame.pt, _PAIRS), (None, "no parity/time-reversal frame supplied")):
-            out, phases, skipped, uncalibrated = calibrate(es, cls, frame.p, pt, True)
+        for given, reason in ((frame, _PAIRS), (None, "no parity/time-reversal frame supplied")):
+            out, phases, skipped, uncalibrated = calibrate(es, cls, given, True)
             assert out is es and phases is None and uncalibrated == []
             assert skipped == reason
 
@@ -177,14 +187,14 @@ class TestFixPTPhases:
         frame = canonical_two_level_frame()
         es = eigendecompose(hamiltonian(TwoLevelModel(5, 3)))
         cls = classify(es)
-        out, _, _, uncalibrated = calibrate(es, cls, frame.p, None, True)
+        out, _, _, uncalibrated = calibrate(es, cls, frame, True)
         assert uncalibrated == []
-        assert np.allclose(np.abs(parity_overlaps(out, frame.p)), 1.0, atol=1e-12)
+        assert np.allclose(np.abs(parity_overlaps(out, frame)), 1.0, atol=1e-12)
         # a parity that does not intertwine H leaves the scale alone
-        assert calibrate(es, cls, frame.p, None, False)[0] is es
-        # sigma_1 has zero overlap on the eigenvectors of the identity
-        es = eigendecompose(identity(2))
-        out, _, _, uncalibrated = calibrate(es, SpectrumClass.all_real(2), SIGMA1, None, True)
+        assert calibrate(es, cls, frame, False)[0] is es
+        # sigma_1 has zero overlap on the eigenvectors of a diagonal H
+        es = eigendecompose(np.diag([2.0, 1.0]))
+        out, _, _, uncalibrated = calibrate(es, SpectrumClass.all_real(2), frame, True)
         assert uncalibrated == [0, 1]
         assert np.array_equal(out.right, es.right)
 
@@ -193,7 +203,7 @@ class TestFixPTPhases:
         frame = canonical_two_level_frame()
         es = eigendecompose(identity(2))
         cls = SpectrumClass.all_real(2)
-        out, phases, _, _ = calibrate(es, cls, None, frame.pt, False)
+        out, phases, _, _ = calibrate(es, cls, frame, False)
         assert out is phases.system
         assert phases.degenerate_groups == ((0, 1),)
         assert np.allclose(np.abs(phases.eta), [1.0, 1.0], atol=1e-10)
@@ -217,13 +227,13 @@ class TestPTConjugateNorm:
 
     def test_diagonal_is_unity(self):
         frame, es, cls, phases = _fixed_two_level()
-        gram = pt_gram(frame.p, phases)
+        gram = pt_gram(frame, phases)
         for n in range(2):
             assert abs(gram[n, n] - 1.0) <= 1e-12
 
     def test_off_diagonal_vanishes(self):
         frame, es, cls, phases = _fixed_two_level(2.7, 1.1)
-        gram = pt_gram(frame.p, phases)
+        gram = pt_gram(frame, phases)
         assert abs(gram[0, 1]) <= 1e-12
         assert abs(gram[1, 0]) <= 1e-12
 
@@ -232,7 +242,7 @@ class TestPTConjugateNorm:
         frame, es, cls, phases = _fixed_two_level()
         raw = es.right.conj().T @ frame.p @ es.right
         assert np.allclose(raw, np.diag([1.0, -1.0]), atol=1e-12)
-        assert np.allclose(pt_gram(frame.p, phases), identity(2), atol=1e-12)
+        assert np.allclose(pt_gram(frame, phases), identity(2), atol=1e-12)
 
     def test_gram_equals_metric_gram_on_family(self):
         generator = rng(22)
@@ -243,26 +253,30 @@ class TestPTConjugateNorm:
             h = hamiltonian(TwoLevelModel(alpha, beta))
             es = eigendecompose(h)
             cls = classify(es)
-            es, phases, _, _ = calibrate(es, cls, frame.p, frame.pt, True)
-            itw = build_metric(es, cls, h)
+            es, phases, _, _ = calibrate(es, cls, frame, True)
+            itw = build_metric(es, cls)
             v_gram_matrix = es.right.conj().T @ itw.v @ es.right
-            assert np.allclose(pt_gram(frame.p, phases), v_gram_matrix, atol=1e-10)
+            assert np.allclose(pt_gram(frame, phases), v_gram_matrix, atol=1e-10)
 
 
 class TestSimilarityPreservation:
     def test_eta_preserved_under_invertible_transport(self):
         # transported states S R_n are PT' eigenstates with the same eta,
-        # checked without re-decomposition
+        # checked without re-decomposition; the parity form transports to
+        # S^-dagger P S^-1, which keeps every overlap but is no involution, so
+        # the frame is built as a PTFrame, not by make_frame
         generator = rng(23)
         frame, es, cls, phases = _fixed_two_level(2.5, 1.0)
         for _ in range(15):
             s = random_invertible(generator, 2, max_cond=15.0)
             s_inv = np.linalg.inv(s)
-            pt_t = s @ frame.pt @ np.conj(s_inv)
+            transported_frame = PTFrame(s_inv.conj().T @ frame.p @ s_inv,
+                                        s @ frame.pt @ np.conj(s_inv))
             system = phases.system
             transported = EigenSystem(system.values, s @ system.right, system.left @ s_inv,
-                                      float(np.linalg.cond(s @ system.right)))
-            _, again, _, _ = calibrate(transported, cls, None, pt_t, False, tol=1e-7)
+                                      float(np.linalg.cond(s @ system.right)),
+                                      s @ system.h @ s_inv)
+            _, again, _, _ = calibrate(transported, cls, transported_frame, False, tol=1e-7)
             assert np.array_equal(again.eta, phases.eta)
             assert np.allclose(again.phase_fix, [1.0, 1.0], atol=1e-7)
 
@@ -274,5 +288,5 @@ class TestSimilarityPreservation:
             frame_t = conjugated_two_level_frame(q)
             es = eigendecompose(q @ h @ q.conj().T)
             cls = classify(es)
-            _, phases, _, _ = calibrate(es, cls, frame_t.p, frame_t.pt, True)
+            _, phases, _, _ = calibrate(es, cls, frame_t, True)
             assert sorted(phases.eta.real.tolist()) == [-1.0, 1.0]

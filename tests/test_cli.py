@@ -87,6 +87,20 @@ class TestAnalyze:
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("alpha, beta", [("5", "3"), ("2.7", "1.1")])
+    def test_pt_phases_and_pv_alphas_print_as_cells(self, capsys, alpha, beta):
+        # the [re, im] lists of the report print in the cell grammar, to 12 digits
+        argv = ("analyze", "--model", "two-level", "--alpha", alpha, "--beta", beta)
+        payload = json.loads(run_cli(capsys, *argv, "--format", "json")[1])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        for section, key in (("pt", "eta"), ("pt", "phase_fix"), ("pv", "alphas")):
+            cells = ", ".join(format_complex_cell(complex(re, im))
+                              for re, im in payload[section][key])
+            assert f"  {key}: {cells}" in lines
+        assert "  eta: 1, -1" in lines and "  alphas: 1, -1" in lines
+
     def test_frame_disabled(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "--model", "two-level", "--alpha", "5", "--beta", "3",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pthamil.antilinear import calibrate, parity_overlaps
+from pthamil.antilinear import calibrate, make_frame, parity_overlaps
 from pthamil.cpt import (
     build_c,
     build_pv,
@@ -12,20 +12,21 @@ from pthamil.cpt import (
     diagnostic_is_degenerate,
 )
 from pthamil.errors import NotCommuting
-from pthamil.intertwiner import build_metric, v_gram
+from pthamil.intertwiner import Intertwiner, build_metric, v_gram
 from pthamil.linalg import SIGMA1, eigendecompose, identity
 from pthamil.spectra import SpectrumClass, SpectrumKind, classify
 from pthamil.twolevel import TwoLevelModel, hamiltonian
 from testutil import canonical_two_level_frame, rng
 
+FRAME = canonical_two_level_frame()  # P = sigma_1
 
 def _real_system(alpha=5.0, beta=3.0, parity_calibrated=True):
     h = hamiltonian(TwoLevelModel(alpha, beta))
     es = eigendecompose(h)
     cls = classify(es)
     if parity_calibrated:
-        es = calibrate(es, cls, SIGMA1, None, True)[0]
-    itw = build_metric(es, cls, h)
+        es = calibrate(es, cls, FRAME, True)[0]
+    itw = build_metric(es, cls)
     return h, es, cls, itw
 
 
@@ -53,7 +54,7 @@ class TestCheckPIntertwines:
 class TestBuildPV:
     def test_two_level_closed_form(self):
         h, es, cls, itw = _real_system()
-        pv = build_pv(SIGMA1, itw.v, es, h)
+        pv = build_pv(FRAME, itw, es)
         assert np.allclose(pv.matrix, np.array([[0.0, 2.0], [0.5, 0.0]]), atol=1e-12)
         assert np.allclose(pv.matrix @ pv.matrix, identity(2), atol=1e-12)
         assert pv.squares_to_identity
@@ -62,42 +63,42 @@ class TestBuildPV:
     def test_trivial_hermitian_case(self):
         h = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
         es = eigendecompose(h)
-        pv = build_pv(identity(2), identity(2), es, h)
+        pv = build_pv(make_frame(identity(2), identity(2)), Intertwiner(identity(2), True, 0.0), es)
         assert np.allclose(pv.matrix, identity(2))
         assert np.allclose(pv.alphas, [1.0, 1.0])
 
     def test_alpha_reciprocity(self):
         # alpha_n <R_n|P|R_n> = 1 for any eigenvector scaling
         h, es, cls, itw = _real_system(parity_calibrated=False)
-        pv = build_pv(SIGMA1, itw.v, es, h)
-        overlaps = parity_overlaps(es, SIGMA1)
+        pv = build_pv(FRAME, itw, es)
+        overlaps = parity_overlaps(es, FRAME)
         assert np.allclose(pv.alphas * overlaps, [1.0, 1.0], atol=1e-12)
 
     def test_squares_flag_depends_on_calibration(self):
         # without parity calibration (PV)^2 = I fails by a scale factor
         h, es, cls, itw = _real_system(parity_calibrated=False)
-        pv = build_pv(SIGMA1, itw.v, es, h)
+        pv = build_pv(FRAME, itw, es)
         assert not pv.squares_to_identity
 
     def test_non_intertwining_parity_rejected(self):
         h = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
         es = eigendecompose(h)
-        itw = build_metric(es, classify(es), h)
+        itw = build_metric(es, classify(es))
         with pytest.raises(NotCommuting):
-            build_pv(SIGMA1, itw.v, es, h)
+            build_pv(FRAME, itw, es)
 
     def test_complex_pair_alphas_rejected(self):
         # PV still commutes with H but its eigenvalues are imaginary
         h = hamiltonian(TwoLevelModel(3, 5))
         es = eigendecompose(h)
-        itw = build_metric(es, classify(es), h)
+        itw = build_metric(es, classify(es))
         with pytest.raises(ValueError):
-            build_pv(SIGMA1, itw.v, es, h)
+            build_pv(FRAME, itw, es)
 
     def test_parity_gram_reciprocal_structure(self):
         # <R_n|P|R_m> = delta_nm / alpha_m
         h, es, cls, itw = _real_system(2.0, 0.7, parity_calibrated=False)
-        pv = build_pv(SIGMA1, itw.v, es, h)
+        pv = build_pv(FRAME, itw, es)
         gram = es.right.conj().T @ SIGMA1 @ es.right
         assert np.allclose(gram, np.diag(1.0 / pv.alphas), atol=1e-12)
 
@@ -105,30 +106,30 @@ class TestBuildPV:
 class TestBuildC:
     def test_all_plus_signs_is_identity(self):
         h, es, cls, _ = _real_system()
-        c = build_c(es, cls, [1, 1], h)
+        c = build_c(es, cls, [1, 1])
         assert np.allclose(c.matrix, identity(2), atol=1e-12)
 
     def test_matches_pv(self):
         h, es, cls, itw = _real_system()
-        pv = build_pv(SIGMA1, itw.v, es, h)
-        c = build_c(es, cls, [1, -1], h)
+        pv = build_pv(FRAME, itw, es)
+        c = build_c(es, cls, [1, -1])
         assert np.allclose(c.matrix, pv.matrix, atol=1e-12)
 
     def test_pc_equals_metric(self):
         # P C = V when C = PV and P squares to one
         h, es, cls, itw = _real_system()
-        c = build_c(es, cls, [1, -1], h)
+        c = build_c(es, cls, [1, -1])
         assert np.allclose(SIGMA1 @ c.matrix, itw.v, atol=1e-12)
 
     def test_complex_pair_form(self):
         h = hamiltonian(TwoLevelModel(3, 5))
         es = eigendecompose(h)
         cls = classify(es)
-        c = build_c(es, cls, [1], h)
+        c = build_c(es, cls, [1])
         assert np.allclose(c.matrix @ c.matrix, identity(2), atol=1e-12)
         assert np.linalg.norm(c.matrix @ h - h @ c.matrix) <= 1e-10
         # metric-weighted elements are transition-only: zero diagonal
-        v = build_metric(es, cls, h).v
+        v = build_metric(es, cls).v
         weighted = es.right.conj().T @ v @ c.matrix @ es.right
         assert abs(weighted[0, 0]) <= 1e-12
         assert abs(weighted[1, 1]) <= 1e-12
@@ -136,31 +137,31 @@ class TestBuildC:
     def test_sign_validation(self):
         h, es, cls, _ = _real_system()
         with pytest.raises(ValueError):
-            build_c(es, cls, [1, 2], h)
+            build_c(es, cls, [1, 2])
         with pytest.raises(ValueError):
-            build_c(es, cls, [1], h)
+            build_c(es, cls, [1])
 
 
 class TestDiagnostic:
     def test_real_phase(self):
         frame = canonical_two_level_frame()
         h, es, cls, itw = _real_system()
-        pv = build_pv(SIGMA1, itw.v, es, h)
-        assert c_commutes_with_pt(pv, frame.pt) is True
+        pv = build_pv(FRAME, itw, es)
+        assert c_commutes_with_pt(pv, frame) is True
 
     def test_complex_phase(self):
         frame = canonical_two_level_frame()
         h = hamiltonian(TwoLevelModel(3, 5))
         es = eigendecompose(h)
         cls = classify(es)
-        c = build_c(es, cls, [1], h)
-        assert c_commutes_with_pt(c, frame.pt) is False
+        c = build_c(es, cls, [1])
+        assert c_commutes_with_pt(c, frame) is False
 
     def test_identity_c_is_degenerate(self):
         frame = canonical_two_level_frame()
         h, es, cls, _ = _real_system()
-        c = build_c(es, cls, [1, 1], h)
-        assert c_commutes_with_pt(c, frame.pt) is True
+        c = build_c(es, cls, [1, 1])
+        assert c_commutes_with_pt(c, frame) is True
         assert diagnostic_is_degenerate(c)
 
     def test_sampled_family(self):
@@ -174,14 +175,14 @@ class TestDiagnostic:
                 es = eigendecompose(h)
                 cls = classify(es)
                 if cls.kind is SpectrumKind.ALL_REAL:
-                    es = calibrate(es, cls, SIGMA1, None, True)[0]
-                    itw = build_metric(es, cls, h)
-                    op = build_pv(SIGMA1, itw.v, es, h)
+                    es = calibrate(es, cls, FRAME, True)[0]
+                    itw = build_metric(es, cls)
+                    op = build_pv(FRAME, itw, es)
                     expected = True
                 else:
-                    op = build_c(es, cls, [1], h)
+                    op = build_c(es, cls, [1])
                     expected = False
-                assert c_commutes_with_pt(op, frame.pt) is expected
+                assert c_commutes_with_pt(op, frame) is expected
 
 
 class TestPairCompleteness:
@@ -192,7 +193,7 @@ class TestPairCompleteness:
 
     @staticmethod
     def _assert_complete(h, es, cls):
-        itw = build_metric(es, cls, h)
+        itw = build_metric(es, cls)
         assert itw.residual <= 1e-12
         assert v_gram(es, itw, cls).flags["v_gram_pair_swap"].passed
 
@@ -215,7 +216,7 @@ class TestPairCompleteness:
             ((a_plus, b_minus), (b_plus, a_minus)),
             cls.real_indices,
         )
-        itw = build_metric(es, broken, h)
+        itw = build_metric(es, broken)
         # the pair-swap Gram holds for any map by construction; the residual
         # is what catches the wrong one
         assert v_gram(es, itw, broken).flags["v_gram_pair_swap"].passed
@@ -239,15 +240,15 @@ class TestCommutantInvariant:
             es = eigendecompose(h)
             cls = classify(es)
             if cls.kind is SpectrumKind.ALL_REAL:
-                c = build_c(es, cls, [1] * 5, h)
+                c = build_c(es, cls, [1] * 5)
             else:
-                c = build_c(es, cls, [1] * len(cls.pairs), h)
+                c = build_c(es, cls, [1] * len(cls.pairs))
             norm = np.linalg.norm(c.matrix @ h - h @ c.matrix)
             assert norm <= 1e-9 * max(1.0, np.linalg.norm(c.matrix) * np.linalg.norm(h))
 
     def test_c_signs_match_parity_overlap_signs(self):
         # sign(alpha_n) = sign(<R_n|P|R_n>)
         h, es, cls, itw = _real_system(3.0, 1.2)
-        pv = build_pv(SIGMA1, itw.v, es, h)
-        overlaps = parity_overlaps(es, SIGMA1)
+        pv = build_pv(FRAME, itw, es)
+        overlaps = parity_overlaps(es, FRAME)
         assert np.allclose(np.sign(pv.alphas.real), np.sign(overlaps.real))

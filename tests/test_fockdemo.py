@@ -1,5 +1,6 @@
 """Tests for the Fock-space position-eigenstate expansion and divergence demo."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +98,16 @@ class TestExpansion:
         with pytest.raises(CoefficientOverflow) as info:
             expand_position_state(1e40, 1.0, 30)
         assert info.value.n >= 2
+
+    @pytest.mark.parametrize("x, c0", [(1e300, 1.0), (-1e200, 1.0), (1e160, 1e160)])
+    def test_first_coefficient_checked_before_the_recurrence(self, x, c0):
+        # c_1 = x c0 is out of range: named at n = 1, before c_2 = x c_1 would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoefficientOverflow) as info:
+                expand_position_state(x, c0, 60)
+        assert info.value.n == 1
+        assert f"~{abs(x * c0):.3e} exceeded the supported range at n=1" in str(info.value)
 
     def test_nmax_validation(self):
         with pytest.raises(ValueError):

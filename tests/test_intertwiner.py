@@ -13,14 +13,14 @@ from pthamil.intertwiner import Intertwiner, build_metric, v_gram
 from pthamil.linalg import SIGMA1, eigendecompose, identity, quarter_turn
 from pthamil.spectra import SpectrumKind, classify
 from pthamil.twolevel import TwoLevelModel, closed_forms, hamiltonian
-from testutil import pa_matrix, random_real, rng, selection_rule_violations, v_gram_drift
+from testutil import canonical_two_level_frame, pa_matrix, random_real, rng, selection_rule_violations, v_gram_drift
 
 
 def _system(alpha, beta):
     h = hamiltonian(TwoLevelModel(alpha, beta))
     es = eigendecompose(h)
     cls = classify(es)
-    es = calibrate(es, cls, SIGMA1, None, True)[0]  # a pair spectrum comes back as is
+    es = calibrate(es, cls, canonical_two_level_frame(), True)[0]  # a pair spectrum comes back as is
     return h, es, cls
 
 
@@ -78,7 +78,7 @@ class TestBuildSimilarity:
 class TestBuildMetric:
     def test_two_level_closed_form(self):
         h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls, h)
+        itw = build_metric(es, cls)
         assert np.allclose(itw.v, np.diag([0.5, 2.0]), atol=1e-12)
         assert itw.positive and np.array_equal(itw.v, itw.v.conj().T)
         assert itw.residual <= 1e-12
@@ -89,7 +89,7 @@ class TestBuildMetric:
     def test_hermitian_input_gives_identity(self):
         h = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
         es = eigendecompose(h)
-        itw = build_metric(es, classify(es), h)
+        itw = build_metric(es, classify(es))
         assert np.allclose(itw.v, identity(2), atol=1e-10)
 
     @pytest.mark.parametrize("pa", [True, False], ids=["pa", "random"])
@@ -106,11 +106,11 @@ class TestBuildMetric:
             ref += np.outer(np.conj(es.left[n_minus]), es.left[n_plus])
             ref += np.outer(np.conj(es.left[n_plus]), es.left[n_minus])
         ref = 0.5 * (ref + ref.conj().T)
-        assert np.linalg.norm(build_metric(es, cls, h).v - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(build_metric(es, cls).v - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_complex_pair_metric(self):
         h, es, cls = _system(3, 5)
-        itw = build_metric(es, cls, h)
+        itw = build_metric(es, cls)
         assert np.array_equal(itw.v, itw.v.conj().T) and not itw.positive
         assert itw.residual <= 1e-12
         h_dag = h.conj().T
@@ -155,7 +155,7 @@ def test_partner_and_one_metric_formula_on_direct_sums(blocks, repeat):
     assert np.flatnonzero(partner == index).tolist() == list(cls.real_indices)
     for n_plus, n_minus in cls.pairs:
         assert (partner[n_plus], partner[n_minus]) == (n_minus, n_plus)
-    itw = build_metric(es, cls, h)
+    itw = build_metric(es, cls)
     assert np.array_equal(itw.v, _two_branch_metric(es, cls))
     assert itw.positive == (cls.kind is SpectrumKind.ALL_REAL)
 
@@ -164,8 +164,8 @@ class TestVGram:
     def test_two_level_dirac_overlap(self):
         # closed form: u-^dagger u+ = beta / sqrt(alpha^2 - beta^2) = 3/4
         h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls, h)
-        report = v_gram(es, itw, cls, p=SIGMA1)
+        itw = build_metric(es, cls)
+        report = v_gram(es, itw, cls, canonical_two_level_frame())
         assert abs(report.dirac[1, 0] - 0.75) <= 1e-12
         assert np.allclose(report.vnorm, identity(2), atol=1e-12)
         assert np.allclose(report.pnorm, np.diag([1.0, -1.0]), atol=1e-12)
@@ -174,8 +174,9 @@ class TestVGram:
     @pytest.mark.parametrize("p_intertwines", [False, True])
     def test_parity_flags_only_where_p_intertwines(self, p_intertwines):
         h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls, h)
-        report = v_gram(es, itw, cls, p=SIGMA1, tol=1e-9, p_intertwines=p_intertwines)
+        itw = build_metric(es, cls)
+        report = v_gram(es, itw, cls, canonical_two_level_frame(), tol=1e-9,
+                        p_intertwines=p_intertwines)
         assert ("p_gram_real" in report.flags) is p_intertwines
         assert all(flag.passed for flag in report.flags.values())
 
@@ -186,7 +187,7 @@ class TestVGram:
         h = pa_matrix(rng(48), n, definite=True)
         es = eigendecompose(h)
         cls = classify(es)
-        itw = build_metric(es, cls, h)
+        itw = build_metric(es, cls)
         flags = v_gram(es, itw, cls, tol=1e-9).flags
         floor, bound = flags["v_gram_entries"].threshold, flags["v_gram_identity"].threshold
         assert all(flag.passed for flag in flags.values()) and floor < bound
@@ -203,14 +204,14 @@ class TestVGram:
         h = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
         es = eigendecompose(h)
         cls = classify(es)
-        itw = build_metric(es, cls, h)
+        itw = build_metric(es, cls)
         report = v_gram(es, itw, cls)
         assert np.allclose(report.dirac, identity(2), atol=1e-12)
         assert np.allclose(report.vnorm, identity(2), atol=1e-12)
 
     def test_complex_pair_structure_flag(self):
         h, es, cls = _system(3, 5)
-        itw = build_metric(es, cls, h)
+        itw = build_metric(es, cls)
         report = v_gram(es, itw, cls)
         assert report.flags["v_gram_pair_swap"].passed
         assert report.flags["v_gram_zero_diagonal_on_pairs"].passed
@@ -223,12 +224,12 @@ class TestTimeIndependence:
 
     def test_two_level_real_phase_constant(self):
         h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls, h)
+        itw = build_metric(es, cls)
         assert v_gram_drift(h, es.right, itw.v, (0.0, 0.7, 3.1)) <= 1e-10
 
     def test_complex_phase_selection_rule(self):
         h, es, cls = _system(3, 5)
-        itw = build_metric(es, cls, h)
+        itw = build_metric(es, cls)
         gram0 = v_gram(es, itw, cls).vnorm
         assert selection_rule_violations(es.values, gram0, 1e-8) == []
         present = np.abs(gram0) > 1e-8 * max(1.0, np.linalg.norm(gram0))
@@ -277,7 +278,7 @@ class TestTimeIndependence:
     def test_time_zero_trivially_constant(self):
         # the oracle's own baseline: exp(0) is the identity, with no rounding
         h, es, cls = _system(2, 1)
-        assert v_gram_drift(h, es.right, build_metric(es, cls, h).v, (0.0,)) == 0.0
+        assert v_gram_drift(h, es.right, build_metric(es, cls).v, (0.0,)) == 0.0
 
     def test_evolution_operator_matches_expm(self):
         # exp(-iHt) acts on its own eigenvectors by pure phases
@@ -294,7 +295,7 @@ class TestTimeIndependence:
         # constancy of every Gram entry forces the intertwining relation:
         # rebuild V H - H^dagger V from Gram data and energies
         h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls, h)
+        itw = build_metric(es, cls)
         gram = v_gram(es, itw, cls).vnorm
         assert v_gram_drift(h, es.right, itw.v, (0.0, 0.5, 1.7, 4.3)) <= 1e-8
         commutator_eigenbasis = gram * (
@@ -314,7 +315,7 @@ class TestMetricProperties:
             h = random_real(generator, 6, unit_radius=True)
             es = eigendecompose(h)
             cls = classify(es)
-            itw = build_metric(es, cls, h)
+            itw = build_metric(es, cls)
             assert itw.residual <= 1e-9
             assert np.array_equal(itw.v, itw.v.conj().T)
             if cls.kind is SpectrumKind.ALL_REAL:
@@ -336,14 +337,14 @@ class TestMetricProperties:
             es = eigendecompose(h)
             cls = classify(es)
             assert cls.kind is SpectrumKind.ALL_REAL
-            itw = build_metric(es, cls, h)
+            itw = build_metric(es, cls)
             assert itw.positive
             assert itw.residual <= 1e-9
 
     def test_commutant_freedom(self):
         # V q(H) intertwines whenever q is a real-coefficient polynomial in H
         h, es, cls = _system(5, 3)
-        itw = build_metric(es, cls, h)
+        itw = build_metric(es, cls)
         q = identity(2) + 0.3 * h + 0.05 * (h @ h)
         assert np.allclose(q @ h, h @ q, atol=1e-12)
         assert np.allclose(q.conj().T @ itw.v, itw.v @ q, atol=1e-12)

@@ -98,7 +98,7 @@ class TestClassify:
     ], ids=["first-plus-first", "reversed", "tie"])
     def test_greedy_order_decides_pairs(self, values, pairs):
         n = len(values)
-        es = EigenSystem(np.array(values), identity(n), identity(n), 1.0)
+        es = EigenSystem(np.array(values), identity(n), identity(n), 1.0, np.diag(values))
         assert classify(es, tol=0.25).pairs == pairs
 
     @pytest.mark.parametrize("seed", range(6))
@@ -111,7 +111,7 @@ class TestClassify:
         plus = centers + 0.05 * generator.normal(size=n_pairs)
         minus = np.conj(centers + 0.05 * generator.normal(size=n_pairs))
         values = generator.permutation(np.concatenate([plus, minus]))
-        es = EigenSystem(values, identity(2 * n_pairs), identity(2 * n_pairs), 1.0)
+        es = EigenSystem(values, identity(2 * n_pairs), identity(2 * n_pairs), 1.0, np.diag(values))
         tol = 0.1
         slack = tol * float(np.max(np.abs(values)))
         expected = []
@@ -133,7 +133,7 @@ class TestClassify:
             assert classify(es, tol).pairs == tuple(expected)
 
     def test_best_mismatch_in_message(self):
-        es = EigenSystem(np.array([1 + 1j, 3 - 1j]), identity(2), identity(2), 1.0)
+        es = EigenSystem(np.array([1 + 1j, 3 - 1j]), identity(2), identity(2), 1.0, np.diag([1 + 1j, 3 - 1j]))
         with pytest.raises(UnpairedComplexEigenvalue, match=r"\(best mismatch 2\.000e\+00\)"):
             classify(es)
 

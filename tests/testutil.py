@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import functools
+import itertools
 import os
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import scipy.linalg
 import pthamil
 from pthamil.antilinear import make_frame
 from pthamil.linalg import SIGMA1, quarter_turn
+from pthamil.twolevel import closed_forms, hamiltonian
 
 
 def env_with_src() -> dict:
@@ -108,6 +111,38 @@ def conjugated_two_level_frame(q):
     p = q @ SIGMA1 @ q.conj().T
     u_t = q @ (-1j * SIGMA1) @ q.T
     return make_frame(p, u_t, 1e-8)
+
+
+def _kron(factors):
+    return functools.reduce(np.kron, factors)
+
+
+def kronecker_sum(models):
+    """``(H, P, u_T)`` of the Kronecker sum ``H = sum_k I x ... x H_k x ... x I``
+    of two-level models ``H_k``, with the product frame ``P = (x) sigma_1``,
+    ``u_T = (x) (-i sigma_1)``: each factor's canonical frame, so PT is
+    ``(-i)^k K`` and P intertwines H, since it intertwines every ``H_k``."""
+    hs = [hamiltonian(m) for m in models]
+    eye = np.eye(2)
+    h = sum(_kron([hk if j == k else eye for j in range(len(hs))]) for k, hk in enumerate(hs))
+    return h, _kron([SIGMA1] * len(hs)), _kron([-1j * SIGMA1] * len(hs))
+
+
+def kronecker_sum_closed_forms(models):
+    """``(V, PV, levels)`` of :func:`kronecker_sum` over real-phase models, from
+    the factors' closed forms: ``V = (x) V_k`` and ``PV = (x) sigma_1 V_k``,
+    and ``levels``, the ``(energy, eta)`` of the product state of every sign
+    choice, energy descending: ``sum_k s_k g_k`` with ``g_k`` the gap of
+    factor k and ``eta = prod_k s_k``, the product of the factors' intrinsic
+    PT phases, each the sign of its state's parity overlap. States of one
+    energy share one eta while the gaps have no rational relation other than
+    equality, so the order within a degenerate group does not matter."""
+    forms = [closed_forms(m) for m in models]
+    levels = sorted(
+        ((sum(s * cf.energies[0] for s, cf in zip(signs, forms)), float(np.prod(signs)))
+         for signs in itertools.product((1, -1), repeat=len(forms))),
+        key=lambda level: -level[0])
+    return (_kron([cf.v for cf in forms]), _kron([SIGMA1 @ cf.v for cf in forms]), levels)
 
 
 # exact-rational oracles for the Fock expansion of pthamil.fockdemo
