@@ -10,59 +10,42 @@ spectra.
 
 __version__ = "0.1.0"
 
-from .antilinear import (
-    PTFrame,
-    PTPhases,
-    calibrate,
-    make_frame,
-    pt_gram,
-)
-from .cpt import (
-    CommutantOp,
-    build_c,
-    build_pv,
-    c_commutes_with_pt,
-    check_p_intertwines,
-)
-from .errors import (
-    CoefficientOverflow,
-    ConvergenceFailure,
-    InvalidFrame,
-    NonDiagonalizable,
-    NotCommuting,
-    NotRealPhase,
-    ParseError,
-    PTHamilError,
-    UnpairedComplexEigenvalue,
-)
-from .fockdemo import (
-    DivergenceWitness,
-    FockExpansion,
-    divergence_witness,
-    expand_position_state,
-    oscillator_contrast,
-    truncated_position_matrix,
-)
-from .intertwiner import (
-    Intertwiner,
-    NormReport,
-    build_metric,
-    v_gram,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    EigenSystem,
-    as_matrix,
-    eigendecompose,
-    identity,
-)
-from .pipeline import AnalysisConfig, AnalysisReport, emit_report, parse_report, run_analyze, run_batch
-from .spectra import (
-    SpectrumClass,
-    SpectrumKind,
-    antilinear_symmetry_check,
-    classify,
-)
-from .twolevel import TwoLevelModel, closed_forms, compare_with_pipeline, hamiltonian
+#: the public names, by the submodule each is read from on first use, so
+#: ``import pthamil`` itself imports neither numpy nor any submodule
+_EXPORTS = {
+    "antilinear": ("PTFrame", "PTPhases", "calibrate", "make_frame", "pt_gram"),
+    "cpt": ("CommutantOp", "build_c", "build_pv", "c_commutes_with_pt", "check_p_intertwines"),
+    "errors": ("CoefficientOverflow", "ConvergenceFailure", "InvalidFrame", "NonDiagonalizable",
+               "NotCommuting", "NotRealPhase", "ParseError", "PTHamilError",
+               "UnpairedComplexEigenvalue"),
+    "fockdemo": ("DivergenceWitness", "FockExpansion", "divergence_witness",
+                 "expand_position_state", "oscillator_contrast", "truncated_position_matrix"),
+    "intertwiner": ("Intertwiner", "NormReport", "build_metric", "v_gram"),
+    "linalg": ("DEFAULT_TOL", "EigenSystem", "as_matrix", "eigendecompose", "identity"),
+    "pipeline": ("AnalysisConfig", "AnalysisReport", "emit_report", "parse_report", "run_analyze",
+                 "run_batch"),
+    "spectra": ("SpectrumClass", "SpectrumKind", "antilinear_symmetry_check", "classify"),
+    "twolevel": ("TwoLevelModel", "closed_forms", "compare_with_pipeline", "hamiltonian"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+#: submodules exported by name, ``from pthamil import *`` included
+_SUBMODULES = (*_EXPORTS, "jsontext", "matio")
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_HOME, *_SUBMODULES])
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

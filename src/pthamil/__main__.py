@@ -1,3 +1,3 @@
-from .cli import console_main
+from .entry import console_main
 
 console_main()

@@ -9,11 +9,11 @@ tolerance; ``--tol`` overrides both.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 import numpy as np
 
+from .entry import build_parser
 from .errors import ParseError, PTHamilError
 from .fockdemo import divergence_witness, expand_position_state, oscillator_contrast
 from .jsontext import dumps
@@ -179,50 +179,6 @@ def _config_from_args(args) -> AnalysisConfig:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pthamil",
-        description="Inner products and metric operators for Hamiltonians "
-                    "with antilinear (PT-type) symmetry.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    analyze = subs.add_parser("analyze", help="full analysis of one Hamiltonian")
-    source = analyze.add_mutually_exclusive_group(required=True)
-    source.add_argument("--file", help="Hamiltonian matrix file (JSON or CSV)")
-    source.add_argument("--model", choices=("two-level", "fock-x"),
-                        help="builtin model instead of a file")
-    analyze.add_argument("--alpha", type=float, help="two-level parameter alpha")
-    analyze.add_argument("--beta", type=float, help="two-level parameter beta")
-    analyze.add_argument("--nmax", type=int, help="fock-x truncation size")
-    analyze.add_argument("--p", dest="p_spec",
-                         help="parity matrix: file, builtin (sigma1|sigma2|sigma3|identity|alternating), or 'none'")
-    analyze.add_argument("--t", dest="t_spec",
-                         help="time reversal: file holding u of v->u*conj(v), or builtin (k|ki|kisigma1)")
-    analyze.add_argument("--c-signs", help="comma-separated +-1 weights for the C operator")
-    analyze.add_argument("--tol", type=float, help="tolerance override (default 1e-10 or PTHAMIL_TOL)")
-    analyze.add_argument("--format", dest="output", choices=("text", "json", "csv"), default="text")
-
-    batch = subs.add_parser("batch", help="analyze many matrix files")
-    batch.add_argument("paths", nargs="*", help="matrix files")
-    batch.add_argument("--parallelism", type=int, default=1)
-    batch.add_argument("--tol", type=float)
-    batch.add_argument("--format", dest="output", choices=("text", "json"), default="json")
-
-    two = subs.add_parser("two-level", help="closed forms and pipeline comparison")
-    two.add_argument("--alpha", type=float, required=True)
-    two.add_argument("--beta", type=float, required=True)
-    two.add_argument("--tol", type=float)
-    two.add_argument("--format", dest="output", choices=("text", "json"), default="text")
-
-    fock = subs.add_parser("fock-demo", help="position-eigenstate coefficient table")
-    fock.add_argument("--x", type=float, required=True)
-    fock.add_argument("--nmax", type=int, default=2000)
-    fock.add_argument("--csv", help="write the coefficient table to this CSV file")
-    fock.add_argument("--format", dest="output", choices=("text", "json"), default="text")
-    return parser
-
-
 def _cmd_analyze(args) -> int:
     report = run_analyze(_config_from_args(args))
     _emit(report, args.output)
@@ -326,8 +282,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return run(build_parser().parse_args(argv))
+
+
+def run(args) -> int:
+    """Run the command of parsed arguments; returns the exit code."""
     try:
         return _COMMANDS[args.command](args)
     except (PTHamilError, ValueError) as exc:
@@ -342,9 +301,5 @@ def main(argv=None) -> int:
         return entry["exit_code"]
 
 
-def console_main() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    raise SystemExit(main())

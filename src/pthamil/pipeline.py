@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .antilinear import calibrate, make_frame
 from .cpt import build_c, build_pv, c_commutes_with_pt, check_p_intertwines, diagnostic_is_degenerate
+from .entry import blas_caps
 from .errors import (
     InvalidFrame,
     NonDiagonalizable,
@@ -417,8 +418,6 @@ def error_entry(exc: BaseException) -> dict:
     return entry
 
 
-#: thread-count variables of the BLAS libraries numpy may be built on
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: held while ``run_batch`` has the BLAS caps in ``os.environ``
 _BLAS_ENV_LOCK = threading.Lock()
 
@@ -440,6 +439,14 @@ def _batch_entry(path: str, base_cfg: AnalysisConfig | None, reports: bool = Tru
     return {"path": path, "failed_flags": failed} if failed else {"path": path}
 
 
+def _one_thread() -> bool:
+    """Whether this process runs exactly one OS thread (read on Linux only)."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
 def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = None,
               reports: bool = True) -> list:
     """Analyze many files; output order always matches input order.
@@ -455,11 +462,14 @@ def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = Non
 
     With one worker (``parallelism == 1`` or a single file) the files are
     analyzed in this process. Otherwise ``min(parallelism, len(paths))``
-    spawned worker processes share the files, each with single-threaded BLAS
+    worker processes share the files. If this process runs one OS thread, as
+    ``pthamil batch`` does after loading numpy with its BLAS capped, it has no
+    BLAS thread pool, and the workers are forked: they inherit its imports and
+    its BLAS. Otherwise they are spawned, each with single-threaded BLAS
     unless the caller's environment sets any of the BLAS thread-count
-    variables. A script that calls this with ``parallelism > 1`` needs an
-    ``if __name__ == "__main__":`` guard. While the workers start, the caps
-    are in ``os.environ``, so a subprocess another thread starts then
+    variables; a script whose calls take this path with ``parallelism > 1``
+    needs an ``if __name__ == "__main__":`` guard. While spawned workers start,
+    the caps are in ``os.environ``, so a subprocess another thread starts then
     inherits them; concurrent calls wait for each other's workers to start.
     Per-file failures become error entries instead of aborting the batch.
     """
@@ -468,27 +478,30 @@ def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = Non
     paths = list(paths)
     workers = min(parallelism, len(paths))
     if workers <= 1:
-        # a spawned worker costs about 0.3 s of start-up and imports: one
-        # n=153 file takes 0.32 s here and 0.61 s through a one-worker pool
+        # a spawned worker costs about 0.3 s of start-up and imports, a forked
+        # one about 25 ms: one n=153 file takes 59 ms here and 84 ms through
+        # a one-worker forked pool, both with single-threaded BLAS
         return [_batch_entry(path, base_cfg, reports) for path in paths]
 
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
+    tasks = (_batch_entry, paths, [base_cfg] * len(paths), [reports] * len(paths))
+    if _one_thread():
+        # no thread can hold a lock across the fork; the pool forks every
+        # worker before it starts its own threads
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(*tasks))
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
         # a spawned worker loads BLAS while importing numpy, before any
         # initializer could run, so the cap must be in the environment it
-        # starts with; every worker starts during map's submissions. A
-        # variable the caller set may be the one their BLAS reads first
-        # (OpenBLAS reads its own before OMP's), so then set none
+        # starts with; every worker starts during map's submissions
         with _BLAS_ENV_LOCK:
-            user_set = any(name in os.environ for name in _BLAS_THREAD_VARS)
-            caps = () if user_set else _BLAS_THREAD_VARS
+            caps = blas_caps(os.environ)
             os.environ.update(dict.fromkeys(caps, "1"))
             try:
-                entries = pool.map(_batch_entry, paths, [base_cfg] * len(paths),
-                                   [reports] * len(paths))
+                entries = pool.map(*tasks)
             finally:
                 for name in caps:
                     os.environ.pop(name, None)

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pthamil.cli import _fmt_matrix, _render_csv, main
+from pthamil.cli import _fmt_matrix, _render_csv, build_parser, main
 from pthamil.matio import format_complex_cell, save_matrix
 from pthamil.pipeline import AnalysisConfig, run_analyze
 from pthamil.twolevel import TwoLevelModel, hamiltonian
-from testutil import env_with_src
+from testutil import env_with_src, probed_pthamil
 
 
 def run_cli(capsys, *argv):
@@ -470,23 +471,38 @@ class TestBatchCommand:
             assert (out, err) == ("", "error: tolerance must be positive\n")
 
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="BLAS starts no thread pool on one CPU, so the workers fork")
     def test_module_entry_point_spawns_workers(self, tmp_path):
-        # spawned workers import the parent's main module unless it is a
-        # package's __main__; python -m pthamil must start them and not rerun itself
+        # a caller-set BLAS thread count leaves the parent with a BLAS thread
+        # pool, so its workers are spawned; spawned workers import the
+        # parent's main module unless it is a package's __main__, and python
+        # -m pthamil must start them and not rerun itself
         paths = [str(tmp_path / "a.json"), str(tmp_path / "b.csv")]
         save_matrix(paths[0], hamiltonian(TwoLevelModel(5, 3)))
         save_matrix(paths[1], hamiltonian(TwoLevelModel(3, 5)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pthamil", "batch", *paths, "--parallelism", "2",
-             "--format", "text"],
-            env=env_with_src(), capture_output=True, text=True, timeout=120,
-        )
+        proc, forks, spawned, caps = probed_pthamil(
+            tmp_path, "batch", *paths, "--parallelism", "2", "--format", "text",
+            blas={"OPENBLAS_NUM_THREADS": "2"})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "".join(f"{p}: ok\n" for p in paths)
+        assert (forks, spawned, caps) == (0, 2, ["2", None, None])
 
     def test_cli_import_leaves_process_pool_unloaded(self):
         probe = ("import sys, pthamil.cli; print(sorted(m for m in ('multiprocessing', "
                  "'concurrent.futures.process') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env_with_src(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_cli_import_loads_every_traced_module(self):
+        # the benchmark's tracer imports pthamil.cli and then reads these
+        # modules from sys.modules
+        names = ("pipeline", "matio", "linalg", "spectra", "antilinear", "cpt",
+                 "intertwiner", "twolevel")
+        probe = (f"import sys, pthamil.cli; print([n for n in {names!r} "
+                 "if 'pthamil.' + n not in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", probe], env=env_with_src(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -528,3 +544,28 @@ class TestFockDemoCommand:
         assert payload["fitted_tail_exponent"] > -1.0
         assert payload["oscillator_contrast"] is True
 
+
+
+class TestNegativeNumbers:
+    """A float option's value may be a negative number in exponent form, given
+    as a separate argument: it is read as that number, not as an option name."""
+
+    @pytest.mark.parametrize("argv,value,code,err", [
+        (("fock-demo", "--x", "-1e200", "--nmax", "60"), "-1e200", 1,
+         "error: coefficient magnitude ~1.000e+200 exceeded the supported range at n=1\n"),
+        (("two-level", "--alpha", "5", "--beta", "-1e-3"), "-1e-3", 2,
+         "error: require alpha > 0 and beta >= 0\n"),
+        (("analyze", "--model", "two-level", "--alpha", "5", "--beta", "-1e-3"), "-1e-3", 2,
+         "error: require alpha > 0 and beta >= 0\n"),
+        (("fock-demo", "--x", "-inf", "--nmax", "60"), "-inf", 2,
+         "error: x and c0 must be finite, got x=-inf, c0=1.0\n"),
+    ])
+    def test_same_as_the_joined_form(self, capsys, argv, value, code, err):
+        i = argv.index(value)
+        joined = (*argv[:i - 1], f"{argv[i - 1]}={value}", *argv[i + 1:])
+        assert run_cli(capsys, *argv) == run_cli(capsys, *joined) == (code, "", err)
+
+    @pytest.mark.parametrize("value", ["-1e200", "-1E+2", "-.5e-3", "-2.e1", "-3", "-0.25",
+                                       "-inf", "-Infinity"])
+    def test_parsed_as_the_number(self, value):
+        assert build_parser().parse_args(["fock-demo", "--x", value]).x == float(value)

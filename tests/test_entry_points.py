@@ -11,7 +11,7 @@ import pytest
 
 from pthamil.matio import save_matrix
 from pthamil.twolevel import TwoLevelModel, hamiltonian
-from testutil import env_with_src, pa_matrix
+from testutil import env_with_src, pa_matrix, probed_pthamil
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -93,6 +93,70 @@ def test_batch_status_line_names_a_failed_flag(tmp_path):
     big.write_text("0,8e300\n2e300,1e-20i\n")
     proc = _pthamil("batch", big, "--format", "text")
     assert "flags failed: metric_intertwines" in proc.stdout, (proc.stdout, proc.stderr)
+
+
+#: ``pthamil.__all__``, and the names ``from pthamil import *`` binds
+PUBLIC = [
+    "AnalysisConfig", "AnalysisReport", "CoefficientOverflow", "CommutantOp", "ConvergenceFailure",
+    "DEFAULT_TOL", "DivergenceWitness", "EigenSystem", "FockExpansion", "Intertwiner",
+    "InvalidFrame", "NonDiagonalizable", "NormReport", "NotCommuting", "NotRealPhase", "PTFrame",
+    "PTHamilError", "PTPhases", "ParseError", "SpectrumClass", "SpectrumKind", "TwoLevelModel",
+    "UnpairedComplexEigenvalue", "antilinear", "antilinear_symmetry_check", "as_matrix",
+    "build_c", "build_metric", "build_pv", "c_commutes_with_pt", "calibrate",
+    "check_p_intertwines", "classify", "closed_forms", "compare_with_pipeline", "cpt",
+    "divergence_witness", "eigendecompose", "emit_report", "errors", "expand_position_state",
+    "fockdemo", "hamiltonian", "identity", "intertwiner", "jsontext", "linalg", "make_frame",
+    "matio", "oscillator_contrast", "parse_report", "pipeline", "pt_gram", "run_analyze",
+    "run_batch", "spectra", "truncated_position_matrix", "twolevel", "v_gram",
+]
+
+
+def _python(code: str) -> str:
+    """The stdout of a fresh interpreter running ``code`` on this pthamil."""
+    proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_and_parser_import_without_numpy():
+    assert _python("import sys, pthamil, pthamil.entry; pthamil.entry.build_parser(); "
+                   "print(__import__('pthamil').__version__, 'numpy' in sys.modules)") == "0.1.0 False\n"
+
+
+def test_public_names_load_on_first_use():
+    names = json.loads(_python(
+        "import json, pthamil; names = [pthamil.__all__, [n for n in dir(pthamil) "
+        "if not n.startswith('_')]]; star = {}; exec('from pthamil import *', star); "
+        "print(json.dumps([*names, sorted(n for n in star if n != '__builtins__'), "
+        "pthamil.run_batch.__module__]))"))
+    assert names == [PUBLIC, PUBLIC, PUBLIC, "pthamil.pipeline"]
+
+
+def test_batch_forks_its_workers_from_a_capped_parent(tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.csv", tmp_path / "c.json"]
+    save_matrix(str(paths[0]), hamiltonian(TwoLevelModel(5, 3)))
+    save_matrix(str(paths[1]), hamiltonian(TwoLevelModel(3, 5)))
+    save_matrix(str(paths[2]), np.diag([1.0, 2.0 + 1.0j]))
+    proc, forks, spawned, caps = probed_pthamil(tmp_path, "batch", *paths, "--parallelism", "2",
+                                                "--format", "text")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[:2] == [f"{paths[0]}: ok", f"{paths[1]}: ok"]
+    assert proc.stdout.splitlines()[2].startswith(f"{paths[2]}: error: ")
+    assert (forks, spawned, caps) == (2, 0, ["1", "1", "1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--model", "two-level", "--alpha", "5", "--beta", "3"),
+    ("batch", "{a}", "--parallelism", "2"),
+    ("batch", "{a}", "{a}", "--parallelism", "1"),
+], ids=["analyze", "one-file-batch", "serial-batch"])
+def test_other_commands_leave_blas_as_the_user_has_it(tmp_path, argv):
+    path = tmp_path / "a.json"
+    save_matrix(str(path), hamiltonian(TwoLevelModel(5, 3)))
+    proc, forks, spawned, caps = probed_pthamil(tmp_path, *(a.format(a=path) for a in argv))
+    assert proc.returncode == 0, proc.stderr
+    assert (forks, spawned, caps) == (0, 0, [None, None, None])
 
 
 class TestRealBasisAt120:

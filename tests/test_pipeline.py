@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -24,7 +26,7 @@ from pthamil.pipeline import (
     run_batch,
 )
 from pthamil.twolevel import TwoLevelModel, hamiltonian
-from testutil import pa_matrix, random_unitary, selection_rule_violations
+from testutil import BLAS_VARS, env_with_src, pa_matrix, random_unitary, selection_rule_violations
 
 
 def _matrix_from(d):
@@ -567,6 +569,7 @@ class TestBatch:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pipeline, "_one_thread", lambda: False)  # the spawn path
         for name in names:
             monkeypatch.delenv(name, raising=False)
         for name, value in user_env.items():
@@ -673,6 +676,30 @@ class TestBatchWorkers:
             other_shape, other_floats = _split_floats(dict(other, report=other["report"].to_dict()))
             assert shape == other_shape
             assert np.allclose(other_floats, floats, rtol=1e-8, atol=1e-10)
+
+
+    def test_forked_workers_match_spawned_ones(self, files, tmp_path):
+        # in a process with capped BLAS, so it runs one thread and forks; both
+        # kinds of worker then run single-threaded BLAS, so entries are equal
+        bad, big = str(tmp_path / "unpaired.json"), str(tmp_path / "big.csv")
+        save_matrix(bad, np.diag([1.0, 2.0 + 1.0j]))
+        with open(big, "w") as fh:
+            fh.write("0,8e300\n2e300,1e-20i\n")  # metric_intertwines FAILs
+        # reports compared as their JSON text, where a NaN residual equals itself
+        code = ("import sys; from pthamil import pipeline; files = sys.argv[1:]\n"
+                "def run(): return [[dict(e, report=pipeline.emit_report(e['report'])) "
+                "if 'report' in e else e for e in pipeline.run_batch(files, 2, reports=r)] "
+                "for r in (True, False)]\n"
+                "assert pipeline._one_thread(); forked = run()\n"
+                "pipeline._one_thread = lambda: False; spawned = run()\n"
+                "print(forked == spawned, [sorted(e) for e in forked[1]])")
+        env = {k: v for k, v in env_with_src().items() if k not in BLAS_VARS}
+        env.update(dict.fromkeys(BLAS_VARS, "1"))
+        proc = subprocess.run([sys.executable, "-c", code, *files, bad, big], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("True [['path'], ['path'], ['error', 'path'], "
+                               "['failed_flags', 'path']]\n")
 
 
 def _odd_pivot_pa():

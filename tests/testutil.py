@@ -3,6 +3,10 @@
 import functools
 import itertools
 import os
+import pathlib
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +25,46 @@ def env_with_src() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+#: thread-count variables of the BLAS libraries numpy may be built on
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: a ``sitecustomize`` that logs, as ``pid event ...`` lines, each interpreter
+#: it starts in (with its command line), each ``os.fork`` and, when that
+#: interpreter exits, the values of the BLAS variables in its environment
+_PROBE = """
+import atexit, os, sys
+def _log(*words):
+    with open({log!r}, "a", encoding="utf-8") as fh:
+        fh.write(" ".join(map(str, (os.getpid(), *words))) + "\\n")
+_log("start", *sys.orig_argv)
+sys.addaudithook(lambda event, args: event == "os.fork" and _log("fork"))
+_pid = os.getpid()
+atexit.register(lambda: os.getpid() == _pid and _log("caps", *(os.environ.get(n) for n in {names!r})))
+"""
+
+
+def probed_pthamil(tmp_path, *argv, blas=None):
+    """Run ``python -m pthamil argv`` with this pthamil's source, the BLAS
+    variables of ``blas`` (a dict) and no other, under the probe above.
+    Returns the completed process, the number of workers it forked, the
+    number of spawned workers that started, and the BLAS variables of its
+    environment at exit (None where unset)."""
+    probe = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    log = probe / "probe.log"
+    (probe / "sitecustomize.py").write_text(_PROBE.format(log=str(log), names=BLAS_VARS))
+    env = {k: v for k, v in env_with_src().items() if k not in BLAS_VARS}
+    env.update(blas or {}, PYTHONPATH=os.pathsep.join((str(probe), env["PYTHONPATH"])))
+    proc = subprocess.run([sys.executable, "-m", "pthamil", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    lines = [line.split(" ") for line in log.read_text().splitlines()]
+    main = lines[0][0]
+    forks = sum(words == [main, "fork"] for words in lines)
+    spawned = sum(words[1] == "start" and "--multiprocessing-fork" in words for words in lines)
+    (caps,) = [[None if v == "None" else v for v in words[2:]] for words in lines
+               if words[:2] == [main, "caps"]]
+    return proc, forks, spawned, caps
 
 
 def rng(seed=0):
