@@ -545,10 +545,10 @@ class TestFockDemoCommand:
         assert payload["oscillator_contrast"] is True
 
 
-
 class TestNegativeNumbers:
-    """A float option's value may be a negative number in exponent form, given
-    as a separate argument: it is read as that number, not as an option name."""
+    """A float option's value may be a negative number in exponent form, or
+    minus infinity, given as a separate argument: it is read as that number,
+    not as an option name."""
 
     @pytest.mark.parametrize("argv,value,code,err", [
         (("fock-demo", "--x", "-1e200", "--nmax", "60"), "-1e200", 1,

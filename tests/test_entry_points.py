@@ -121,7 +121,7 @@ def _python(code: str) -> str:
 
 def test_package_and_parser_import_without_numpy():
     assert _python("import sys, pthamil, pthamil.entry; pthamil.entry.build_parser(); "
-                   "print(__import__('pthamil').__version__, 'numpy' in sys.modules)") == "0.1.0 False\n"
+                   "print(pthamil.__version__, 'numpy' in sys.modules)") == "0.1.0 False\n"
 
 
 def test_public_names_load_on_first_use():
