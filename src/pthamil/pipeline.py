@@ -462,13 +462,15 @@ def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = Non
 
     With one worker (``parallelism == 1`` or a single file) the files are
     analyzed in this process. Otherwise ``min(parallelism, len(paths))``
-    worker processes share the files. If this process runs one OS thread, as
-    ``pthamil batch`` does after loading numpy with its BLAS capped, it has no
-    BLAS thread pool, and the workers are forked: they inherit its imports and
-    its BLAS. Otherwise they are spawned, each with single-threaded BLAS
-    unless the caller's environment sets any of the BLAS thread-count
-    variables; a script whose calls take this path with ``parallelism > 1``
-    needs an ``if __name__ == "__main__":`` guard. While spawned workers start,
+    worker processes share the files. If this process runs one OS thread and
+    its environment sets a BLAS thread-count variable, as ``pthamil batch``
+    does before loading numpy, the workers are forked: they inherit its
+    imports and its BLAS. Otherwise they are spawned, each with
+    single-threaded BLAS unless the caller's environment sets any of the BLAS
+    thread-count variables; an OpenMP BLAS starts its threads only at its
+    first parallel call, so one thread alone does not show that BLAS is
+    capped. A script whose calls spawn workers needs an
+    ``if __name__ == "__main__":`` guard. While spawned workers start,
     the caps are in ``os.environ``, so a subprocess another thread starts then
     inherits them; concurrent calls wait for each other's workers to start.
     Per-file failures become error entries instead of aborting the batch.
@@ -487,7 +489,7 @@ def run_batch(paths, parallelism: int = 1, base_cfg: AnalysisConfig | None = Non
     from concurrent.futures.process import ProcessPoolExecutor
 
     tasks = (_batch_entry, paths, [base_cfg] * len(paths), [reports] * len(paths))
-    if _one_thread():
+    if _one_thread() and not blas_caps(os.environ):
         # no thread can hold a lock across the fork; the pool forks every
         # worker before it starts its own threads
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:

@@ -4,7 +4,6 @@ import contextlib
 import functools
 import io
 import json
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -471,19 +470,18 @@ class TestBatchCommand:
             assert (out, err) == ("", "error: tolerance must be positive\n")
 
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                        reason="BLAS starts no thread pool on one CPU, so the workers fork")
     def test_module_entry_point_spawns_workers(self, tmp_path):
         # a caller-set BLAS thread count leaves the parent with a BLAS thread
-        # pool, so its workers are spawned; spawned workers import the
-        # parent's main module unless it is a package's __main__, and python
-        # -m pthamil must start them and not rerun itself
+        # pool, so its workers are spawned; the probe parks a thread in the
+        # parent, as that pool does on more than one CPU. Spawned workers
+        # import the parent's main module unless it is a package's __main__,
+        # and python -m pthamil must start them and not rerun itself
         paths = [str(tmp_path / "a.json"), str(tmp_path / "b.csv")]
         save_matrix(paths[0], hamiltonian(TwoLevelModel(5, 3)))
         save_matrix(paths[1], hamiltonian(TwoLevelModel(3, 5)))
         proc, forks, spawned, caps = probed_pthamil(
             tmp_path, "batch", *paths, "--parallelism", "2", "--format", "text",
-            blas={"OPENBLAS_NUM_THREADS": "2"})
+            blas={"OPENBLAS_NUM_THREADS": "2"}, thread=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "".join(f"{p}: ok\n" for p in paths)
         assert (forks, spawned, caps) == (0, 2, ["2", None, None])

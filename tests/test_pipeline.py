@@ -545,18 +545,18 @@ class TestBatch:
         run_batch(good, parallelism=2)
         assert dict(os.environ) == before
 
-    @pytest.mark.parametrize("user_env", [{}, {"OMP_NUM_THREADS": "3"}])
-    def test_blas_caps_only_when_caller_set_none(self, files, monkeypatch, user_env):
-        # the environment the workers start in: every cap, or none if the
-        # caller set any BLAS variable (OpenBLAS reads its own before OMP's)
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Replace the process pool by one that maps in this process; each
+        pool records its start method and the BLAS variables its workers
+        would start with, and every BLAS variable is unset."""
         import concurrent.futures.process
 
-        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         seen = []
 
         class RecordingPool:
             def __init__(self, workers, mp_context):
-                pass
+                self.method = mp_context.get_start_method()
 
             def __enter__(self):
                 return self
@@ -565,22 +565,45 @@ class TestBatch:
                 return False
 
             def map(self, fn, *iterables):
-                seen.append({name: os.environ.get(name) for name in names})
+                seen.append((self.method, [os.environ.get(name) for name in BLAS_VARS]))
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(pipeline, "_one_thread", lambda: False)  # the spawn path
-        for name in names:
+        for name in BLAS_VARS:
             monkeypatch.delenv(name, raising=False)
+        return seen
+
+    @pytest.mark.parametrize("user_env", [{}, {"OMP_NUM_THREADS": "3"}])
+    def test_blas_caps_only_when_caller_set_none(self, files, monkeypatch, pools, user_env):
+        # the environment the workers start in: every cap, or none if the
+        # caller set any BLAS variable (OpenBLAS reads its own before OMP's)
+        monkeypatch.setattr(pipeline, "_one_thread", lambda: False)  # the spawn path
         for name, value in user_env.items():
             monkeypatch.setenv(name, value)
         before = dict(os.environ)
         good, _ = files
         entries = run_batch(good, parallelism=2)
-        expected = user_env or dict.fromkeys(names, "1")
-        assert seen == [{name: expected.get(name) for name in names}]
+        expected = user_env or dict.fromkeys(BLAS_VARS, "1")
+        assert pools == [("spawn", [expected.get(name) for name in BLAS_VARS])]
         assert all("report" in e for e in entries)
         assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("one_thread, user_env, method", [
+        (True, {"OPENBLAS_NUM_THREADS": "1"}, "fork"),
+        # an OpenMP BLAS starts no thread before its first parallel call, so
+        # one thread with no variable set may still load all-core BLAS
+        (True, {}, "spawn"),
+        (False, {"OPENBLAS_NUM_THREADS": "1"}, "spawn"),
+    ])
+    def test_fork_only_from_one_thread_with_blas_set(self, files, monkeypatch, pools,
+                                                      one_thread, user_env, method):
+        monkeypatch.setattr(pipeline, "_one_thread", lambda: one_thread)
+        for name, value in user_env.items():
+            monkeypatch.setenv(name, value)
+        good, _ = files
+        assert all("report" in e for e in run_batch(good, parallelism=2))
+        expected = user_env or dict.fromkeys(BLAS_VARS, "1")
+        assert pools == [(method, [expected.get(name) for name in BLAS_VARS])]
 
 
 #: a JSON table cell: numbers (NaN, infinities and an integer beyond the float

@@ -32,9 +32,12 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: a ``sitecustomize`` that logs, as ``pid event ...`` lines, each interpreter
 #: it starts in (with its command line), each ``os.fork`` and, when that
-#: interpreter exits, the values of the BLAS variables in its environment
+#: interpreter exits, the values of the BLAS variables in its environment;
+#: with ``thread`` true, it parks one daemon thread in ``python -m pthamil``
 _PROBE = """
-import atexit, os, sys
+import atexit, os, sys, threading
+if {thread!r} and sys.orig_argv[1:3] == ["-m", "pthamil"]:
+    threading.Thread(target=threading.Event().wait, daemon=True).start()
 def _log(*words):
     with open({log!r}, "a", encoding="utf-8") as fh:
         fh.write(" ".join(map(str, (os.getpid(), *words))) + "\\n")
@@ -45,15 +48,18 @@ atexit.register(lambda: os.getpid() == _pid and _log("caps", *(os.environ.get(n)
 """
 
 
-def probed_pthamil(tmp_path, *argv, blas=None):
+def probed_pthamil(tmp_path, *argv, blas=None, thread=False):
     """Run ``python -m pthamil argv`` with this pthamil's source, the BLAS
-    variables of ``blas`` (a dict) and no other, under the probe above.
+    variables of ``blas`` (a dict) and no other, under the probe above, with
+    one more thread in the parent process if ``thread`` is true, as a
+    threaded BLAS starts on more than one CPU.
     Returns the completed process, the number of workers it forked, the
     number of spawned workers that started, and the BLAS variables of its
     environment at exit (None where unset)."""
     probe = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
     log = probe / "probe.log"
-    (probe / "sitecustomize.py").write_text(_PROBE.format(log=str(log), names=BLAS_VARS))
+    (probe / "sitecustomize.py").write_text(_PROBE.format(log=str(log), names=BLAS_VARS,
+                                                               thread=thread))
     env = {k: v for k, v in env_with_src().items() if k not in BLAS_VARS}
     env.update(blas or {}, PYTHONPATH=os.pathsep.join((str(probe), env["PYTHONPATH"])))
     proc = subprocess.run([sys.executable, "-m", "pthamil", *map(str, argv)], env=env,
