@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidFrame
 from .linalg import (DEFAULT_TOL, EigenSystem, as_matrix, check_tier, mat_norm, quarter_turn,
-                     residual_bound)
+                     read_only, residual_bound)
 from .spectra import SpectrumClass, SpectrumKind, spectral_scale
 
 
@@ -31,9 +31,7 @@ class PTFrame:
 
     def __post_init__(self):
         for name in ("p", "pt"):
-            m = as_matrix(getattr(self, name), name)
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, read_only(as_matrix(getattr(self, name), name)))
 
 
 def make_frame(p, u_t, tol: float = DEFAULT_TOL) -> PTFrame:
@@ -85,9 +83,7 @@ class PTPhases:
 
     def __post_init__(self):
         for name in ("eta", "phase_fix"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 def _degenerate_groups(values, tol):

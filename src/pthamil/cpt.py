@@ -16,25 +16,22 @@ import numpy as np
 from .antilinear import PTFrame
 from .errors import NotCommuting, PTHamilError
 from .intertwiner import Intertwiner
-from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, check_tier, mat_norm, residual_bound
+from .linalg import (DEFAULT_TOL, EigenSystem, as_matrix, check_tier, mat_norm, read_only,
+                     residual_bound)
 from .spectra import SpectrumClass, SpectrumKind
 
 
 @dataclass(frozen=True)
 class CommutantOp:
-    """An operator commuting with H, diagonal on the biorthogonal eigenbasis."""
+    """PV (:func:`build_pv`): its matrix, eigenvalues ``alphas``, and whether it squares to one."""
 
     matrix: np.ndarray
     alphas: np.ndarray
     squares_to_identity: bool
 
     def __post_init__(self):
-        m = as_matrix(self.matrix, "matrix")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        a = np.asarray(self.alphas, dtype=complex)
-        a.setflags(write=False)
-        object.__setattr__(self, "alphas", a)
+        for name in ("matrix", "alphas"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 def check_p_intertwines(h, p, tol: float = DEFAULT_TOL) -> bool:
@@ -73,9 +70,9 @@ def build_pv(frame: PTFrame, itw: Intertwiner, es: EigenSystem,
     return CommutantOp(pv, alphas.real.astype(complex), squares)
 
 
-def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL) -> CommutantOp:
-    """C operator from biorthogonal projectors with +-1 weights, checked
-    against ``es.h``, the matrix ``es`` decomposes.
+def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The read-only matrix of C from biorthogonal projectors with +-1 weights,
+    checked against ``es.h``, the matrix ``es`` decomposes.
 
     All-real spectrum: one sign per eigenstate. Conjugate pairs: one sign per
     pair, realized with opposite weights ``(s, -s)`` on the two members (real
@@ -97,31 +94,29 @@ def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL
             weights[n_plus] = s
             weights[n_minus] = -s
     c = (es.right * weights) @ es.left
-    eye = np.eye(es.dim)
-    sq = mat_norm(c @ c - eye)
+    sq = mat_norm(c @ c - np.eye(es.dim))
     comm = mat_norm(c @ es.h - es.h @ c)
     if sq > residual_bound(check_tier(tol), mat_norm(c) ** 2):
         raise PTHamilError(f"constructed C fails C^2 = I (residual {sq:.3e})")
     if comm > residual_bound(check_tier(tol), mat_norm(c) * mat_norm(es.h)):
         raise PTHamilError(f"constructed C fails [C, H] = 0 (residual {comm:.3e})")
-    return CommutantOp(c, weights, True)
+    return read_only(c)
 
 
-def c_commutes_with_pt(c: CommutantOp, frame: PTFrame, tol: float = DEFAULT_TOL) -> bool:
-    """True iff C commutes with the frame's antilinear PT, ``v -> u conj(v)``.
+def c_commutes_with_pt(c: np.ndarray, frame: PTFrame, tol: float = DEFAULT_TOL) -> bool:
+    """True iff C, the matrix ``c``, commutes with the frame's PT, ``v -> u conj(v)``.
 
     ``[C, PT] = 0`` reduces to ``C u conj(C) = u``; it holds exactly when the
     spectrum is real and fails for conjugate pairs.
     """
-    cm, u = c.matrix, frame.pt
-    residual = mat_norm(cm @ u @ np.conj(cm) - u)
-    return residual <= residual_bound(tol, mat_norm(u) * mat_norm(cm) ** 2)
+    u = frame.pt
+    residual = mat_norm(c @ u @ np.conj(c) - u)
+    return residual <= residual_bound(tol, mat_norm(u) * mat_norm(c) ** 2)
 
 
-def diagnostic_is_degenerate(c: CommutantOp, tol: float = DEFAULT_TOL) -> bool:
-    """True when C is (a sign times) the identity, which commutes with
-    everything and carries no information."""
-    cm = c.matrix
-    eye = np.eye(cm.shape[0])
-    bound = residual_bound(tol, mat_norm(cm))
-    return (mat_norm(cm - eye) <= bound) or (mat_norm(cm + eye) <= bound)
+def diagnostic_is_degenerate(c: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """True when C, the matrix ``c``, is (a sign times) the identity, which
+    commutes with everything and carries no information."""
+    eye = np.eye(c.shape[0])
+    bound = residual_bound(tol, mat_norm(c))
+    return (mat_norm(c - eye) <= bound) or (mat_norm(c + eye) <= bound)

@@ -9,6 +9,7 @@ This module imports no numpy.
 import argparse
 import os
 import re
+import sys
 
 #: thread-count variables of the BLAS libraries numpy may be built on
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -83,4 +84,10 @@ def console_main(argv=None) -> None:
         os.environ.update(dict.fromkeys(blas_caps(os.environ), "1"))
     from .cli import run
 
-    raise SystemExit(run(args))
+    try:
+        code = run(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try, not at exit
+    except BrokenPipeError:  # ``... | head``: the recipe of the Python docs' note on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

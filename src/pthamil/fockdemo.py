@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientOverflow
-from .linalg import DEFAULT_TOL, eigendecompose, residual_bound
+from .linalg import DEFAULT_TOL, eigendecompose, read_only, residual_bound
 
 #: Squares of coefficients this large would still sum finitely in float range.
 OVERFLOW_LIMIT = 1e150
@@ -35,9 +35,7 @@ class FockExpansion:
 
     def __post_init__(self):
         for name in ("coeffs", "partial_norms"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name), float))
 
 
 def expand_position_state(x: float, c0: float = 1.0, nmax: int = 100) -> FockExpansion:
@@ -73,9 +71,7 @@ class DivergenceWitness:
     fitted_tail_exponent: float
 
     def __post_init__(self):
-        arr = np.asarray(self.partial_norms, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "partial_norms", arr)
+        object.__setattr__(self, "partial_norms", read_only(self.partial_norms, float))
 
 
 def divergence_witness(x: float, nmax: int) -> DivergenceWitness:

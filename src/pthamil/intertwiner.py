@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .antilinear import PTFrame, PTPhases, pt_gram
-from .linalg import DEFAULT_TOL, EigenSystem, check_tier, mat_norm, residual_bound
+from .linalg import DEFAULT_TOL, EigenSystem, check_tier, mat_norm, read_only, residual_bound
 from .spectra import SpectrumClass, SpectrumKind
 
 
@@ -28,16 +28,19 @@ class Intertwiner:
     residual: float
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=complex)
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", read_only(self.v))
 
 
 @dataclass(frozen=True)
 class Flag:
-    passed: bool
+    """A check's residual and threshold; it passes when ``residual <= threshold`` (NaN fails)."""
+
     residual: float
     threshold: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.threshold)
 
 
 @dataclass(frozen=True)
@@ -100,20 +103,20 @@ def v_gram(es: EigenSystem, itw: Intertwiner, cls: SpectrumClass, frame: PTFrame
     res = mat_norm(deviation)
     if cls.pairs:
         diag = float(max(abs(vnorm[i, i]) for pair in cls.pairs for i in pair))
-        flags = {"v_gram_pair_swap": Flag(res <= bound, res, bound),
-                 "v_gram_zero_diagonal_on_pairs": Flag(diag <= bound, diag, bound)}
+        flags = {"v_gram_pair_swap": Flag(res, bound),
+                 "v_gram_zero_diagonal_on_pairs": Flag(diag, bound)}
     else:
-        flags = {"v_gram_identity": Flag(res <= bound, res, bound)}
+        flags = {"v_gram_identity": Flag(res, bound)}
     # above n = 100 one entry can pass the Frobenius bound yet exceed this floor
     res = float(np.abs(deviation).max())
     floor = residual_bound(check_tier(tol), mat_norm(vnorm))
-    flags["v_gram_entries"] = Flag(res <= floor, res, floor)
+    flags["v_gram_entries"] = Flag(res, floor)
     if p_intertwines and cls.kind is SpectrumKind.ALL_REAL:  # a real-spectrum theorem
         above = np.abs(pnorm) > tol
         res = float(np.abs(pnorm.imag[above]).max()) if above.any() else 0.0
         threshold = residual_bound(tol, mat_norm(pnorm))
-        flags["p_gram_real"] = Flag(res <= threshold, res, threshold)
+        flags["p_gram_real"] = Flag(res, threshold)
     if p_intertwines and ptnorm is not None:
         res = mat_norm(ptnorm - vnorm)
-        flags["pt_gram_equals_v_gram"] = Flag(res <= bound, res, bound)
+        flags["pt_gram_equals_v_gram"] = Flag(res, bound)
     return NormReport(dirac, vnorm, pnorm, ptnorm, flags)

@@ -50,6 +50,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def read_only(a, dtype=complex) -> np.ndarray:
+    """``a`` as a read-only ndarray of ``dtype``; an array already of ``dtype`` is not copied."""
+    a = np.asarray(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
@@ -94,9 +101,7 @@ class EigenSystem:
 
     def __post_init__(self):
         for name in ("values", "right", "left", "h"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         n = self.values.shape[0]
         if any(getattr(self, name).shape != (n, n) for name in ("right", "left", "h")):
             raise ValueError("inconsistent eigensystem shapes")
@@ -107,7 +112,6 @@ class EigenSystem:
 
     def with_right(self, right: np.ndarray) -> "EigenSystem":
         """New system with replaced right eigenvectors; left recomputed as the inverse."""
-        right = np.asarray(right, dtype=complex)
         return EigenSystem(self.values.copy(), right, np.linalg.inv(right),
                            float(np.linalg.cond(right)), self.h)
 

@@ -104,7 +104,7 @@ def load_matrix(path: str) -> np.ndarray:
     if not os.path.exists(path):
         raise ParseError(f"no such file: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc

@@ -322,20 +322,18 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         c_section = {"skipped": f"{reason}; supply c_signs to build C anyway"}
         diagnostic = {"skipped": "no C operator was built"}
     else:
-        commutant = build_c(es, cls, signs, tol)
-        c_section = {"matrix": _matrix(commutant.matrix),
-                     "signs": [int(s) for s in signs]}
+        c = build_c(es, cls, signs, tol)
+        c_section = {"matrix": _matrix(c), "signs": [int(s) for s in signs]}
         if frame is None:
             diagnostic = {"skipped": "no frame supplied for the [C, PT] diagnostic"}
         else:
-            commutes = c_commutes_with_pt(commutant, frame, check_tol)
+            commutes = c_commutes_with_pt(c, frame, check_tol)
             c_section["commutes_with_pt"] = commutes
             diagnostic = "real_spectrum" if commutes else "complex_pairs"
-            if diagnostic_is_degenerate(commutant, tol):
+            if diagnostic_is_degenerate(c, tol):
                 notes.append("diagnostic degenerate: C is proportional to the identity")
 
-    flags = dict(norm_report.flags)
-    flags["metric_intertwines"] = Flag(itw.residual <= gram_tol, itw.residual, gram_tol)
+    flags = {**norm_report.flags, "metric_intertwines": Flag(itw.residual, gram_tol)}
 
     return AnalysisReport(
         provenance={
@@ -376,7 +374,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         c=c_section,
         diagnostic=diagnostic,
         flags={
-            name: {"passed": bool(f.passed), "residual": float(f.residual),
+            name: {"passed": f.passed, "residual": float(f.residual),
                    "threshold": float(f.threshold)}
             for name, f in flags.items()
         },

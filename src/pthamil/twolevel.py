@@ -91,19 +91,10 @@ def closed_forms(m: TwoLevelModel) -> ClosedForms:
     )
 
 
-@dataclass(frozen=True)
-class PipelineComparison:
-    """Residuals of the generic pipeline against the closed forms, after
-    phase-convention alignment."""
-
-    residuals: dict
-    max_residual: float
-
-
-def compare_with_pipeline(m: TwoLevelModel, tol: float = DEFAULT_TOL) -> PipelineComparison:
+def compare_with_pipeline(m: TwoLevelModel, tol: float = DEFAULT_TOL) -> dict:
     """Run :func:`~pthamil.pipeline.run_analyze` on the model, in its default
     ``P = sigma_1``, ``T = K i sigma_1`` frame, and measure the report
-    field by field against the closed forms.
+    field by field against the closed forms: the residuals by name.
 
     The report's states are parity-calibrated but keep the phase convention
     of ``eigendecompose``, so a state may differ from its closed form by a
@@ -130,7 +121,7 @@ def compare_with_pipeline(m: TwoLevelModel, tol: float = DEFAULT_TOL) -> Pipelin
     rephase = np.sum(right.conj() * targets, axis=0) / np.sum(right.conj() * right, axis=0)
     aligned = right * rephase
     conj = s @ hamiltonian(m) @ right
-    residuals = {
+    return {
         "energies": float(np.abs(values - np.array(cf.energies)).max()) / cf.energies[0],
         "u_plus": mat_norm(aligned[:, 0] - cf.u_plus),
         "u_minus": mat_norm(aligned[:, 1] - cf.u_minus),
@@ -142,4 +133,3 @@ def compare_with_pipeline(m: TwoLevelModel, tol: float = DEFAULT_TOL) -> Pipelin
         "pv_squares_to_identity": mat_norm(pv @ pv - np.eye(2)),
         "similarity_hermitian": mat_norm(conj - conj.conj().T) / mat_norm(conj),
     }
-    return PipelineComparison(residuals, max(residuals.values()))

@@ -147,7 +147,7 @@ def test_criterion_4_diagnostic_correctness():
             if alpha > beta:
                 es = calibrate(es, cls, frame, True)[0]
                 itw = build_metric(es, cls)
-                op = build_pv(frame, itw, es)
+                op = build_pv(frame, itw, es).matrix
                 assert c_commutes_with_pt(op, frame) is True
             else:
                 op = build_c(es, cls, [1])

@@ -107,30 +107,30 @@ class TestBuildC:
     def test_all_plus_signs_is_identity(self):
         h, es, cls, _ = _real_system()
         c = build_c(es, cls, [1, 1])
-        assert np.allclose(c.matrix, identity(2), atol=1e-12)
+        assert np.allclose(c, identity(2), atol=1e-12)
 
     def test_matches_pv(self):
         h, es, cls, itw = _real_system()
         pv = build_pv(FRAME, itw, es)
         c = build_c(es, cls, [1, -1])
-        assert np.allclose(c.matrix, pv.matrix, atol=1e-12)
+        assert np.allclose(c, pv.matrix, atol=1e-12)
 
     def test_pc_equals_metric(self):
         # P C = V when C = PV and P squares to one
         h, es, cls, itw = _real_system()
         c = build_c(es, cls, [1, -1])
-        assert np.allclose(SIGMA1 @ c.matrix, itw.v, atol=1e-12)
+        assert np.allclose(SIGMA1 @ c, itw.v, atol=1e-12)
 
     def test_complex_pair_form(self):
         h = hamiltonian(TwoLevelModel(3, 5))
         es = eigendecompose(h)
         cls = classify(es)
         c = build_c(es, cls, [1])
-        assert np.allclose(c.matrix @ c.matrix, identity(2), atol=1e-12)
-        assert np.linalg.norm(c.matrix @ h - h @ c.matrix) <= 1e-10
+        assert np.allclose(c @ c, identity(2), atol=1e-12)
+        assert np.linalg.norm(c @ h - h @ c) <= 1e-10
         # metric-weighted elements are transition-only: zero diagonal
         v = build_metric(es, cls).v
-        weighted = es.right.conj().T @ v @ c.matrix @ es.right
+        weighted = es.right.conj().T @ v @ c @ es.right
         assert abs(weighted[0, 0]) <= 1e-12
         assert abs(weighted[1, 1]) <= 1e-12
 
@@ -147,7 +147,7 @@ class TestDiagnostic:
         frame = canonical_two_level_frame()
         h, es, cls, itw = _real_system()
         pv = build_pv(FRAME, itw, es)
-        assert c_commutes_with_pt(pv, frame) is True
+        assert c_commutes_with_pt(pv.matrix, frame) is True
 
     def test_complex_phase(self):
         frame = canonical_two_level_frame()
@@ -177,7 +177,7 @@ class TestDiagnostic:
                 if cls.kind is SpectrumKind.ALL_REAL:
                     es = calibrate(es, cls, FRAME, True)[0]
                     itw = build_metric(es, cls)
-                    op = build_pv(FRAME, itw, es)
+                    op = build_pv(FRAME, itw, es).matrix
                     expected = True
                 else:
                     op = build_c(es, cls, [1])
@@ -243,8 +243,8 @@ class TestCommutantInvariant:
                 c = build_c(es, cls, [1] * 5)
             else:
                 c = build_c(es, cls, [1] * len(cls.pairs))
-            norm = np.linalg.norm(c.matrix @ h - h @ c.matrix)
-            assert norm <= 1e-9 * max(1.0, np.linalg.norm(c.matrix) * np.linalg.norm(h))
+            norm = np.linalg.norm(c @ h - h @ c)
+            assert norm <= 1e-9 * max(1.0, np.linalg.norm(c) * np.linalg.norm(h))
 
     def test_c_signs_match_parity_overlap_signs(self):
         # sign(alpha_n) = sign(<R_n|P|R_n>)

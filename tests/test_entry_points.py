@@ -111,6 +111,21 @@ PUBLIC = [
 ]
 
 
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(output):
+    # ``analyze ... | head -c 100``: the report of a 120x120 H is megabytes,
+    # far more than a pipe buffers, so the command is still writing
+    proc = subprocess.Popen([sys.executable, "-m", "pthamil", "analyze", "--model", "fock-x",
+                             "--nmax", "120", "--format", output], env=env_with_src(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in stderr and stderr == ""
+
+
 def _python(code: str) -> str:
     """The stdout of a fresh interpreter running ``code`` on this pthamil."""
     proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(),

@@ -1,11 +1,16 @@
 """Tests for the matrix primitives and the eigendecomposition."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from pthamil.antilinear import calibrate
+from pthamil.cpt import build_c, build_pv
 from pthamil.errors import NonDiagonalizable
+from pthamil.fockdemo import divergence_witness, expand_position_state
+from pthamil.intertwiner import Flag, build_metric
 from pthamil.linalg import (
     DEFAULT_TOL,
     _canonical_phases,
@@ -17,8 +22,9 @@ from pthamil.linalg import (
     mat_norm,
     quarter_turn,
 )
+from pthamil.spectra import classify
 from pthamil.twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
-from testutil import random_real, rng
+from testutil import canonical_two_level_frame, random_real, rng
 
 
 class TestEigendecompose:
@@ -271,3 +277,57 @@ def test_eigendecompose_turns_ignored_unless_exactly_real(entry, spoil):
         assert es.condition == float(np.linalg.cond(right))
         assert not np.all((es.right.real == 0.0) | (es.right.imag == 0.0))
         assert mat_norm(es.right @ np.diag(es.values) @ es.left - h) <= 1e-12 * mat_norm(h)
+
+
+#: the arrays each kernel's result holds, with their dtypes; None is the result itself
+RESULT_ARRAYS = {
+    "eigendecompose": {"values": complex, "right": complex, "left": complex, "h": complex},
+    "make_frame": {"p": complex, "pt": complex},
+    "calibrate": {"eta": complex, "phase_fix": complex},
+    "build_metric": {"v": complex},
+    "build_pv": {"matrix": complex, "alphas": complex},
+    "build_c": {None: complex},
+    "expand_position_state": {"coeffs": float, "partial_norms": float},
+    "divergence_witness": {"partial_norms": float},
+}
+
+
+@pytest.fixture(scope="module")
+def results():
+    """Each kernel's result on the two-level model at alpha=5, beta=3 (the
+    Fock expansion at x=0.5, nmax=60)."""
+    es = eigendecompose(two_level_hamiltonian(TwoLevelModel(5, 3)))
+    cls = classify(es)
+    frame = canonical_two_level_frame()
+    calibrated, phases, _, _ = calibrate(es, cls, frame, True)
+    itw = build_metric(calibrated, cls)
+    return {
+        "eigendecompose": es,
+        "make_frame": frame,
+        "calibrate": phases,
+        "build_metric": itw,
+        "build_pv": build_pv(frame, itw, calibrated),
+        "build_c": build_c(calibrated, cls, [1, -1]),
+        "expand_position_state": expand_position_state(0.5, 1.0, 60),
+        "divergence_witness": divergence_witness(0.5, 60),
+    }
+
+
+@pytest.mark.parametrize("kernel", list(RESULT_ARRAYS))
+def test_result_arrays_are_read_only(results, kernel):
+    result, arrays = results[kernel], RESULT_ARRAYS[kernel]
+    if None in arrays:  # C is its matrix
+        assert type(result) is np.ndarray
+    else:  # every array the result holds is listed
+        held = {f.name for f in fields(result) if isinstance(getattr(result, f.name), np.ndarray)}
+        assert held == set(arrays)
+    for name, dtype in arrays.items():
+        a = result if name is None else getattr(result, name)
+        assert a.dtype == dtype and not a.flags.writeable, name
+
+
+@pytest.mark.parametrize("residual,passed", [
+    (float("nan"), False), (1.0, True), (0.5, True), (math.nextafter(1.0, 2.0), False),
+])
+def test_flag_passes_when_residual_is_at_most_threshold(residual, passed):
+    assert Flag(residual, 1.0).passed is passed

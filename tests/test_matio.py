@@ -134,6 +134,18 @@ def test_non_utf8_file(tmp_path):
         load_matrix(str(path))
 
 
+@pytest.mark.parametrize("name,text", [
+    ("h.csv", "0,1\n1,0\n"),
+    ("h.json", '{"dim": 2, "re": [[0, 1], [1, 0]]}'),
+    ("h.txt", '{"re": [[0, 1], [1, 0]]}'),  # JSON by content sniff
+], ids=["csv", "json", "sniffed-json"])
+def test_leading_byte_order_mark_is_ignored(tmp_path, name, text):
+    # as editors and spreadsheet "CSV UTF-8" exports write it
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert np.array_equal(load_matrix(str(path)), [[0, 1], [1, 0]])
+
+
 def test_directory_is_not_a_matrix_file(tmp_path):
     with pytest.raises(ParseError, match="cannot read"):
         load_matrix(str(tmp_path))
