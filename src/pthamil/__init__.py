@@ -19,7 +19,7 @@ _EXPORTS = {
                "NotCommuting", "NotRealPhase", "ParseError", "PTHamilError",
                "UnpairedComplexEigenvalue"),
     "fockdemo": ("DivergenceWitness", "FockExpansion", "divergence_witness",
-                 "expand_position_state", "oscillator_contrast", "truncated_position_matrix"),
+                 "expand_position_state", "truncated_position_matrix"),
     "intertwiner": ("Intertwiner", "NormReport", "build_metric", "v_gram"),
     "linalg": ("DEFAULT_TOL", "EigenSystem", "as_matrix", "eigendecompose", "identity"),
     "pipeline": ("AnalysisConfig", "AnalysisReport", "emit_report", "parse_report", "run_analyze",

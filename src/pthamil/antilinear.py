@@ -165,6 +165,23 @@ _MIN_PT_COEFF = 0.5
 _REAL_PHASE_TOL = 1e-6
 
 
+def pt_eigenstates(frame: PTFrame, es: EigenSystem, tol: float = DEFAULT_TOL) -> tuple:
+    """Whether each state of ``es`` is a PT eigenstate, ``PT R_n = c_n R_n``.
+
+    Returns ``(coeff, residual, bad)``: the coefficients ``c_n = <L_n|PT|R_n>``,
+    the residuals ``||PT R_n - c_n R_n||``, and the mask of the states that
+    are not PT eigenstates, with ``|c_n|`` below ``_MIN_PT_COEFF`` or a
+    residual above the check-tier bound of ``||PT R_n||``. On a PT-symmetric
+    H every state of a real spectrum is one; a member of a conjugate pair,
+    which PT maps onto its partner, is not.
+    """
+    images = frame.pt @ np.conj(es.right)
+    coeff = np.einsum("ij,ji->i", es.left, images)
+    residual = np.linalg.norm(images - coeff * es.right, axis=0)
+    bound = residual_bound(check_tier(tol), np.linalg.norm(images, axis=0))
+    return coeff, residual, (np.abs(coeff) < _MIN_PT_COEFF) | (residual > bound)
+
+
 def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
               p_intertwines: bool, tol: float = DEFAULT_TOL) -> tuple:
     """Calibrate a real-spectrum eigenbasis so its PT-conjugate norm is the V norm.
@@ -209,13 +226,8 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
         phased = es.with_right(_recombine_degenerate(frame, es, groups, p_floor, tol)) if groups else es
     except _NoPTBasis as exc:
         return unavailable(exc)
-    right, left = phased.right, phased.left
 
-    images = frame.pt @ np.conj(right)
-    coeff = np.einsum("ij,ji->i", left, images)
-    residual = np.linalg.norm(images - coeff * right, axis=0)
-    bound = residual_bound(check_tier(tol), np.linalg.norm(images, axis=0))
-    bad = (np.abs(coeff) < _MIN_PT_COEFF) | (residual > bound)
+    coeff, residual, bad = pt_eigenstates(frame, phased, tol)
     if bad.any():
         j = int(np.argmax(bad))
         return unavailable(f"state {j} is not a PT eigenstate (residual {residual[j]:.3e})")
@@ -234,11 +246,8 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
     fixes = np.where(turns % 1 == 0, quarter_turn(1.0, turns.astype(int)), np.exp(0.5j * angles))
     system = phased.rescaled(fixes, phased.condition)  # unit-modulus factors keep cond
 
-    images = frame.pt @ np.conj(system.right)  # re-read every phase as the final consistency check
-    coeff = np.einsum("ij,ji->i", system.left, images)
-    bad = ((np.abs(coeff) < _MIN_PT_COEFF)
-           | (np.abs(coeff - np.abs(coeff) * targets) > _REAL_PHASE_TOL * np.abs(coeff))
-           | (np.linalg.norm(images - coeff * system.right, axis=0) > bound))
+    coeff, _, bad = pt_eigenstates(frame, system, tol)  # re-read every phase as the final check
+    bad |= np.abs(coeff - np.abs(coeff) * targets) > _REAL_PHASE_TOL * np.abs(coeff)
     if bad.any():
         return unavailable(f"phase fix failed to land state {int(np.argmax(bad))} on a real branch")
     phases = PTPhases(targets, fixes, system, tuple(tuple(g) for g in groups))

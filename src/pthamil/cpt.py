@@ -3,8 +3,10 @@
 When parity intertwines the Hamiltonian with its adjoint (``P^-1 H P = H^dagger``)
 the product ``PV`` commutes with H and its eigenvalues are real; rescaling the
 eigenbasis so those eigenvalues are +-1 turns ``PV`` into a C operator
-(``C^2 = I``, ``[C, H] = 0``). Whether C commutes with PT distinguishes an
-all-real spectrum from conjugate pairs (:func:`c_commutes_with_pt`).
+(``C^2 = I``, ``[C, H] = 0``). A C of other signs is built only from signs
+the caller gives (:func:`build_c`); whether it commutes with PT
+(:func:`c_commutes_with_pt`) tells an all-real spectrum from conjugate pairs,
+which PT alone tells too (:func:`pthamil.antilinear.pt_eigenstates`).
 """
 
 from __future__ import annotations
@@ -107,16 +109,9 @@ def c_commutes_with_pt(c: np.ndarray, frame: PTFrame, tol: float = DEFAULT_TOL) 
     """True iff C, the matrix ``c``, commutes with the frame's PT, ``v -> u conj(v)``.
 
     ``[C, PT] = 0`` reduces to ``C u conj(C) = u``; it holds exactly when the
-    spectrum is real and fails for conjugate pairs.
+    spectrum is real and fails for conjugate pairs, as far as its bound, which
+    grows as ``||C||^2``, can resolve.
     """
     u = frame.pt
     residual = mat_norm(c @ u @ np.conj(c) - u)
     return residual <= residual_bound(tol, mat_norm(u) * mat_norm(c) ** 2)
-
-
-def diagnostic_is_degenerate(c: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True when C, the matrix ``c``, is (a sign times) the identity, which
-    commutes with everything and carries no information."""
-    eye = np.eye(c.shape[0])
-    bound = residual_bound(tol, mat_norm(c))
-    return (mat_norm(c - eye) <= bound) or (mat_norm(c + eye) <= bound)

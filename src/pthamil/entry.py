@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parity matrix: file, builtin (sigma1|sigma2|sigma3|identity|alternating), or 'none'")
     analyze.add_argument("--t", dest="t_spec",
                          help="time reversal: file holding u of v->u*conj(v), or builtin (k|ki|kisigma1)")
-    analyze.add_argument("--c-signs", help="comma-separated +-1 weights for the C operator")
+    analyze.add_argument("--c-signs", help="comma-separated +-1 weights: build the C operator "
+                         "(one per state on a real spectrum, one per pair otherwise)")
     analyze.add_argument("--tol", type=float, help="tolerance override (default 1e-10 or PTHAMIL_TOL)")
     analyze.add_argument("--format", dest="output", choices=("text", "json", "csv"), default="text")
 

@@ -5,8 +5,6 @@ recurrence ``sqrt(n-1) c_{n-2} + sqrt(n) c_n = x c_{n-1}``. The squared
 coefficients decay slower than ``1/n``, so the Dirac norm of a position
 eigenstate diverges with the truncation — the structural reason parity-based
 constructions that work in finite dimensions fail on position eigenstates.
-The harmonic-oscillator Hamiltonian is the positive control: its eigenstates
-stay unit-normalized at every truncation.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientOverflow
-from .linalg import DEFAULT_TOL, eigendecompose, read_only, residual_bound
+from .linalg import read_only
 
 #: Squares of coefficients this large would still sum finitely in float range.
 OVERFLOW_LIMIT = 1e150
@@ -107,16 +105,3 @@ def truncated_position_matrix(nmax: int) -> np.ndarray:
     for n in range(nmax - 1):
         m[n, n + 1] = m[n + 1, n] = math.sqrt(n + 1)
     return m
-
-
-def oscillator_hamiltonian(nmax: int) -> np.ndarray:
-    """``diag(n + 1/2)`` on the first ``nmax`` number states."""
-    return np.diag(np.arange(nmax) + 0.5).astype(complex)
-
-
-def oscillator_contrast(nmax: int, tol: float = DEFAULT_TOL) -> bool:
-    """Positive control: eigenstates of the truncated oscillator Hamiltonian
-    are unit-normalized (the divergence is specific to position eigenstates)."""
-    es = eigendecompose(oscillator_hamiltonian(nmax), tol)
-    norms = np.linalg.norm(es.right, axis=0)
-    return bool(np.all(np.abs(norms - 1.0) <= residual_bound(tol, float(nmax))))

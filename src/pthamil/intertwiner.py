@@ -45,13 +45,18 @@ class Flag:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Gram matrices of the candidate inner products plus pass/fail flags."""
+    """Gram matrices of the candidate inner products, read-only, plus pass/fail flags."""
 
     dirac: np.ndarray
     vnorm: np.ndarray
     pnorm: np.ndarray | None = None
     ptnorm: np.ndarray | None = None
     flags: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("dirac", "vnorm", "pnorm", "ptnorm"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 def build_metric(es: EigenSystem, cls: SpectrumClass) -> Intertwiner:
@@ -83,11 +88,11 @@ def v_gram(es: EigenSystem, itw: Intertwiner, cls: SpectrumClass, frame: PTFrame
     ``v_gram_zero_diagonal_on_pairs``), and entry by entry
     (``v_gram_entries``, against the check tier). Each entry ``(n, m)`` of
     the V Gram moves under ``exp(-iHt)`` by ``exp(i (conj(E_n) - E_m) t)``,
-    so these flags and ``metric_intertwines`` are what certify that the V
-    norm is constant in time. The Dirac, V and (given a ``frame``) parity
-    Grams are evaluated on the given eigensystem; the PT-conjugate Gram,
-    formed when that frame's ``phases`` are given too, uses the phase-fixed
-    states they carry (its diagonal is rephasing-invariant, so the two bases
+    so these flags and ``metric_intertwines`` (``itw.residual`` against
+    ``tol``) are what certify that the V norm is constant in time. The Dirac,
+    V and (given a ``frame``) parity Grams are evaluated on the given
+    eigensystem; the PT-conjugate Gram, formed when that frame's ``phases``
+    are given too, uses the phase-fixed states they carry (its diagonal is rephasing-invariant, so the two bases
     give the same identities). The identities of the parity and PT Grams,
     ``p_gram_real`` and ``pt_gram_equals_v_gram``, are checked only where P
     intertwines H: ``p_intertwines``, which the caller decides.
@@ -119,4 +124,5 @@ def v_gram(es: EigenSystem, itw: Intertwiner, cls: SpectrumClass, frame: PTFrame
     if p_intertwines and ptnorm is not None:
         res = mat_norm(ptnorm - vnorm)
         flags["pt_gram_equals_v_gram"] = Flag(res, bound)
+    flags["metric_intertwines"] = Flag(itw.residual, tol)
     return NormReport(dirac, vnorm, pnorm, ptnorm, flags)

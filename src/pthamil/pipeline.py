@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .antilinear import calibrate, make_frame
-from .cpt import build_c, build_pv, c_commutes_with_pt, check_p_intertwines, diagnostic_is_degenerate
+from .antilinear import calibrate, make_frame, pt_eigenstates
+from .cpt import build_c, build_pv, c_commutes_with_pt, check_p_intertwines
 from .entry import blas_caps
 from .errors import (
     InvalidFrame,
@@ -31,7 +31,7 @@ from .errors import (
     UnpairedComplexEigenvalue,
 )
 from .fockdemo import truncated_position_matrix
-from .intertwiner import Flag, build_metric, v_gram
+from .intertwiner import build_metric, v_gram
 from .jsontext import dumps
 from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, check_tier, eigendecompose, gram_tier, identity
 from .matio import load_matrix
@@ -90,7 +90,7 @@ class AnalysisConfig:
         if self.output not in ("text", "json", "csv"):
             raise ValueError(f"unknown output format {self.output!r}")
         if self.c_signs is not None and len(self.c_signs) == 0:
-            object.__setattr__(self, "c_signs", None)  # no signs given: the defaults
+            object.__setattr__(self, "c_signs", None)  # no signs given: no C
 
 
 def resolve_tol(cfg: AnalysisConfig) -> float:
@@ -245,6 +245,12 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     """Run the full pipeline: classify, build the metric and its Gram matrices,
     then the parity-dependent sections and the diagnostic.
 
+    The diagnostic is read from PT itself: ``real_spectrum`` when every state
+    of the calibrated basis is a PT eigenstate (:func:`pt_eigenstates`),
+    ``complex_pairs`` when some state is not, and skipped without a frame or
+    when H is not PT symmetric under it. C is built only from the signs
+    ``cfg.c_signs``; without them its section is skipped.
+
     Raises ParseError for an unreadable input or frame (before the rest),
     NonDiagonalizable at an exceptional point, and UnpairedComplexEigenvalue
     when the spectrum admits no antilinear symmetry. Sections whose
@@ -264,7 +270,6 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     frame = _resolve_frame(p_spec, t_spec, h.shape[0], check_tol)
     es = eigendecompose(h, tol)  # may raise NonDiagonalizable
     cls = classify(es, tol)      # may raise UnpairedComplexEigenvalue
-    real_case = cls.kind is SpectrumKind.ALL_REAL
 
     p_intertwines = frame is not None and check_p_intertwines(h, frame.p, check_tol)
     if frame is not None and not p_intertwines:
@@ -278,11 +283,15 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         )
 
     pt_section: dict = {}
-    if frame is not None:
-        symmetric = antilinear_symmetry_check(h, frame.pt, check_tol)
-        pt_section["symmetry_check"] = bool(symmetric)
-        if not symmetric:
-            notes.append("H is not PT symmetric under the supplied frame")
+    if frame is None:
+        diagnostic = {"skipped": "no parity/time-reversal frame supplied"}
+    elif not antilinear_symmetry_check(h, frame.pt, check_tol):
+        pt_section["symmetry_check"] = False
+        diagnostic = {"skipped": "H is not PT symmetric under the supplied frame"}
+        notes.append(diagnostic["skipped"])
+    else:
+        pt_section["symmetry_check"] = True
+        diagnostic = "complex_pairs" if pt_eigenstates(frame, es, tol)[2].any() else "real_spectrum"
     if phases is None:
         pt_section["skipped"] = pt_skipped
     else:
@@ -300,10 +309,8 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     itw = build_metric(es, cls)
     norm_report = v_gram(es, itw, cls, frame, phases, gram_tol, p_intertwines)
 
-    # the C signs: the given ones, else the defaults, else None with the reason
-    if not real_case:
+    if cls.kind is not SpectrumKind.ALL_REAL:
         pv_section = {"skipped": "complex-pair spectrum: PV plays no role"}
-        signs = cfg.c_signs or tuple(1 for _ in cls.pairs)
     elif p_intertwines:
         pv = build_pv(frame, itw, es, check_tol)
         pv_section = {
@@ -311,29 +318,19 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "alphas": _complex_list(pv.alphas),
             "squares_to_identity": bool(pv.squares_to_identity),
         }
-        signs = cfg.c_signs or tuple(1 if a.real >= 0.0 else -1 for a in pv.alphas)
     else:
         reason = ("P does not intertwine H with its adjoint"
                   if frame is not None else "no parity supplied")
         pv_section = {"skipped": f"{reason}; the V norm remains available"}
-        signs = cfg.c_signs
 
-    if signs is None:
-        c_section = {"skipped": f"{reason}; supply c_signs to build C anyway"}
-        diagnostic = {"skipped": "no C operator was built"}
+    if cfg.c_signs is None:
+        c_section = {"skipped": "C is built only from given signs (c_signs); "
+                                "the diagnostic reads PT itself"}
     else:
-        c = build_c(es, cls, signs, tol)
-        c_section = {"matrix": _matrix(c), "signs": [int(s) for s in signs]}
-        if frame is None:
-            diagnostic = {"skipped": "no frame supplied for the [C, PT] diagnostic"}
-        else:
-            commutes = c_commutes_with_pt(c, frame, check_tol)
-            c_section["commutes_with_pt"] = commutes
-            diagnostic = "real_spectrum" if commutes else "complex_pairs"
-            if diagnostic_is_degenerate(c, tol):
-                notes.append("diagnostic degenerate: C is proportional to the identity")
-
-    flags = {**norm_report.flags, "metric_intertwines": Flag(itw.residual, gram_tol)}
+        c = build_c(es, cls, cfg.c_signs, tol)
+        c_section = {"matrix": _matrix(c), "signs": [int(s) for s in cfg.c_signs]}
+        if frame is not None:
+            c_section["commutes_with_pt"] = c_commutes_with_pt(c, frame, check_tol)
 
     return AnalysisReport(
         provenance={
@@ -343,7 +340,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "tol": tol,
             "p": p_spec,
             "t": t_spec,
-            "schema": 3,  # version of the report layout
+            "schema": 4,  # version of the report layout
         },
         spectrum={
             "kind": cls.kind.value,
@@ -376,7 +373,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         flags={
             name: {"passed": f.passed, "residual": float(f.residual),
                    "threshold": float(f.threshold)}
-            for name, f in flags.items()
+            for name, f in norm_report.flags.items()
         },
         notes=notes,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRealPhase
-from .linalg import DEFAULT_TOL, SIGMA0, SIGMA3, mat_norm
+from .linalg import DEFAULT_TOL, SIGMA0, SIGMA3, mat_norm, read_only
 
 #: Relative width of the exceptional strip around alpha == beta.
 EXCEPTIONAL_REL_TOL = 1e-8
@@ -50,6 +50,8 @@ def hamiltonian(m: TwoLevelModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClosedForms:
+    """The closed forms of the real phase; its arrays are read-only."""
+
     theta: float
     s: np.ndarray
     v: np.ndarray
@@ -57,6 +59,10 @@ class ClosedForms:
     u_minus: np.ndarray
     energies: tuple
     dirac_overlap: float
+
+    def __post_init__(self):
+        for name in ("s", "v", "u_plus", "u_minus"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 def closed_forms(m: TwoLevelModel) -> ClosedForms:

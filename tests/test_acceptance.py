@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pthamil.antilinear import calibrate, pt_gram
+from pthamil.antilinear import calibrate, pt_eigenstates, pt_gram
 from pthamil.cpt import build_c, build_pv, c_commutes_with_pt
 from pthamil.errors import NonDiagonalizable, UnpairedComplexEigenvalue
 from pthamil.fockdemo import divergence_witness
@@ -144,6 +144,9 @@ def test_criterion_4_diagnostic_correctness():
             h = hamiltonian(TwoLevelModel(alpha, beta))
             es = eigendecompose(h)
             cls = classify(es)
+            # PT itself tells the two apart: on pairs no state is a PT eigenstate
+            not_eigenstates = pt_eigenstates(frame, es)[2]
+            assert not_eigenstates.all() if alpha < beta else not not_eigenstates.any()
             if alpha > beta:
                 es = calibrate(es, cls, frame, True)[0]
                 itw = build_metric(es, cls)

@@ -17,7 +17,7 @@ from pthamil.cli import _fmt_matrix, _render_csv, build_parser, main
 from pthamil.matio import format_complex_cell, save_matrix
 from pthamil.pipeline import AnalysisConfig, run_analyze
 from pthamil.twolevel import TwoLevelModel, hamiltonian
-from testutil import env_with_src, probed_pthamil
+from testutil import env_with_src, perfbench_workloads, probed_pthamil
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +229,52 @@ class TestOutputLayout:
         assert code == 0
         expected = json.dumps(run_analyze(cfg).to_dict(), indent=2, sort_keys=True)
         assert out == expected + "\n"
+
+
+    def test_fail_line_states_the_exceeded_bound(self, capsys, tmp_path):
+        # at 1e-12 the absolute floor admits P = I as intertwining H, and the
+        # PT Gram then misses the V Gram (ROADMAP item 4): a FAIL reads ">"
+        path = tmp_path / "units.json"
+        save_matrix(str(path), 1e-12 * np.array([[0.0, 8.0], [2.0, 0.0]]))
+        code, out, _ = run_cli(capsys, "analyze", "--file", str(path), "--p", "identity",
+                               "--t", "k")
+        assert code == 0
+        lines = out.splitlines()
+        assert "  pt_gram_equals_v_gram: FAIL (residual 8.485e-01 > 2.000e-09)" in lines
+        flags = lines[lines.index("== flags ==") + 1:]  # the last section: no notes
+        assert len(flags) == 5 and all(
+            (": pass (" in line and " <= " in line) != (": FAIL (" in line and " > " in line)
+            for line in flags), flags
+
+
+class TestBenchmarkOracle:
+    """The benchmark's oracles (``workloads.check_report`` and
+    ``check_text_report``) accept the default reports of inputs built by its
+    own generators: a two-level point in each phase, as ``sweep-small`` runs
+    them, and a real and a pair P·A matrix under ``alternating/k``, as
+    ``analyze-large`` and ``batch-mixed`` do."""
+
+    @pytest.mark.parametrize("case", ["two-level-real", "two-level-pairs", "pa-real", "pa-pairs"])
+    def test_default_reports_pass_the_oracles(self, capsys, tmp_path, case):
+        workloads = perfbench_workloads()
+        if case.startswith("two-level"):
+            alpha, beta = (2.0, 1.25) if case.endswith("real") else (1.25, 2.0)
+            expected = workloads.two_level_expected(alpha, beta)
+            argv = ["--model", "two-level", "--alpha", str(alpha), "--beta", str(beta)]
+        else:
+            definite = case.endswith("real")
+            h, values = workloads.pa_matrix(np.random.default_rng(26), 24, definite)
+            path = str(tmp_path / "pa.json")
+            workloads.write_json(path, h)
+            kind = workloads.ALL_REAL if definite else workloads.CONJUGATE_PAIRS
+            expected = workloads.Expected(kind=kind, values=tuple(values))
+            argv = ["--file", path, "--p", "alternating", "--t", "k"]
+        code, out, _ = run_cli(capsys, "analyze", *argv, "--format", "json")
+        assert code == 0
+        assert workloads.check_report(json.loads(out), expected) == []
+        code, out, _ = run_cli(capsys, "analyze", *argv)
+        assert code == 0
+        assert workloads.check_text_report(out, expected) == []
 
 
 class TestExitCodes:
@@ -540,7 +586,7 @@ class TestFockDemoCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["fitted_tail_exponent"] > -1.0
-        assert payload["oscillator_contrast"] is True
+        assert set(payload) == {"x", "nmax", "partial_norm_final", "fitted_tail_exponent"}
 
 
 class TestNegativeNumbers:

@@ -2,7 +2,6 @@
 command, as a user runs it."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -11,9 +10,7 @@ import pytest
 
 from pthamil.matio import save_matrix
 from pthamil.twolevel import TwoLevelModel, hamiltonian
-from testutil import env_with_src, pa_matrix, probed_pthamil
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from testutil import env_with_src, pa_matrix, perfbench_workloads, probed_pthamil
 
 
 def _pthamil(*argv) -> subprocess.CompletedProcess:
@@ -31,7 +28,7 @@ def _report(*argv) -> dict:
 
 def test_every_command_runs_from_the_module_entry_point():
     report = _report("--model", "two-level", "--alpha", "3", "--beta", "1")
-    assert report["provenance"]["schema"] == 3 and "S" not in report, sorted(report)
+    assert report["provenance"]["schema"] == 4 and "S" not in report, sorted(report)
     for argv in (("two-level", "--alpha", "5", "--beta", "3"),
                  ("fock-demo", "--x", "0", "--nmax", "60")):
         proc = _pthamil(*argv, "--format", "json")
@@ -52,7 +49,7 @@ def test_parity_flags_are_gated(tmp_path):
 
 
 def test_calibration_from_the_entry_point():
-    real = _report("--model", "two-level", "--alpha", "5", "--beta", "3")
+    real = _report("--model", "two-level", "--alpha", "5", "--beta", "3", "--c-signs", "1,-1")
     assert real["pt"]["eta"] == [[1, 0], [-1, 0]], real["pt"]
     alphas = [complex(*a) for a in real["pv"]["alphas"]]
     assert all(abs(abs(a) - 1) < 1e-12 and a.imag == 0 for a in alphas), alphas
@@ -106,7 +103,7 @@ PUBLIC = [
     "check_p_intertwines", "classify", "closed_forms", "compare_with_pipeline", "cpt",
     "divergence_witness", "eigendecompose", "emit_report", "errors", "expand_position_state",
     "fockdemo", "hamiltonian", "identity", "intertwiner", "jsontext", "linalg", "make_frame",
-    "matio", "oscillator_contrast", "parse_report", "pipeline", "pt_gram", "run_analyze",
+    "matio", "parse_report", "pipeline", "pt_gram", "run_analyze",
     "run_batch", "spectra", "truncated_position_matrix", "twolevel", "v_gram",
 ]
 
@@ -183,15 +180,12 @@ class TestRealBasisAt120:
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
-        sys.path.insert(0, os.path.join(REPO, "perfbench"))
-        try:
-            from workloads import alternating_parity, pa_matrix
-        finally:
-            sys.path.remove(os.path.join(REPO, "perfbench"))
+        workloads = perfbench_workloads()
         root = tmp_path_factory.mktemp("pa120")
         h_path, p_path = root / "pa120.json", root / "p120.json"
-        save_matrix(str(h_path), pa_matrix(np.random.default_rng(12), self.N, definite=True)[0])
-        save_matrix(str(p_path), np.diag(alternating_parity(self.N)))
+        save_matrix(str(h_path),
+                    workloads.pa_matrix(np.random.default_rng(12), self.N, definite=True)[0])
+        save_matrix(str(p_path), np.diag(workloads.alternating_parity(self.N)))
         return h_path, p_path
 
     def _assert_parity_zero_pattern(self, report):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pthamil.antilinear import calibrate
 from pthamil.errors import NonDiagonalizable, UnpairedComplexEigenvalue
-from pthamil.intertwiner import Intertwiner, build_metric, v_gram
+from pthamil.intertwiner import Flag, Intertwiner, build_metric, v_gram
 from pthamil.linalg import SIGMA1, eigendecompose, identity, quarter_turn
 from pthamil.spectra import SpectrumKind, classify
 from pthamil.twolevel import TwoLevelModel, closed_forms, hamiltonian
@@ -178,6 +178,7 @@ class TestVGram:
         report = v_gram(es, itw, cls, canonical_two_level_frame(), tol=1e-9,
                         p_intertwines=p_intertwines)
         assert ("p_gram_real" in report.flags) is p_intertwines
+        assert report.flags["metric_intertwines"] == Flag(itw.residual, 1e-9)
         assert all(flag.passed for flag in report.flags.values())
 
     def test_one_entry_between_the_bounds_fails_v_gram_entries(self):
@@ -272,7 +273,9 @@ class TestTimeIndependence:
             gram = evolved.conj().T @ v @ evolved
             assert np.linalg.norm(gram - gram0 * np.exp(rates * t)) <= 1e-10 * np.linalg.norm(gram)
         assert v_gram_drift(h, es.right, v, (0.0, 0.3, 1.1)) > 0.1
-        report = v_gram(es, Intertwiner(v, False, 0.0), classify(es), tol=1e-9)
+        residual = np.linalg.norm(v @ h - h.conj().T @ v) / (np.linalg.norm(v) * np.linalg.norm(h))
+        report = v_gram(es, Intertwiner(v, False, residual), classify(es), tol=1e-9)
+        assert "metric_intertwines" in report.flags
         assert not any(flag.passed for flag in report.flags.values())
 
     def test_time_zero_trivially_constant(self):

@@ -10,7 +10,7 @@ from pthamil.antilinear import calibrate
 from pthamil.cpt import build_c, build_pv
 from pthamil.errors import NonDiagonalizable
 from pthamil.fockdemo import divergence_witness, expand_position_state
-from pthamil.intertwiner import Flag, build_metric
+from pthamil.intertwiner import Flag, build_metric, v_gram
 from pthamil.linalg import (
     DEFAULT_TOL,
     _canonical_phases,
@@ -23,7 +23,7 @@ from pthamil.linalg import (
     quarter_turn,
 )
 from pthamil.spectra import classify
-from pthamil.twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
+from pthamil.twolevel import TwoLevelModel, closed_forms, hamiltonian as two_level_hamiltonian
 from testutil import canonical_two_level_frame, random_real, rng
 
 
@@ -287,6 +287,8 @@ RESULT_ARRAYS = {
     "build_metric": {"v": complex},
     "build_pv": {"matrix": complex, "alphas": complex},
     "build_c": {None: complex},
+    "v_gram": {"dirac": complex, "vnorm": complex, "pnorm": complex, "ptnorm": complex},
+    "closed_forms": {"s": complex, "v": complex, "u_plus": complex, "u_minus": complex},
     "expand_position_state": {"coeffs": float, "partial_norms": float},
     "divergence_witness": {"partial_norms": float},
 }
@@ -308,6 +310,8 @@ def results():
         "build_metric": itw,
         "build_pv": build_pv(frame, itw, calibrated),
         "build_c": build_c(calibrated, cls, [1, -1]),
+        "v_gram": v_gram(calibrated, itw, cls, frame, phases, p_intertwines=True),
+        "closed_forms": closed_forms(TwoLevelModel(5, 3)),
         "expand_position_state": expand_position_state(0.5, 1.0, 60),
         "divergence_witness": divergence_witness(0.5, 60),
     }
@@ -324,6 +328,8 @@ def test_result_arrays_are_read_only(results, kernel):
     for name, dtype in arrays.items():
         a = result if name is None else getattr(result, name)
         assert a.dtype == dtype and not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 7.0
 
 
 @pytest.mark.parametrize("residual,passed", [

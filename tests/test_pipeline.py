@@ -26,7 +26,8 @@ from pthamil.pipeline import (
     run_batch,
 )
 from pthamil.twolevel import TwoLevelModel, hamiltonian
-from testutil import BLAS_VARS, env_with_src, pa_matrix, random_unitary, selection_rule_violations
+from testutil import (BLAS_VARS, env_with_src, ix3_hamiltonian, pa_matrix, random_unitary,
+                      selection_rule_violations)
 
 
 def _matrix_from(d):
@@ -104,13 +105,18 @@ class TestAnalyzeRealPhase:
         assert np.allclose(_matrix_from(report.gram["pt"]), np.eye(2), atol=1e-10)
 
     def test_pv_equals_c(self, report):
+        # C is built only from given signs; those of the PV eigenvalues give PV
         assert report.pv["squares_to_identity"]
+        assert "matrix" not in report.c and "skipped" in report.c
+        with_c = run_analyze(AnalysisConfig(model="two-level", alpha=5.0, beta=3.0,
+                                            p_spec="sigma1", c_signs=(1, -1)))
+        assert [a[0] > 0.0 for a in report.pv["alphas"]] == [True, False]
         assert np.allclose(
-            _matrix_from(report.pv["matrix"]), _matrix_from(report.c["matrix"]),
+            _matrix_from(report.pv["matrix"]), _matrix_from(with_c.c["matrix"]),
             atol=1e-10,
         )
-        assert report.diagnostic == "real_spectrum"
-        assert report.c["commutes_with_pt"]
+        assert report.diagnostic == with_c.diagnostic == "real_spectrum"
+        assert with_c.c["commutes_with_pt"]
 
     def test_pt_section(self, report):
         assert [e[0] for e in report.pt["eta"]] == [1.0, -1.0]
@@ -143,7 +149,9 @@ class TestAnalyzeComplexPhase:
 
     def test_diagnostic(self, report):
         assert report.diagnostic == "complex_pairs"
-        assert report.c["commutes_with_pt"] is False
+        with_c = run_analyze(AnalysisConfig(model="two-level", alpha=3.0, beta=5.0, c_signs=(1,)))
+        assert with_c.diagnostic == "complex_pairs"
+        assert with_c.c["commutes_with_pt"] is False
 
     def test_pt_section_skipped(self, report):
         assert "skipped" in report.pt
@@ -251,14 +259,32 @@ class TestFockModel:
         assert np.allclose(_matrix_from(report.v), np.eye(8), atol=1e-9)
 
     def test_identity_parity_degenerate_diagnostic(self):
-        # P = I intertwines the Hermitian position operator; PV = I makes the
-        # C operator the identity, which the report flags as uninformative
+        # P = I intertwines the Hermitian position operator, and PV = I; C of
+        # the signs of PV is the identity, which commutes with everything, so
+        # the diagnostic reads PT itself: every state is a PT eigenstate
         report = run_analyze(
             AnalysisConfig(model="fock-x", nmax=6, p_spec="identity", t_spec="k")
         )
         assert report.diagnostic == "real_spectrum"
-        assert np.allclose(_matrix_from(report.c["matrix"]), np.eye(6), atol=1e-9)
-        assert any("diagnostic degenerate" in note for note in report.notes)
+        assert np.allclose(_matrix_from(report.pv["matrix"]), np.eye(6), atol=1e-9)
+        assert "matrix" not in report.c
+        with_c = run_analyze(AnalysisConfig(model="fock-x", nmax=6, p_spec="identity",
+                                            t_spec="k", c_signs=(1,) * 6))
+        assert np.allclose(_matrix_from(with_c.c["matrix"]), np.eye(6), atol=1e-9)
+        assert with_c.c["commutes_with_pt"] and with_c.notes == report.notes
+        assert not any("degenerate" in note for note in report.notes)
+
+    @pytest.mark.parametrize("nmax,pairs", [(40, 14), (80, 29)])
+    def test_ix3_diagnostic_follows_the_kind(self, tmp_path, nmax, pairs):
+        # i x^3 truncated at nmax = 80 has cond 1.3e8; the [C, PT] bound
+        # tol ||C||^2 could not tell its pairs from a real spectrum, PT can
+        path = tmp_path / "ix3.json"
+        save_matrix(str(path), ix3_hamiltonian(nmax))
+        report = run_analyze(AnalysisConfig(source_path=str(path), p_spec="alternating",
+                                            t_spec="k"))
+        assert report.spectrum["kind"] == "conjugate_pairs"
+        assert len(report.spectrum["pairs"]) == pairs
+        assert report.diagnostic == "complex_pairs"
 
 
 def _pa_block(a, d, c):
@@ -352,7 +378,8 @@ _NO_PARITY = "no parity supplied"
 _NOT_INTERTWINED = "P does not intertwine H with its adjoint"
 _NO_FRAME = "no parity/time-reversal frame supplied"
 _PAIRS_PV = "complex-pair spectrum: PV plays no role"
-_NO_C = {"skipped": "no C operator was built"}
+_NO_C = "C is built only from given signs (c_signs); the diagnostic reads PT itself"
+_NO_FRAME_DIAGNOSTIC = {"skipped": _NO_FRAME}
 
 
 class TestSkipReasons:
@@ -366,16 +393,16 @@ class TestSkipReasons:
                 [],
                 _NO_FRAME,
                 f"{_NO_PARITY}; the V norm remains available",
-                f"{_NO_PARITY}; supply c_signs to build C anyway",
                 _NO_C,
+                _NO_FRAME_DIAGNOSTIC,
             ),
             (
-                dict(model="two-level", alpha=1.0, beta=3.0, p_spec="none"),
+                dict(model="two-level", alpha=1.0, beta=3.0, p_spec="none", c_signs=(1,)),
                 [],
                 _NO_FRAME,
                 _PAIRS_PV,
                 None,
-                {"skipped": "no frame supplied for the [C, PT] diagnostic"},
+                _NO_FRAME_DIAGNOSTIC,
             ),
             (
                 dict(model="two-level", alpha=1.0, beta=3.0),
@@ -383,7 +410,7 @@ class TestSkipReasons:
                 "complex-pair spectrum: PT maps each state onto its partner, "
                 "so per-state PT phases do not exist",
                 _PAIRS_PV,
-                None,
+                _NO_C,
                 "complex_pairs",
             ),
             (
@@ -392,11 +419,11 @@ class TestSkipReasons:
                  "H is not PT symmetric under the supplied frame"],
                 "PT phases unavailable: state 0 is not a PT eigenstate (residual 1.000e+00)",
                 f"{_NOT_INTERTWINED}; the V norm remains available",
-                f"{_NOT_INTERTWINED}; supply c_signs to build C anyway",
                 _NO_C,
+                {"skipped": "H is not PT symmetric under the supplied frame"},
             ),
             (
-                dict(source_path="identity", p_spec="sigma1"),
+                dict(source_path="identity", p_spec="sigma1", c_signs=(1, 1)),
                 ["parity calibration skipped for states [0, 1]: parity overlap below "
                  "tolerance (degenerate PV eigenvalue)",
                  "degenerate eigenvalue groups [(0, 1)] recombined into a PT eigenbasis; "
@@ -411,8 +438,8 @@ class TestSkipReasons:
                 [],
                 _NO_FRAME,
                 f"{_NO_PARITY}; the V norm remains available",
-                f"{_NO_PARITY}; supply c_signs to build C anyway",
                 _NO_C,
+                _NO_FRAME_DIAGNOSTIC,
             ),
         ],
     )
@@ -459,7 +486,7 @@ class TestRoundTrip:
         assert isinstance(payload, dict)
         assert set(payload) == {"provenance", "spectrum", "eigen", "V", "gram", "pt",
                                 "pv", "c", "diagnostic", "flags", "notes"}
-        assert payload["provenance"]["schema"] == 3
+        assert payload["provenance"]["schema"] == 4
         assert set(payload["V"]) == {"dim", "re", "im", "positive", "residual"}
         assert "gram" not in payload["pt"]
 
@@ -808,7 +835,10 @@ class TestRealBasis:
         right = parity[:, np.newaxis] != parity[rows][np.newaxis, :]
         _assert_zero_parts(report.eigen["right"], right)
         _assert_zero_parts(report.eigen["left"], right.T)
-        for m in (report.v, report.pv["matrix"], report.c["matrix"]):
+        signs = tuple(1 if a[0] > 0.0 else -1 for a in report.pv["alphas"])
+        c = run_analyze(AnalysisConfig(source_path=str(path), p_spec="alternating", t_spec="k",
+                                       c_signs=signs)).c["matrix"]
+        for m in (report.v, report.pv["matrix"], c):
             _assert_zero_parts(m, parity[:, np.newaxis] != parity[np.newaxis, :])
         gram = parity[rows][:, np.newaxis] != parity[rows][np.newaxis, :]
         # gram.pt is over the phase-fixed states: real or imaginary by their PT phase

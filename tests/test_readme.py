@@ -8,6 +8,7 @@ import shlex
 import pytest
 
 from pthamil.cli import build_parser
+from pthamil.pipeline import AnalysisConfig, run_analyze
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -34,6 +35,13 @@ def test_readme_has_python_blocks():
 def test_python_block_runs(index):
     code = _python_blocks()[index]
     exec(compile(code, f"README.md python block {index}", "exec"), {"__name__": "readme"})
+
+
+def test_readme_states_the_report_schema():
+    with open(README, encoding="utf-8") as fh:
+        stated = re.findall(r"^`schema` is (\d+)\.", fh.read(), re.M)
+    report = run_analyze(AnalysisConfig(model="two-level", alpha=5.0, beta=3.0))
+    assert stated == [str(report.provenance["schema"])]
 
 
 def test_readme_has_command_lines():

@@ -73,6 +73,18 @@ def probed_pthamil(tmp_path, *argv, blas=None, thread=False):
     return proc, forks, spawned, caps
 
 
+def perfbench_workloads():
+    """The benchmark's ``perfbench/workloads.py`` module: its input
+    generators and its output oracles."""
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    sys.path.insert(0, root)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(root)
+    return workloads
+
+
 def rng(seed=0):
     return np.random.default_rng(seed)
 
@@ -193,6 +205,20 @@ def kronecker_sum_closed_forms(models):
          for signs in itertools.product((1, -1), repeat=len(forms))),
         key=lambda level: -level[0])
     return (_kron([cf.v for cf in forms]), _kron([SIGMA1 @ cf.v for cf in forms]), levels)
+
+
+def ix3_hamiltonian(nmax):
+    """The Bender-Boettcher ``H = p^2 + i x^3`` on the first ``nmax`` number
+    states, with ``x = (a + a^dagger) / sqrt(2)`` and ``p = i (a^dagger - a) /
+    sqrt(2)``: the products are formed on ``nmax + 3`` states and then cut, so
+    every kept entry is that of the infinite model. Under the alternating
+    parity with ``T = K`` it is PT symmetric and P intertwines it; the
+    truncation has conjugate pairs at every nmax tried (29 at nmax = 80)."""
+    size = nmax + 3
+    lower = np.diag(np.sqrt(np.arange(1.0, size)), -1)  # a^dagger
+    x = (lower + lower.T) / np.sqrt(2.0)
+    p = 1j * (lower - lower.T) / np.sqrt(2.0)
+    return (p @ p + 1j * (x @ x @ x))[:nmax, :nmax]
 
 
 # exact-rational oracles for the Fock expansion of pthamil.fockdemo
