@@ -95,10 +95,8 @@ def _render_text(report: AnalysisReport) -> None:
     for re, im in report.eigen["values"]:
         print(f"  {format_complex_cell(complex(re, im))}")
     _print_section("metric V")
-    v = report.v
-    print(_fmt_matrix(v))
-    print(f"  positive: {v['positive']}"
-          f"  intertwining residual: {_fmt_res(v['residual'])}")
+    print(_fmt_matrix(report.v))
+    print(f"  positive: {report.v['positive']}")
     _print_section("gram matrices")
     for name in ("dirac", "v", "p", "pt"):
         block = report.gram[name]
@@ -128,10 +126,6 @@ def _render_text(report: AnalysisReport) -> None:
         status, rule = ("pass", "<=") if flag["passed"] else ("FAIL", ">")
         print(f"  {name}: {status} (residual {_fmt_res(flag['residual'])}"
               f" {rule} {_fmt_res(flag['threshold'])})")
-    if report.notes:
-        _print_section("notes")
-        for note in report.notes:
-            print(f"  - {note}")
 
 
 def _render_csv(report: AnalysisReport) -> None:
@@ -175,7 +169,6 @@ def _config_from_args(args) -> AnalysisConfig:
         t_spec=args.t_spec,
         tol=args.tol,
         c_signs=_c_signs(args.c_signs) if args.c_signs else None,
-        output=args.output,
     )
 
 

@@ -1,8 +1,9 @@
 """Process entry of the ``pthamil`` command and ``python -m pthamil``.
 
-The command line is parsed here, before numpy is imported: a ``batch`` with
-more than one worker caps BLAS at one thread first, so the process loads
-numpy without a BLAS thread pool and ``run_batch`` can fork its workers.
+The command line is parsed here, before numpy is imported: a ``batch`` caps
+BLAS at one thread first, so the process loads numpy without a BLAS thread
+pool, ``run_batch`` can fork its workers, and a report's bytes do not depend
+on ``--parallelism``.
 This module imports no numpy.
 """
 
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def console_main(argv=None) -> None:
     args = build_parser().parse_args(argv)
-    if args.command == "batch" and min(args.parallelism, len(args.paths)) > 1:
+    if args.command == "batch":
         # before numpy loads BLAS, so no BLAS thread starts in this process
         os.environ.update(dict.fromkeys(blas_caps(os.environ), "1"))
     from .cli import run

@@ -114,7 +114,7 @@ def load_matrix(path: str) -> np.ndarray:
     if ext == ".json" or (ext not in (".csv",) and text.lstrip().startswith("{")):
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # nested too deep, or an over-long integer
             raise ParseError(f"{path}: invalid JSON ({exc})") from exc
         return matrix_from_dict(payload, name=path)
     rows = [line for line in text.splitlines() if line.strip()]

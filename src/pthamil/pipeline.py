@@ -27,7 +27,6 @@ from .errors import (
     NonDiagonalizable,
     NotRealPhase,
     ParseError,
-    PTHamilError,
     UnpairedComplexEigenvalue,
 )
 from .fockdemo import truncated_position_matrix
@@ -145,6 +144,8 @@ def _build_frame(p_spec, t_spec, dim: int, check_tol: float):
     if p_spec is None:
         return None
     p = _P_BUILTINS[p_spec](dim) if p_spec in _P_BUILTINS else load_matrix(p_spec)
+    if p.shape[0] != dim:
+        raise InvalidFrame(f"P is {p.shape[0]}x{p.shape[0]} but H is {dim}x{dim}")
     u = _T_BUILTINS[t_spec](dim) if t_spec in _T_BUILTINS else load_matrix(t_spec)
     return make_frame(p, u, check_tol)
 
@@ -196,7 +197,6 @@ class AnalysisReport:
     c: dict
     diagnostic: str | dict
     flags: dict
-    notes: list
 
     def to_dict(self) -> dict:
         return _plain(self._tree())
@@ -214,7 +214,6 @@ class AnalysisReport:
             "c": self.c,
             "diagnostic": self.diagnostic,
             "flags": self.flags,
-            "notes": self.notes,
         }
 
     def __eq__(self, other) -> bool:
@@ -249,7 +248,8 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     of the calibrated basis is a PT eigenstate (:func:`pt_eigenstates`),
     ``complex_pairs`` when some state is not, and skipped without a frame or
     when H is not PT symmetric under it. C is built only from the signs
-    ``cfg.c_signs``; without them its section is skipped.
+    ``cfg.c_signs``; without them its section is skipped, and C is tested
+    against PT only where PT is a symmetry of H.
 
     Raises ParseError for an unreadable input or frame (before the rest),
     NonDiagonalizable at an exceptional point, and UnpairedComplexEigenvalue
@@ -264,7 +264,6 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     tol = resolve_tol(cfg)
     gram_tol, check_tol = gram_tier(tol), check_tier(tol)
     h, source_info = _load_hamiltonian(cfg)
-    notes: list = []
 
     p_spec, t_spec = _default_frame_specs(cfg)
     frame = _resolve_frame(p_spec, t_spec, h.shape[0], check_tol)
@@ -272,25 +271,16 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     cls = classify(es, tol)      # may raise UnpairedComplexEigenvalue
 
     p_intertwines = frame is not None and check_p_intertwines(h, frame.p, check_tol)
-    if frame is not None and not p_intertwines:
-        notes.append("P does not intertwine H with its adjoint; PV and C norms skipped")
     # on a recombined degenerate group every later section uses the new basis
     es, phases, pt_skipped, uncalibrated = calibrate(es, cls, frame, p_intertwines, tol)
-    if uncalibrated:
-        notes.append(
-            f"parity calibration skipped for states {uncalibrated}: "
-            "parity overlap below tolerance (degenerate PV eigenvalue)"
-        )
 
-    pt_section: dict = {}
+    pt_symmetric = frame is not None and antilinear_symmetry_check(h, frame.pt, check_tol)
+    pt_section: dict = {} if frame is None else {"symmetry_check": pt_symmetric}
     if frame is None:
         diagnostic = {"skipped": "no parity/time-reversal frame supplied"}
-    elif not antilinear_symmetry_check(h, frame.pt, check_tol):
-        pt_section["symmetry_check"] = False
+    elif not pt_symmetric:
         diagnostic = {"skipped": "H is not PT symmetric under the supplied frame"}
-        notes.append(diagnostic["skipped"])
     else:
-        pt_section["symmetry_check"] = True
         diagnostic = "complex_pairs" if pt_eigenstates(frame, es, tol)[2].any() else "real_spectrum"
     if phases is None:
         pt_section["skipped"] = pt_skipped
@@ -300,11 +290,6 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             phase_fix=_complex_list(phases.phase_fix),
             degenerate_groups=[list(g) for g in phases.degenerate_groups],
         )
-        if phases.degenerate_groups:
-            notes.append(
-                f"degenerate eigenvalue groups {list(phases.degenerate_groups)} "
-                "recombined into a PT eigenbasis; all sections use that basis"
-            )
 
     itw = build_metric(es, cls)
     norm_report = v_gram(es, itw, cls, frame, phases, gram_tol, p_intertwines)
@@ -318,6 +303,8 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "alphas": _complex_list(pv.alphas),
             "squares_to_identity": bool(pv.squares_to_identity),
         }
+        if uncalibrated:  # parity overlap below tolerance: a degenerate PV eigenvalue
+            pv_section["uncalibrated"] = uncalibrated
     else:
         reason = ("P does not intertwine H with its adjoint"
                   if frame is not None else "no parity supplied")
@@ -329,7 +316,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     else:
         c = build_c(es, cls, cfg.c_signs, tol)
         c_section = {"matrix": _matrix(c), "signs": [int(s) for s in cfg.c_signs]}
-        if frame is not None:
+        if pt_symmetric:
             c_section["commutes_with_pt"] = c_commutes_with_pt(c, frame, check_tol)
 
     return AnalysisReport(
@@ -340,7 +327,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "tol": tol,
             "p": p_spec,
             "t": t_spec,
-            "schema": 4,  # version of the report layout
+            "schema": 5,  # version of the report layout
         },
         spectrum={
             "kind": cls.kind.value,
@@ -353,13 +340,8 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "values": _complex_list(es.values),
             "right": _matrix(es.right),
             "left": _matrix(es.left),
-            "condition": es.condition,
         },
-        v=dict(
-            _matrix(itw.v),
-            positive=bool(itw.positive),
-            residual=float(itw.residual),
-        ),
+        v=dict(_matrix(itw.v), positive=bool(itw.positive)),
         gram={
             "dirac": _matrix(norm_report.dirac),
             "v": _matrix(norm_report.vnorm),
@@ -375,7 +357,6 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
                    "threshold": float(f.threshold)}
             for name, f in norm_report.flags.items()
         },
-        notes=notes,
     )
 
 
@@ -426,7 +407,7 @@ def _batch_entry(path: str, base_cfg: AnalysisConfig | None, reports: bool = Tru
     )
     try:
         report = run_analyze(cfg)
-    except PTHamilError as exc:
+    except Exception as exc:  # one file's failure, whatever it is, is its entry
         return {"path": path, "error": error_entry(exc)}
     if reports:
         return {"path": path, "report": report}

@@ -121,6 +121,8 @@ class TestAnalyze:
         payload = json.loads(out)
         assert "skipped" in payload["pv"]
         assert payload["c"]["signs"] == [1, -1, 1, -1]
+        # PT is no symmetry of x under alternating/k, so C is not tested against it
+        assert payload["pt"]["symmetry_check"] is False and "commutes_with_pt" not in payload["c"]
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -241,7 +243,7 @@ class TestOutputLayout:
         assert code == 0
         lines = out.splitlines()
         assert "  pt_gram_equals_v_gram: FAIL (residual 8.485e-01 > 2.000e-09)" in lines
-        flags = lines[lines.index("== flags ==") + 1:]  # the last section: no notes
+        flags = lines[lines.index("== flags ==") + 1:]  # the last section
         assert len(flags) == 5 and all(
             (": pass (" in line and " <= " in line) != (": FAIL (" in line and " > " in line)
             for line in flags), flags
@@ -319,6 +321,16 @@ class TestExitCodes:
         )
         assert code == 2
         assert "frame" in err
+
+    @pytest.mark.parametrize("t_spec", ["file", "k"])
+    def test_parity_file_of_another_size(self, capsys, tmp_path, t_spec):
+        h_path, p_path, t_path = (str(tmp_path / name) for name in ("h.json", "p.json", "t.json"))
+        save_matrix(h_path, hamiltonian(TwoLevelModel(5, 3)))
+        save_matrix(p_path, np.eye(3))
+        save_matrix(t_path, np.eye(3))
+        code, out, err = run_cli(capsys, "analyze", "--file", h_path, "--p", p_path,
+                                 "--t", t_path if t_spec == "file" else t_spec)
+        assert (code, out, err) == (2, "", "error: P is 3x3 but H is 2x2\n")
 
     @pytest.mark.parametrize("frame", [
         ["--file", "h.csv", "--t", "k"],
@@ -465,6 +477,19 @@ class TestBatchCommand:
         assert out.splitlines() == [
             f"{good}: ok",
             f"{ragged}: error: {ragged}: 're' must be a rectangular table of numbers"]
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_deeply_nested_json_is_one_error_line(self, capsys, tmp_path, parallelism):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"re": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        good = tmp_path / "good.json"
+        save_matrix(str(good), hamiltonian(TwoLevelModel(5, 3)))
+        code, out, _ = run_cli(capsys, "batch", str(deep), str(good),
+                               "--parallelism", parallelism, "--format", "text")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 2 and lines[1] == f"{good}: ok", lines
+        assert lines[0].startswith(f"{deep}: error: {deep}: invalid JSON (maximum recursion")
 
     def test_empty_batch(self, capsys):
         code, out, _ = run_cli(capsys, "batch")

@@ -1,6 +1,7 @@
 """End-to-end checks through ``python -m pthamil``, one fresh interpreter per
 command, as a user runs it."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 from pthamil.matio import save_matrix
 from pthamil.twolevel import TwoLevelModel, hamiltonian
-from testutil import env_with_src, pa_matrix, perfbench_workloads, probed_pthamil
+from testutil import BLAS_VARS, env_with_src, pa_matrix, perfbench_workloads, probed_pthamil
 
 
 def _pthamil(*argv) -> subprocess.CompletedProcess:
@@ -28,7 +29,7 @@ def _report(*argv) -> dict:
 
 def test_every_command_runs_from_the_module_entry_point():
     report = _report("--model", "two-level", "--alpha", "3", "--beta", "1")
-    assert report["provenance"]["schema"] == 4 and "S" not in report, sorted(report)
+    assert report["provenance"]["schema"] == 5 and "S" not in report, sorted(report)
     for argv in (("two-level", "--alpha", "5", "--beta", "3"),
                  ("fock-demo", "--x", "0", "--nmax", "60")):
         proc = _pthamil(*argv, "--format", "json")
@@ -160,15 +161,43 @@ def test_batch_forks_its_workers_from_a_capped_parent(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("analyze", "--model", "two-level", "--alpha", "5", "--beta", "3"),
-    ("batch", "{a}", "--parallelism", "2"),
-    ("batch", "{a}", "{a}", "--parallelism", "1"),
-], ids=["analyze", "one-file-batch", "serial-batch"])
+], ids=["analyze"])
 def test_other_commands_leave_blas_as_the_user_has_it(tmp_path, argv):
     path = tmp_path / "a.json"
     save_matrix(str(path), hamiltonian(TwoLevelModel(5, 3)))
     proc, forks, spawned, caps = probed_pthamil(tmp_path, *(a.format(a=path) for a in argv))
     assert proc.returncode == 0, proc.stderr
     assert (forks, spawned, caps) == (0, 0, [None, None, None])
+
+
+@pytest.mark.parametrize("argv", [
+    ("batch", "{a}", "--parallelism", "2"),
+    ("batch", "{a}", "{a}", "--parallelism", "1"),
+], ids=["one-file-batch", "serial-batch"])
+def test_batch_without_workers_caps_blas(tmp_path, argv):
+    path = tmp_path / "a.json"
+    save_matrix(str(path), hamiltonian(TwoLevelModel(5, 3)))
+    proc, forks, spawned, caps = probed_pthamil(tmp_path, *(a.format(a=path) for a in argv))
+    assert proc.returncode == 0, proc.stderr
+    assert (forks, spawned, caps) == (0, 0, ["1", "1", "1"])
+
+
+def test_batch_bytes_do_not_depend_on_parallelism(tmp_path):
+    # the number of BLAS threads changes the last bits of a float from n of
+    # about 150 on; batch runs one BLAS thread however many workers it has
+    generator = np.random.default_rng(7)
+    paths = [tmp_path / "real158.json", tmp_path / "pairs153.json"]
+    save_matrix(str(paths[0]), pa_matrix(generator, 158, definite=True))
+    save_matrix(str(paths[1]), pa_matrix(generator, 153, definite=False))
+    env = {k: v for k, v in env_with_src().items() if k not in BLAS_VARS}
+    outputs = [subprocess.run([sys.executable, "-m", "pthamil", "batch", *map(str, paths),
+                               "--parallelism", parallelism, "--format", "json"],
+                              env=env, capture_output=True, text=True, timeout=300)
+               for parallelism in ("1", "2")]
+    assert [proc.returncode for proc in outputs] == [0, 0], outputs[0].stderr
+    # compared by digest: a failing == on 10-MB texts would diff them
+    digests = [hashlib.sha256(proc.stdout.encode()).hexdigest() for proc in outputs]
+    assert digests[0] == digests[1]
 
 
 class TestRealBasisAt120:

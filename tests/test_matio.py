@@ -269,3 +269,49 @@ def test_csv_bad_cell_message_matches_cell_reference(tmp_path_factory, cells, da
     with pytest.raises(ParseError) as got:
         load_matrix(str(path))
     assert str(got.value) == _reference_csv_error(str(path))
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path):
+    # json.loads raises RecursionError, not JSONDecodeError, at this depth
+    path = tmp_path / "deep.json"
+    path.write_text('{"re": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(ParseError, match="invalid JSON .*recursion"):
+        load_matrix(str(path))
+
+
+def test_over_long_json_integer_is_a_parse_error(tmp_path):
+    # json.loads raises a plain ValueError above int's 4,300-digit limit
+    path = tmp_path / "long.json"
+    path.write_text('{"re": [[' + "1" * 5000 + "]]}")
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_matrix(str(path))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["dim", "re", "im", "x"]), inner, max_size=4),
+    max_leaves=20)
+
+#: text in the CSV cell grammar, and outside it
+_CSV_TOKENS = st.sampled_from(["0", "1", "-2.5", "i", "-i", "3+4i", "1e-3-5i", "1e400", "nan",
+                               "", " ", "x", ",", "\n", "{", "[", "﻿", "1_0", "٣"])
+
+_ANY_TEXT = st.one_of(
+    _JSON_VALUES.map(json.dumps),
+    st.lists(_CSV_TOKENS, max_size=30).map("".join),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_ANY_TEXT, ext=st.sampled_from([".json", ".csv", ""]))
+def test_any_text_loads_or_is_a_parse_error(tmp_path_factory, text, ext):
+    path = tmp_path_factory.getbasetemp() / f"fuzz{ext}"
+    path.write_text(text, encoding="utf-8")
+    try:
+        m = load_matrix(str(path))
+    except ParseError:
+        return
+    assert m.dtype == complex and m.ndim == 2 and m.shape[0] == m.shape[1] > 0
+    assert np.isfinite(m).all()

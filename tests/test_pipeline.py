@@ -243,9 +243,9 @@ class TestFrameCache:
         first = run_analyze(cfg)
         save_matrix(p_path, SIGMA1)
         second = run_analyze(cfg)
-        skipped = "P does not intertwine H with its adjoint; PV and C norms skipped"
-        assert skipped in first.notes and "matrix" not in first.pv
-        assert skipped not in second.notes and "matrix" in second.pv
+        skipped = "P does not intertwine H with its adjoint; the V norm remains available"
+        assert first.pv.get("skipped") == skipped and "matrix" not in first.pv
+        assert "skipped" not in second.pv and "matrix" in second.pv
         r = _matrix_from(second.eigen["right"])
         assert np.allclose(_matrix_from(second.gram["p"]), r.conj().T @ SIGMA1 @ r, atol=1e-12)
 
@@ -254,8 +254,7 @@ class TestFockModel:
     def test_hermitian_position_operator(self):
         report = run_analyze(AnalysisConfig(model="fock-x", nmax=8))
         assert report.spectrum["kind"] == "all_real"
-        assert "skipped" in report.pv
-        assert any("does not intertwine" in note for note in report.notes)
+        assert "does not intertwine" in report.pv["skipped"]
         assert np.allclose(_matrix_from(report.v), np.eye(8), atol=1e-9)
 
     def test_identity_parity_degenerate_diagnostic(self):
@@ -271,8 +270,9 @@ class TestFockModel:
         with_c = run_analyze(AnalysisConfig(model="fock-x", nmax=6, p_spec="identity",
                                             t_spec="k", c_signs=(1,) * 6))
         assert np.allclose(_matrix_from(with_c.c["matrix"]), np.eye(6), atol=1e-9)
-        assert with_c.c["commutes_with_pt"] and with_c.notes == report.notes
-        assert not any("degenerate" in note for note in report.notes)
+        assert with_c.c["commutes_with_pt"] and with_c.pt == report.pt
+        assert report.pt["symmetry_check"] and report.pt["degenerate_groups"] == []
+        assert not {"skipped", "uncalibrated"} & (report.pv.keys() | with_c.pv.keys())
 
     @pytest.mark.parametrize("nmax,pairs", [(40, 14), (80, 29)])
     def test_ix3_diagnostic_follows_the_kind(self, tmp_path, nmax, pairs):
@@ -382,15 +382,28 @@ _NO_C = "C is built only from given signs (c_signs); the diagnostic reads PT its
 _NO_FRAME_DIAGNOSTIC = {"skipped": _NO_FRAME}
 
 
+def _noted(report) -> dict:
+    """The fields that state what schema 4 also wrote as notes, by
+    ``section.key``, each where the report holds it."""
+    return {f"{section}.{key}": getattr(report, section)[key]
+            for section, key in (("pt", "symmetry_check"), ("pt", "degenerate_groups"),
+                                 ("pv", "uncalibrated"))
+            if key in getattr(report, section)}
+
+
 class TestSkipReasons:
-    """Every skip reason and note ``run_analyze`` can give, one case per branch."""
+    """Every skip reason ``run_analyze`` can give, one case per branch.
+
+    ``notes`` holds what schema 4 also wrote as free-text notes, read from
+    the section field that states it; a field the report does not hold is
+    left out."""
 
     @pytest.mark.parametrize(
         "cfg,notes,pt,pv,c,diagnostic",
         [
             (
                 dict(model="two-level", alpha=3.0, beta=1.0, p_spec="none"),
-                [],
+                {},
                 _NO_FRAME,
                 f"{_NO_PARITY}; the V norm remains available",
                 _NO_C,
@@ -398,7 +411,7 @@ class TestSkipReasons:
             ),
             (
                 dict(model="two-level", alpha=1.0, beta=3.0, p_spec="none", c_signs=(1,)),
-                [],
+                {},
                 _NO_FRAME,
                 _PAIRS_PV,
                 None,
@@ -406,7 +419,7 @@ class TestSkipReasons:
             ),
             (
                 dict(model="two-level", alpha=1.0, beta=3.0),
-                [],
+                {"pt.symmetry_check": True},
                 "complex-pair spectrum: PT maps each state onto its partner, "
                 "so per-state PT phases do not exist",
                 _PAIRS_PV,
@@ -415,8 +428,7 @@ class TestSkipReasons:
             ),
             (
                 dict(model="fock-x", nmax=40),
-                [f"{_NOT_INTERTWINED}; PV and C norms skipped",
-                 "H is not PT symmetric under the supplied frame"],
+                {"pt.symmetry_check": False},
                 "PT phases unavailable: state 0 is not a PT eigenstate (residual 1.000e+00)",
                 f"{_NOT_INTERTWINED}; the V norm remains available",
                 _NO_C,
@@ -424,10 +436,8 @@ class TestSkipReasons:
             ),
             (
                 dict(source_path="identity", p_spec="sigma1", c_signs=(1, 1)),
-                ["parity calibration skipped for states [0, 1]: parity overlap below "
-                 "tolerance (degenerate PV eigenvalue)",
-                 "degenerate eigenvalue groups [(0, 1)] recombined into a PT eigenbasis; "
-                 "all sections use that basis"],
+                {"pt.symmetry_check": True, "pv.uncalibrated": [0, 1],
+                 "pt.degenerate_groups": [[0, 1]]},
                 None,
                 None,
                 None,
@@ -435,7 +445,7 @@ class TestSkipReasons:
             ),
             (
                 dict(model="two-level", alpha=3.0, beta=1.0, p_spec="none", c_signs=()),
-                [],
+                {},
                 _NO_FRAME,
                 f"{_NO_PARITY}; the V norm remains available",
                 _NO_C,
@@ -449,7 +459,7 @@ class TestSkipReasons:
             save_matrix(str(path), np.eye(2))
             cfg = dict(cfg, source_path=str(path))
         report = run_analyze(AnalysisConfig(**cfg))
-        assert report.notes == notes
+        assert _noted(report) == notes
         assert report.pt.get("skipped") == pt
         assert report.pv.get("skipped") == pv
         assert report.c.get("skipped") == c
@@ -485,9 +495,10 @@ class TestRoundTrip:
         payload = json.loads(emit_report(report))
         assert isinstance(payload, dict)
         assert set(payload) == {"provenance", "spectrum", "eigen", "V", "gram", "pt",
-                                "pv", "c", "diagnostic", "flags", "notes"}
-        assert payload["provenance"]["schema"] == 4
-        assert set(payload["V"]) == {"dim", "re", "im", "positive", "residual"}
+                                "pv", "c", "diagnostic", "flags"}
+        assert payload["provenance"]["schema"] == 5
+        assert set(payload["V"]) == {"dim", "re", "im", "positive"}
+        assert set(payload["eigen"]) == {"values", "right", "left"}
         assert "gram" not in payload["pt"]
 
 
@@ -556,6 +567,15 @@ class TestBatch:
         assert statuses == [{k: v for k, v in e.items() if k != "report"} for e in full]
         assert "error" in statuses[1]
         assert not any("report" in e for e in statuses)
+
+    def test_any_exception_is_an_entry(self, files, monkeypatch):
+        def fail(cfg):
+            raise RuntimeError("not a PTHamilError")
+
+        monkeypatch.setattr(pipeline, "run_analyze", fail)
+        good, _ = files
+        assert run_batch(good[:1], parallelism=1) == [{"path": good[0], "error": {
+            "type": "RuntimeError", "message": "not a PTHamilError", "exit_code": 1}}]
 
     def test_statuses_convert_no_report(self, files, monkeypatch):
         def refuse(report):
@@ -880,7 +900,8 @@ class TestRealBasis:
         assert np.allclose(real.eigen["values"], other.eigen["values"], rtol=0, atol=1e-9 * radius)
         assert ({k: f["passed"] for k, f in real.flags.items()}
                 == {k: f["passed"] for k, f in other.flags.items()})
-        assert real.diagnostic == other.diagnostic and real.notes == other.notes
+        assert real.diagnostic == other.diagnostic and _noted(real) == _noted(other)
+        assert real.pv.get("skipped") == other.pv.get("skipped")
         assert real.pt.get("eta") == other.pt.get("eta")
         for name, m in real.gram.items():
             if m is None:
@@ -931,7 +952,8 @@ class TestRealBasis:
         assert np.allclose(real.eigen["values"], other.eigen["values"], rtol=0, atol=1e-9 * radius)
         assert ({k: f["passed"] for k, f in real.flags.items()}
                 == {k: f["passed"] for k, f in other.flags.items()})
-        assert real.diagnostic == other.diagnostic and real.notes == other.notes
+        assert real.diagnostic == other.diagnostic and _noted(real) == _noted(other)
+        assert real.pv.get("skipped") == other.pv.get("skipped")
         assert real.pt.get("eta") == other.pt.get("eta")
         for name, m in real.gram.items():
             if m is None:

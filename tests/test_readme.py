@@ -44,6 +44,15 @@ def test_readme_states_the_report_schema():
     assert stated == [str(report.provenance["schema"])]
 
 
+def test_readme_names_every_report_key():
+    # one bullet per top-level key, each opening with the key's name
+    with open(README, encoding="utf-8") as fh:
+        section = re.search(r"^## JSON report\n(.*?)^## ", fh.read(), re.M | re.S).group(1)
+    named = re.findall(r"^\* `(\w+)` —", section, re.M)
+    report = run_analyze(AnalysisConfig(model="two-level", alpha=5.0, beta=3.0))
+    assert sorted(named) == sorted(report.to_dict())
+
+
 def test_readme_has_command_lines():
     assert _command_lines()
 
