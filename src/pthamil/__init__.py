@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 #: the public names, by the submodule each is read from on first use, so
 #: ``import pthamil`` itself imports neither numpy nor any submodule
 _EXPORTS = {
-    "antilinear": ("PTFrame", "PTPhases", "calibrate", "make_frame", "pt_gram"),
+    "antilinear": ("PTFrame", "PTPhases", "calibrate", "make_frame"),
     "cpt": ("CommutantOp", "build_c", "build_pv", "c_commutes_with_pt", "check_p_intertwines"),
     "errors": ("CoefficientOverflow", "ConvergenceFailure", "InvalidFrame", "NonDiagonalizable",
                "NotCommuting", "NotRealPhase", "ParseError", "PTHamilError",

@@ -67,18 +67,17 @@ def make_frame(p, u_t, tol: float = DEFAULT_TOL) -> PTFrame:
 
 @dataclass(frozen=True)
 class PTPhases:
-    """Fixed intrinsic PT phases for a real-spectrum eigensystem.
+    """Intrinsic PT phases of the states of a calibrated real-spectrum basis.
 
-    ``eta[n]`` is the PT eigenvalue of the rephased state ``n`` (+1 or -1),
-    ``phase_fix[n]`` the unit-modulus multiplier that was applied to the right
-    eigenvector, and ``system`` the rephased eigensystem (left vectors rescaled
-    to preserve biorthonormality). ``degenerate_groups`` lists eigenvalue
-    groups whose PT action had to be re-diagonalized before phases existed.
+    ``phase_fix[n]`` is the unit-modulus factor that takes right eigenvector
+    ``n`` to its PT eigenstate, ``PT (R_n phase_fix[n]) = eta[n] R_n
+    phase_fix[n]`` with ``eta[n]`` +1 or -1. ``degenerate_groups`` lists
+    eigenvalue groups whose PT action had to be re-diagonalized before phases
+    existed.
     """
 
     eta: np.ndarray
     phase_fix: np.ndarray
-    system: EigenSystem
     degenerate_groups: tuple = ()
 
     def __post_init__(self):
@@ -194,16 +193,18 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
        overlap is below tolerance keep their scale and are listed in
        ``uncalibrated``.
     2. Degenerate eigenvalue groups are recombined P-orthonormally so PT acts
-       diagonally on them, and every state is rephased so ``PT R_n = eta_n
-       R_n`` with eta_n = +-1. The branch is the sign of the parity overlap
-       where that is usable (the choice that makes the PT-conjugate norm
-       positive); otherwise a real phase is kept and anything else rotated
-       to +1. ``phases``, a :class:`PTPhases`, carries the rephased system.
+       diagonally on them, and each state is given the phase fix that makes
+       it ``PT R_n = eta_n R_n`` with eta_n = +-1. The branch is the sign of
+       the parity overlap where that is usable (the choice that makes the
+       PT-conjugate norm positive); otherwise a real phase is kept and
+       anything else rotated to +1. ``phases``, a :class:`PTPhases`, holds
+       those phases.
 
-    ``system`` is the basis every later section uses: the rephased one when a
-    degenerate group was recombined, else the parity-calibrated one. Where no
-    phases exist, ``phases`` is None and ``skipped`` the reason; without a
-    frame, or on a conjugate-pair spectrum, ``es`` comes back unchanged.
+    ``system``, the basis every later section uses, is the parity-calibrated
+    one with its degenerate groups recombined; it is never rephased, so
+    ``phases.phase_fix`` is always still to apply. Where no phases exist,
+    ``phases`` is None and ``skipped`` the reason; without a frame, or on a
+    conjugate-pair spectrum, ``es`` comes back unchanged.
     """
     if frame is None:
         return es, None, _NO_FRAME, []
@@ -223,11 +224,11 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
 
     groups = _degenerate_groups(es.values, tol)
     try:
-        phased = es.with_right(_recombine_degenerate(frame, es, groups, p_floor, tol)) if groups else es
+        basis = es.with_right(_recombine_degenerate(frame, es, groups, p_floor, tol)) if groups else es
     except _NoPTBasis as exc:
         return unavailable(exc)
 
-    coeff, residual, bad = pt_eigenstates(frame, phased, tol)
+    coeff, residual, bad = pt_eigenstates(frame, basis, tol)
     if bad.any():
         j = int(np.argmax(bad))
         return unavailable(f"state {j} is not a PT eigenstate (residual {residual[j]:.3e})")
@@ -235,7 +236,7 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
 
     # without a usable parity overlap: keep a real phase, rotate the rest to +1
     targets = np.where((np.abs(eta_raw.imag) <= tol) & (eta_raw.real < 0.0), -1.0, 1.0)
-    overlaps = parity_overlaps(phased, frame)
+    overlaps = parity_overlaps(basis, frame)
     usable = ((np.abs(overlaps) > p_floor)
               & (np.abs(overlaps.imag) <= _REAL_PHASE_TOL * np.abs(overlaps)))
     targets = np.where(usable, np.where(overlaps.real > 0.0, 1.0, -1.0), targets)
@@ -244,17 +245,10 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
     angles = np.angle(eta_raw) - np.angle(targets)
     turns = angles / np.pi
     fixes = np.where(turns % 1 == 0, quarter_turn(1.0, turns.astype(int)), np.exp(0.5j * angles))
-    system = phased.rescaled(fixes, phased.condition)  # unit-modulus factors keep cond
+    rephased = basis.rescaled(fixes, basis.condition)  # unit-modulus factors keep cond
 
-    coeff, _, bad = pt_eigenstates(frame, system, tol)  # re-read every phase as the final check
+    coeff, _, bad = pt_eigenstates(frame, rephased, tol)  # re-read every phase as the final check
     bad |= np.abs(coeff - np.abs(coeff) * targets) > _REAL_PHASE_TOL * np.abs(coeff)
     if bad.any():
         return unavailable(f"phase fix failed to land state {int(np.argmax(bad))} on a real branch")
-    phases = PTPhases(targets, fixes, system, tuple(tuple(g) for g in groups))
-    return (system if groups else es), phases, None, uncalibrated
-
-
-def pt_gram(frame: PTFrame, phases: PTPhases) -> np.ndarray:
-    """Full matrix of PT-conjugate inner products of the rephased states."""
-    raw = phases.system.right.conj().T @ frame.p @ phases.system.right
-    return raw / phases.eta[:, np.newaxis]
+    return basis, PTPhases(targets, fixes, tuple(tuple(g) for g in groups)), None, uncalibrated

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antilinear import PTFrame, PTPhases, pt_gram
+from .antilinear import PTFrame, PTPhases
 from .linalg import DEFAULT_TOL, EigenSystem, check_tier, mat_norm, read_only, residual_bound
 from .spectra import SpectrumClass, SpectrumKind
 
@@ -91,17 +91,21 @@ def v_gram(es: EigenSystem, itw: Intertwiner, cls: SpectrumClass, frame: PTFrame
     so these flags and ``metric_intertwines`` (``itw.residual`` against
     ``tol``) are what certify that the V norm is constant in time. The Dirac,
     V and (given a ``frame``) parity Grams are evaluated on the given
-    eigensystem; the PT-conjugate Gram, formed when that frame's ``phases``
-    are given too, uses the phase-fixed states they carry (its diagonal is rephasing-invariant, so the two bases
-    give the same identities). The identities of the parity and PT Grams,
-    ``p_gram_real`` and ``pt_gram_equals_v_gram``, are checked only where P
-    intertwines H: ``p_intertwines``, which the caller decides.
+    eigensystem. The PT-conjugate Gram, formed when that frame's ``phases``
+    are given too, is the parity Gram of the PT eigenstates
+    ``R_n phase_fix[n]``, row ``n`` over ``eta[n]``. The identities of the
+    parity and PT Grams, ``p_gram_real`` and ``pt_gram_equals_v_gram``, are
+    checked only where P intertwines H: ``p_intertwines``, which the caller
+    decides.
     """
     r = es.right
     dirac = r.conj().T @ r
     vnorm = r.conj().T @ itw.v @ r
     pnorm = r.conj().T @ frame.p @ r if frame is not None else None
-    ptnorm = pt_gram(frame, phases) if phases is not None else None
+    ptnorm = None
+    if phases is not None:
+        fix = phases.phase_fix
+        ptnorm = (np.conj(fix) / phases.eta)[:, np.newaxis] * pnorm * fix
 
     bound = tol * es.dim
     deviation = vnorm - np.eye(es.dim)[cls.partner]

@@ -294,9 +294,13 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     itw = build_metric(es, cls)
     norm_report = v_gram(es, itw, cls, frame, phases, gram_tol, p_intertwines)
 
-    if cls.kind is not SpectrumKind.ALL_REAL:
+    if not p_intertwines:
+        reason = ("P does not intertwine H with its adjoint"
+                  if frame is not None else "no parity supplied")
+        pv_section = {"skipped": f"{reason}; the V norm remains available"}
+    elif cls.kind is not SpectrumKind.ALL_REAL:
         pv_section = {"skipped": "complex-pair spectrum: PV plays no role"}
-    elif p_intertwines:
+    else:
         pv = build_pv(frame, itw, es, check_tol)
         pv_section = {
             "matrix": _matrix(pv.matrix),
@@ -305,10 +309,6 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         }
         if uncalibrated:  # parity overlap below tolerance: a degenerate PV eigenvalue
             pv_section["uncalibrated"] = uncalibrated
-    else:
-        reason = ("P does not intertwine H with its adjoint"
-                  if frame is not None else "no parity supplied")
-        pv_section = {"skipped": f"{reason}; the V norm remains available"}
 
     if cfg.c_signs is None:
         c_section = {"skipped": "C is built only from given signs (c_signs); "

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pthamil.antilinear import calibrate, pt_eigenstates, pt_gram
+from pthamil.antilinear import calibrate, pt_eigenstates
 from pthamil.cpt import build_c, build_pv, c_commutes_with_pt
 from pthamil.errors import NonDiagonalizable, UnpairedComplexEigenvalue
 from pthamil.fockdemo import divergence_witness
@@ -168,7 +168,8 @@ def test_criterion_5_pt_phase_norm_equality():
             es, phases, _, _ = calibrate(es, cls, frame, True)
             itw = build_metric(es, cls)
             v_gram_matrix = es.right.conj().T @ itw.v @ es.right
-            return float(np.max(np.abs(pt_gram(frame, phases) - v_gram_matrix)))
+            ptnorm = v_gram(es, itw, cls, frame, phases).ptnorm
+            return float(np.max(np.abs(ptnorm - v_gram_matrix)))
 
         frame = canonical_two_level_frame()
         for _ in range(50):

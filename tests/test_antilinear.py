@@ -4,9 +4,9 @@ normalization and intrinsic phase fixing."""
 import numpy as np
 import pytest
 
-from pthamil.antilinear import PTFrame, calibrate, make_frame, parity_overlaps, pt_gram
+from pthamil.antilinear import PTFrame, calibrate, make_frame, parity_overlaps
 from pthamil.errors import InvalidFrame
-from pthamil.intertwiner import build_metric
+from pthamil.intertwiner import build_metric, v_gram
 from pthamil.linalg import SIGMA1, SIGMA2, SIGMA3, EigenSystem, eigendecompose, identity
 from pthamil.spectra import SpectrumClass, classify
 from pthamil.twolevel import TwoLevelModel, hamiltonian
@@ -126,31 +126,36 @@ def _fixed_two_level(alpha=5.0, beta=3.0):
     return frame, es, cls, phases
 
 
+def _ptnorm(frame, es, cls, phases):
+    return v_gram(es, build_metric(es, cls), cls, frame, phases).ptnorm
+
+
 class TestFixPTPhases:
     def test_two_level_branches(self):
         frame, es, cls, phases = _fixed_two_level()
         assert np.allclose(phases.eta, [1.0, -1.0], atol=1e-12)
         # raw eta is -i for a real state; landing on +1 applies e^{-i pi/4}
         assert abs(phases.phase_fix[0] - np.exp(-0.25j * np.pi)) <= 1e-12
+        rephased = es.rescaled(phases.phase_fix)
         for j in range(2):
-            state = phases.system.right[:, j]
+            state = rephased.right[:, j]
             assert np.allclose(frame.pt @ np.conj(state), phases.eta[j] * state, atol=1e-10)
 
     def test_biorthonormality_preserved(self):
-        _, _, _, phases = _fixed_two_level(2.0, 0.5)
-        assert np.allclose(
-            phases.system.left @ phases.system.right, identity(2), atol=1e-12
-        )
+        _, es, _, phases = _fixed_two_level(2.0, 0.5)
+        rephased = es.rescaled(phases.phase_fix)
+        assert np.allclose(rephased.left @ rephased.right, identity(2), atol=1e-12)
 
     def test_already_real_phase_kept(self):
         # calibrating a calibrated basis again changes nothing: a state with
         # eta = -1 keeps it, every fix is the identity
-        frame, _, cls, phases = _fixed_two_level()
-        out, again, _, uncalibrated = calibrate(phases.system, cls, frame, True)
+        frame, es, cls, phases = _fixed_two_level()
+        rephased = es.rescaled(phases.phase_fix)
+        out, again, _, uncalibrated = calibrate(rephased, cls, frame, True)
         assert uncalibrated == []
         assert np.allclose(again.eta, phases.eta, atol=1e-12)
         assert np.allclose(again.phase_fix, [1.0, 1.0], atol=1e-10)
-        assert np.allclose(out.right, phases.system.right, atol=1e-12)
+        assert np.allclose(out.right, rephased.right, atol=1e-12)
 
     def test_already_real_phase_kept_without_parity(self):
         # without a usable parity overlap (sigma_1 has none on the states of
@@ -204,12 +209,13 @@ class TestFixPTPhases:
         es = eigendecompose(identity(2))
         cls = SpectrumClass.all_real(2)
         out, phases, _, _ = calibrate(es, cls, frame, False)
-        assert out is phases.system
         assert phases.degenerate_groups == ((0, 1),)
         assert np.allclose(np.abs(phases.eta), [1.0, 1.0], atol=1e-10)
-        assert np.allclose(
-            phases.system.left @ phases.system.right, identity(2), atol=1e-10
-        )
+        rephased = out.rescaled(phases.phase_fix)
+        assert np.allclose(rephased.left @ rephased.right, identity(2), atol=1e-10)
+        # the recombined basis comes back unphased: its fixes make the PT eigenstates
+        assert np.allclose(frame.pt @ np.conj(rephased.right), rephased.right * phases.eta,
+                           atol=1e-10)
 
 
 class TestPTConjugateNorm:
@@ -226,14 +232,12 @@ class TestPTConjugateNorm:
                 assert abs(overlap.imag) <= 1e-12 * max(1.0, abs(overlap))
 
     def test_diagonal_is_unity(self):
-        frame, es, cls, phases = _fixed_two_level()
-        gram = pt_gram(frame, phases)
+        gram = _ptnorm(*_fixed_two_level())
         for n in range(2):
             assert abs(gram[n, n] - 1.0) <= 1e-12
 
     def test_off_diagonal_vanishes(self):
-        frame, es, cls, phases = _fixed_two_level(2.7, 1.1)
-        gram = pt_gram(frame, phases)
+        gram = _ptnorm(*_fixed_two_level(2.7, 1.1))
         assert abs(gram[0, 1]) <= 1e-12
         assert abs(gram[1, 0]) <= 1e-12
 
@@ -242,7 +246,7 @@ class TestPTConjugateNorm:
         frame, es, cls, phases = _fixed_two_level()
         raw = es.right.conj().T @ frame.p @ es.right
         assert np.allclose(raw, np.diag([1.0, -1.0]), atol=1e-12)
-        assert np.allclose(pt_gram(frame, phases), identity(2), atol=1e-12)
+        assert np.allclose(_ptnorm(frame, es, cls, phases), identity(2), atol=1e-12)
 
     def test_gram_equals_metric_gram_on_family(self):
         generator = rng(22)
@@ -256,7 +260,7 @@ class TestPTConjugateNorm:
             es, phases, _, _ = calibrate(es, cls, frame, True)
             itw = build_metric(es, cls)
             v_gram_matrix = es.right.conj().T @ itw.v @ es.right
-            assert np.allclose(pt_gram(frame, phases), v_gram_matrix, atol=1e-10)
+            assert np.allclose(_ptnorm(frame, es, cls, phases), v_gram_matrix, atol=1e-10)
 
 
 class TestSimilarityPreservation:
@@ -272,7 +276,7 @@ class TestSimilarityPreservation:
             s_inv = np.linalg.inv(s)
             transported_frame = PTFrame(s_inv.conj().T @ frame.p @ s_inv,
                                         s @ frame.pt @ np.conj(s_inv))
-            system = phases.system
+            system = es.rescaled(phases.phase_fix)
             transported = EigenSystem(system.values, s @ system.right, system.left @ s_inv,
                                       float(np.linalg.cond(s @ system.right)),
                                       s @ system.h @ s_inv)

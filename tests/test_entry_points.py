@@ -104,7 +104,7 @@ PUBLIC = [
     "check_p_intertwines", "classify", "closed_forms", "compare_with_pipeline", "cpt",
     "divergence_witness", "eigendecompose", "emit_report", "errors", "expand_position_state",
     "fockdemo", "hamiltonian", "identity", "intertwiner", "jsontext", "linalg", "make_frame",
-    "matio", "parse_report", "pipeline", "pt_gram", "run_analyze",
+    "matio", "parse_report", "pipeline", "run_analyze",
     "run_batch", "spectra", "truncated_position_matrix", "twolevel", "v_gram",
 ]
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pthamil.errors import InvalidFrame, NonDiagonalizable, ParseError, UnpairedComplexEigenvalue
 from pthamil import pipeline
-from pthamil.linalg import SIGMA1, _real_turns, quarter_turn
+from pthamil.linalg import SIGMA1, _real_turns, check_tier, mat_norm, quarter_turn, residual_bound
 from pthamil.matio import save_matrix
 from pthamil.pipeline import (
     AnalysisConfig,
@@ -339,6 +339,48 @@ class TestDegenerateSpectrum:
         assert all(flag["passed"] for flag in report.flags.values()), report.flags
 
 
+def _assert_phase_contract(report):
+    """``eigen.right[:, n] pt.phase_fix[n]`` is the PT eigenstate of eigenvalue
+    ``pt.eta[n]``, and ``gram.pt`` is the parity Gram of those states, row
+    ``n`` over ``eta[n]``; both within the check tier."""
+    tol = check_tier(report.provenance["tol"])
+    right = _matrix_from(report.eigen["right"])
+    frame = pipeline._resolve_frame(report.provenance["p"], report.provenance["t"], len(right), tol)
+    fix, eta = (np.array([complex(*z) for z in report.pt[key]]) for key in ("phase_fix", "eta"))
+    states = right * fix
+    residual = np.linalg.norm(frame.pt @ np.conj(states) - eta * states, axis=0)
+    assert (residual <= residual_bound(tol, np.linalg.norm(states, axis=0))).all(), residual
+    gram_p = _matrix_from(report.gram["p"])
+    rephased = np.conj(fix)[:, np.newaxis] * gram_p * fix / eta[:, np.newaxis]
+    assert mat_norm(_matrix_from(report.gram["pt"]) - rephased) <= residual_bound(
+        tol, mat_norm(gram_p))
+
+
+class TestPhaseContract:
+    """One basis: the report's eigenvectors with their phases still to apply,
+    on every framed real spectrum, degenerate or not."""
+
+    @pytest.mark.parametrize("cfg", [
+        dict(model="two-level", alpha=5.0, beta=3.0),
+        dict(model="two-level", alpha=2.7, beta=1.1),
+        dict(n=4, seed=0), dict(n=9, seed=1), dict(n=16, seed=2),
+    ])
+    def test_real_spectra(self, tmp_path, cfg):
+        if "n" in cfg:
+            path = tmp_path / "pa.json"
+            save_matrix(str(path), pa_matrix(np.random.default_rng(cfg["seed"]), cfg["n"], True))
+            cfg = dict(source_path=str(path), p_spec="alternating", t_spec="k")
+        _assert_phase_contract(run_analyze(AnalysisConfig(**cfg)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(degenerate_direct_sums())
+    def test_degenerate_direct_sums(self, tmp_path_factory, h):
+        path = tmp_path_factory.getbasetemp() / "contract.json"
+        save_matrix(str(path), h)
+        _assert_phase_contract(run_analyze(AnalysisConfig(source_path=str(path),
+                                                          p_spec="alternating", t_spec="k")))
+
+
 class TestParityFlagGating:
     """``p_gram_real`` and ``pt_gram_equals_v_gram`` test identities that hold
     only where P intertwines H: they appear only then, and then pass; and
@@ -378,6 +420,8 @@ _NO_PARITY = "no parity supplied"
 _NOT_INTERTWINED = "P does not intertwine H with its adjoint"
 _NO_FRAME = "no parity/time-reversal frame supplied"
 _PAIRS_PV = "complex-pair spectrum: PV plays no role"
+_PAIRS_PT = ("complex-pair spectrum: PT maps each state onto its partner, "
+             "so per-state PT phases do not exist")
 _NO_C = "C is built only from given signs (c_signs); the diagnostic reads PT itself"
 _NO_FRAME_DIAGNOSTIC = {"skipped": _NO_FRAME}
 
@@ -413,15 +457,14 @@ class TestSkipReasons:
                 dict(model="two-level", alpha=1.0, beta=3.0, p_spec="none", c_signs=(1,)),
                 {},
                 _NO_FRAME,
-                _PAIRS_PV,
+                f"{_NO_PARITY}; the V norm remains available",
                 None,
                 _NO_FRAME_DIAGNOSTIC,
             ),
             (
                 dict(model="two-level", alpha=1.0, beta=3.0),
                 {"pt.symmetry_check": True},
-                "complex-pair spectrum: PT maps each state onto its partner, "
-                "so per-state PT phases do not exist",
+                _PAIRS_PT,
                 _PAIRS_PV,
                 _NO_C,
                 "complex_pairs",
@@ -450,6 +493,15 @@ class TestSkipReasons:
                 f"{_NO_PARITY}; the V norm remains available",
                 _NO_C,
                 _NO_FRAME_DIAGNOSTIC,
+            ),
+            (
+                # the parity reason comes before the spectrum's
+                dict(model="two-level", alpha=1.0, beta=3.0, p_spec="identity", t_spec="k"),
+                {"pt.symmetry_check": True},
+                _PAIRS_PT,
+                f"{_NOT_INTERTWINED}; the V norm remains available",
+                _NO_C,
+                "complex_pairs",
             ),
         ],
     )
