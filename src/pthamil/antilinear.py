@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidFrame
-from .linalg import (DEFAULT_TOL, EigenSystem, as_matrix, check_tier, mat_norm, quarter_turn,
-                     read_only, residual_bound)
-from .spectra import SpectrumClass, SpectrumKind, spectral_scale
+from .linalg import (DEFAULT_TOL, EigenSystem, as_matrix, check_tier, degenerate_groups, mat_norm,
+                     quarter_turn, read_only, residual_bound)
+from .spectra import SpectrumClass, SpectrumKind
 
 
 @dataclass(frozen=True)
@@ -83,19 +83,6 @@ class PTPhases:
     def __post_init__(self):
         for name in ("eta", "phase_fix"):
             object.__setattr__(self, name, read_only(getattr(self, name)))
-
-
-def _degenerate_groups(values, tol):
-    scale = spectral_scale(values)
-    groups, current = [], [0]
-    for i in range(1, len(values)):
-        if abs(values[i] - values[current[-1]]) <= tol * scale:
-            current.append(i)
-        else:
-            groups.append(current)
-            current = [i]
-    groups.append(current)
-    return [g for g in groups if len(g) > 1]
 
 
 class _NoPTBasis(Exception):
@@ -222,7 +209,7 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
     def unavailable(why):
         return es, None, f"PT phases unavailable: {why}", uncalibrated
 
-    groups = _degenerate_groups(es.values, tol)
+    groups = degenerate_groups(es.values, tol)
     try:
         basis = es.with_right(_recombine_degenerate(frame, es, groups, p_floor, tol)) if groups else es
     except _NoPTBasis as exc:
@@ -245,7 +232,7 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
     angles = np.angle(eta_raw) - np.angle(targets)
     turns = angles / np.pi
     fixes = np.where(turns % 1 == 0, quarter_turn(1.0, turns.astype(int)), np.exp(0.5j * angles))
-    rephased = basis.rescaled(fixes, basis.condition)  # unit-modulus factors keep cond
+    rephased = basis.rescaled(fixes)
 
     coeff, _, bad = pt_eigenstates(frame, rephased, tol)  # re-read every phase as the final check
     bad |= np.abs(coeff - np.abs(coeff) * targets) > _REAL_PHASE_TOL * np.abs(coeff)

@@ -84,8 +84,8 @@ def v_gram(es: EigenSystem, itw: Intertwiner, cls: SpectrumClass, frame: PTFrame
     with the flags of their structure under ``cls``.
 
     The V Gram is checked against ``I[partner]``: the identity
-    (``v_gram_identity``) or the pair swap (``v_gram_pair_swap`` and
-    ``v_gram_zero_diagonal_on_pairs``), and entry by entry
+    (``v_gram_identity``) or the pair swap (``v_gram_pair_swap``, whose
+    residual bounds the diagonal on the paired states), and entry by entry
     (``v_gram_entries``, against the check tier). Each entry ``(n, m)`` of
     the V Gram moves under ``exp(-iHt)`` by ``exp(i (conj(E_n) - E_m) t)``,
     so these flags and ``metric_intertwines`` (``itw.residual`` against
@@ -109,13 +109,8 @@ def v_gram(es: EigenSystem, itw: Intertwiner, cls: SpectrumClass, frame: PTFrame
 
     bound = tol * es.dim
     deviation = vnorm - np.eye(es.dim)[cls.partner]
-    res = mat_norm(deviation)
-    if cls.pairs:
-        diag = float(max(abs(vnorm[i, i]) for pair in cls.pairs for i in pair))
-        flags = {"v_gram_pair_swap": Flag(res, bound),
-                 "v_gram_zero_diagonal_on_pairs": Flag(diag, bound)}
-    else:
-        flags = {"v_gram_identity": Flag(res, bound)}
+    name = "v_gram_pair_swap" if cls.pairs else "v_gram_identity"
+    flags = {name: Flag(mat_norm(deviation), bound)}
     # above n = 100 one entry can pass the Frobenius bound yet exceed this floor
     res = float(np.abs(deviation).max())
     floor = residual_bound(check_tier(tol), mat_norm(vnorm))

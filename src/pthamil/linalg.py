@@ -91,6 +91,8 @@ class EigenSystem:
     eigenvector ``left[n, :]``; ``left @ right`` is the identity within
     tolerance and ``right @ diag(values) @ left`` is ``h``, the validated
     matrix they diagonalize, against which every later residual is measured.
+    ``condition`` is cond(R) of the unit-norm eigenvectors that
+    :func:`eigendecompose` tested against ``1/tol``; a derived system keeps it.
     """
 
     values: np.ndarray
@@ -112,36 +114,54 @@ class EigenSystem:
 
     def with_right(self, right: np.ndarray) -> "EigenSystem":
         """New system with replaced right eigenvectors; left recomputed as the inverse."""
-        return EigenSystem(self.values.copy(), right, np.linalg.inv(right),
-                           float(np.linalg.cond(right)), self.h)
+        return EigenSystem(self.values.copy(), right, np.linalg.inv(right), self.condition, self.h)
 
-    def rescaled(self, factors, condition: float | None = None) -> "EigenSystem":
+    def rescaled(self, factors) -> "EigenSystem":
         """New system with column ``n`` of ``right`` times ``factors[n]``, and
-        ``left`` as ``inv(R D) = D^-1 inv(R)``. Pass ``condition`` when the
-        scaling keeps it (unit-modulus factors do); else it is recomputed."""
-        right = self.right * factors
-        condition = float(np.linalg.cond(right)) if condition is None else condition
-        return EigenSystem(self.values.copy(), right,
-                           self.left / np.reshape(factors, (-1, 1)), condition, self.h)
+        ``left`` as ``inv(R D) = D^-1 inv(R)``."""
+        return EigenSystem(self.values.copy(), self.right * factors,
+                           self.left / np.reshape(factors, (-1, 1)), self.condition, self.h)
+
+
+def spectral_scale(values) -> float:
+    """Spectral radius, with a unit fallback for the zero spectrum."""
+    radius = float(np.abs(values).max()) if len(values) else 0.0
+    return radius if radius > 0.0 else 1.0
+
+
+def _joined(ordered, scale: float, tol: float) -> np.ndarray:
+    """The rule for equal eigenvalues: ``joined[k]`` is True where
+    ``ordered[k + 1]`` is within ``tol * scale`` of ``ordered[k]``, so a run
+    continues while each value is that close to the one before it."""
+    return np.abs(np.diff(ordered)) <= tol * scale
 
 
 def canonical_order(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Permutation sorting eigenvalues by real part descending, then imaginary
     part descending.
 
-    Real parts within ``tol`` times the spectral radius of their neighbour in
-    that order count as equal for the imaginary-part sort, so rounding of the
-    real parts below that threshold cannot decide the order of a conjugate
-    pair: its ``Im > 0`` member comes first. Where the imaginary parts tie as
-    well, the larger real part still comes first.
+    Real parts that tie, each within ``tol`` times the spectral scale of its
+    neighbour in that order, count as equal for the imaginary-part sort, so
+    rounding of the real parts below that threshold cannot decide the order
+    of a conjugate pair: its ``Im > 0`` member comes first. Where the
+    imaginary parts tie as well, the larger real part still comes first.
     """
     values = np.asarray(values)
     by_real = np.argsort(-values.real, kind="stable")
-    radius = float(np.abs(values).max()) if values.size else 0.0
-    steps = -np.diff(values.real[by_real]) > tol * radius
+    steps = ~_joined(values.real[by_real], spectral_scale(values), tol)
     key = np.empty(values.shape[0])
     key[by_real] = np.concatenate(([0], np.cumsum(steps)))
     return np.lexsort((-values.real, -values.imag, key))
+
+
+def degenerate_groups(values, tol: float = DEFAULT_TOL) -> list:
+    """Index lists (plain ``int``) of the runs of two or more consecutive
+    eigenvalues, each within ``tol`` times the spectral scale of the one
+    before it: the ties of :func:`canonical_order`, applied to whole
+    eigenvalues rather than to their real parts."""
+    values = np.asarray(values)
+    starts = np.flatnonzero(~_joined(values, spectral_scale(values), tol)) + 1
+    return [run.tolist() for run in np.split(np.arange(len(values)), starts) if len(run) > 1]
 
 
 def _canonical_phases(r: np.ndarray) -> np.ndarray:

@@ -327,7 +327,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "tol": tol,
             "p": p_spec,
             "t": t_spec,
-            "schema": 5,  # version of the report layout
+            "schema": 6,  # version of the report layout
         },
         spectrum={
             "kind": cls.kind.value,

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import UnpairedComplexEigenvalue
-from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm, residual_bound
+from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm, residual_bound, spectral_scale
 
 
 class SpectrumKind(str, Enum):
@@ -48,12 +48,6 @@ class SpectrumClass:
         for n_plus, n_minus in self.pairs:
             partner[n_plus], partner[n_minus] = n_minus, n_plus
         return partner
-
-
-def spectral_scale(values) -> float:
-    """Spectral radius, with a unit fallback for the zero spectrum."""
-    radius = float(np.abs(values).max()) if len(values) else 0.0
-    return radius if radius > 0.0 else 1.0
 
 
 def classify(es: EigenSystem, tol: float = DEFAULT_TOL) -> SpectrumClass:

@@ -162,7 +162,7 @@ class TestFixPTPhases:
         # diag(2, 1)) a real phase is kept: e^{-+i pi/4} e_k carry eta = +1, -1
         frame = canonical_two_level_frame()
         es = eigendecompose(np.diag([2.0, 1.0]))
-        es = es.rescaled(np.exp([-0.25j * np.pi, 0.25j * np.pi]), es.condition)
+        es = es.rescaled(np.exp([-0.25j * np.pi, 0.25j * np.pi]))
         _, again, _, _ = calibrate(es, classify(es), frame, False)
         assert np.allclose(again.eta, [1.0, -1.0], atol=1e-12)
         # a real fix: the raw -1 reads as -1 - 0i here, at angle -pi, so the

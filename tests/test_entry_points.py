@@ -29,7 +29,7 @@ def _report(*argv) -> dict:
 
 def test_every_command_runs_from_the_module_entry_point():
     report = _report("--model", "two-level", "--alpha", "3", "--beta", "1")
-    assert report["provenance"]["schema"] == 5 and "S" not in report, sorted(report)
+    assert report["provenance"]["schema"] == 6 and "S" not in report, sorted(report)
     for argv in (("two-level", "--alpha", "5", "--beta", "3"),
                  ("fock-demo", "--x", "0", "--nmax", "60")):
         proc = _pthamil(*argv, "--format", "json")

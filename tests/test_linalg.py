@@ -5,6 +5,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pthamil.antilinear import calibrate
 from pthamil.cpt import build_c, build_pv
@@ -17,6 +19,7 @@ from pthamil.linalg import (
     _real_turns,
     as_matrix,
     canonical_order,
+    degenerate_groups,
     eigendecompose,
     identity,
     mat_norm,
@@ -143,12 +146,15 @@ class TestEigenSystemInvariants:
         factors = np.exp(1j * generator.uniform(-np.pi, np.pi, size=6))
         if not unit_modulus:
             factors = factors * generator.uniform(0.1, 10.0, size=6)
-        scaled = es.rescaled(factors, es.condition if unit_modulus else None)
+        scaled = es.rescaled(factors)
         assert np.array_equal(scaled.values, es.values)
         assert np.allclose(scaled.right, es.right * factors, rtol=1e-15, atol=0)
         assert np.linalg.norm(scaled.left @ scaled.right - identity(6)) <= 1e-12 * es.condition
-        cond = np.linalg.cond(scaled.right)
-        assert abs(scaled.condition - cond) <= 1e-12 * cond
+        # the condition eigendecompose tested is carried, whatever the factors
+        assert scaled.condition == es.condition
+        if unit_modulus:  # a unitary D keeps cond(R D) = cond(R)
+            cond = np.linalg.cond(scaled.right)
+            assert abs(scaled.condition - cond) <= 1e-12 * cond
 
     def test_hermitian_eigenvalues_real(self):
         generator = rng(7)
@@ -156,6 +162,55 @@ class TestEigenSystemInvariants:
         h = a + a.conj().T
         es = eigendecompose(h)
         assert float(np.max(np.abs(es.values.imag))) <= DEFAULT_TOL * np.linalg.norm(h)
+
+
+@st.composite
+def _planted_clusters(draw):
+    """Eigenvalues around a few centres on a small lattice (zero included),
+    each repeated with offsets of 0 to 4 tolerances, then scaled by
+    ``factor``: spacings fall on both sides of ``tol`` times the spectral
+    radius."""
+    tol = draw(st.sampled_from([DEFAULT_TOL, 1e-6, 1e-3]))
+    factor = draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    lattice = st.integers(-3, 3)
+    values = []
+    for _ in range(draw(st.integers(1, 5))):
+        centre = complex(draw(lattice), draw(lattice))
+        for _ in range(draw(st.integers(1, 3))):
+            step = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 4.0]))
+            values.append(centre + step * tol * draw(st.sampled_from([1, 1j, -1, -1j])))
+    return factor * np.array(values), tol
+
+
+def _runs(values, tol, key=lambda z: z):
+    """Runs of consecutive ``key(values)`` each within ``tol`` times the
+    largest ``|value|`` (1 for the zero spectrum) of the one before it."""
+    scale = max(abs(z) for z in values) or 1.0
+    runs = [[0]]
+    for k in range(1, len(values)):
+        if abs(key(values[k]) - key(values[k - 1])) <= tol * scale:
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planted_clusters())
+@example((np.zeros(4, dtype=complex), DEFAULT_TOL))
+@example((np.array([1.0, 1.0 - 2.0**-20, 0.5], dtype=complex), 2.0**-20))  # on the boundary
+def test_degenerate_groups_are_equal_eigenvalue_runs(drawn):
+    values, tol = drawn
+    ordered = values[canonical_order(values, tol)]
+    groups = degenerate_groups(ordered, tol)
+    assert all(type(k) is int for group in groups for k in group)
+    assert groups == [run for run in _runs(ordered, tol) if len(run) > 1]
+    # canonical_order's tie runs: real parts chained in descending real order
+    by_real = sorted(range(len(ordered)), key=lambda k: -ordered[k].real)
+    tie = {}
+    for label, run in enumerate(_runs(ordered[by_real], tol, key=lambda z: z.real)):
+        tie.update((by_real[k], label) for k in run)
+    assert all(len({tie[k] for k in group}) == 1 for group in groups)
 
 
 def test_as_matrix_rejects_nonfinite():

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from pthamil.errors import InvalidFrame, NonDiagonalizable, ParseError, UnpairedComplexEigenvalue
 from pthamil import pipeline
-from pthamil.linalg import SIGMA1, _real_turns, check_tier, mat_norm, quarter_turn, residual_bound
+from pthamil.linalg import (SIGMA1, _real_turns, check_tier, eigendecompose, mat_norm, quarter_turn,
+                            residual_bound)
 from pthamil.matio import save_matrix
 from pthamil.pipeline import (
     AnalysisConfig,
@@ -339,6 +340,27 @@ class TestDegenerateSpectrum:
         assert all(flag["passed"] for flag in report.flags.values()), report.flags
 
 
+class TestOneCondition:
+    """``spectrum.condition`` is the cond(R) that ``eigendecompose`` tested
+    against ``exceptional_threshold``, whatever the frame: calibration
+    rescales and recombines the basis without measuring it again."""
+
+    @pytest.mark.parametrize("source", ["two-level", "pa"])
+    def test_one_condition_per_hamiltonian(self, tmp_path, source):
+        if source == "two-level":
+            h, cfg = hamiltonian(TwoLevelModel(5, 3)), dict(model="two-level", alpha=5.0, beta=3.0)
+        else:  # P intertwines P A under alternating/k, so parity calibration rescales
+            h, path = pa_matrix(np.random.default_rng(711), 12, True), tmp_path / "pa.json"
+            save_matrix(str(path), h)
+            cfg = dict(source_path=str(path))
+        frames = {"none": dict(p_spec="none"), "default": {},
+                  "alternating/k": dict(p_spec="alternating", t_spec="k"),
+                  "identity/k": dict(p_spec="identity", t_spec="k")}
+        got = {name: run_analyze(AnalysisConfig(**cfg, **frame)).spectrum["condition"]
+               for name, frame in frames.items()}
+        assert got == dict.fromkeys(frames, eigendecompose(h).condition)
+
+
 def _assert_phase_contract(report):
     """``eigen.right[:, n] pt.phase_fix[n]`` is the PT eigenstate of eigenvalue
     ``pt.eta[n]``, and ``gram.pt`` is the parity Gram of those states, row
@@ -504,6 +526,8 @@ class TestSkipReasons:
                 "complex_pairs",
             ),
         ],
+        ids=["no-frame", "no-frame-pairs-c-signs", "pairs", "not-pt-symmetric",
+             "degenerate-uncalibrated", "no-frame-empty-c-signs", "pairs-p-not-intertwining"],
     )
     def test_notes_and_skipped_sections(self, tmp_path, cfg, notes, pt, pv, c, diagnostic):
         if cfg.get("source_path") == "identity":
@@ -548,7 +572,7 @@ class TestRoundTrip:
         assert isinstance(payload, dict)
         assert set(payload) == {"provenance", "spectrum", "eigen", "V", "gram", "pt",
                                 "pv", "c", "diagnostic", "flags"}
-        assert payload["provenance"]["schema"] == 5
+        assert payload["provenance"]["schema"] == 6
         assert set(payload["V"]) == {"dim", "re", "im", "positive"}
         assert set(payload["eigen"]) == {"values", "right", "left"}
         assert "gram" not in payload["pt"]

@@ -44,13 +44,26 @@ def test_readme_states_the_report_schema():
     assert stated == [str(report.provenance["schema"])]
 
 
+def _report_section() -> str:
+    with open(README, encoding="utf-8") as fh:
+        return re.search(r"^## JSON report\n(.*?)^## ", fh.read(), re.M | re.S).group(1)
+
+
 def test_readme_names_every_report_key():
     # one bullet per top-level key, each opening with the key's name
-    with open(README, encoding="utf-8") as fh:
-        section = re.search(r"^## JSON report\n(.*?)^## ", fh.read(), re.M | re.S).group(1)
-    named = re.findall(r"^\* `(\w+)` —", section, re.M)
+    named = re.findall(r"^\* `(\w+)` —", _report_section(), re.M)
     report = run_analyze(AnalysisConfig(model="two-level", alpha=5.0, beta=3.0))
     assert sorted(named) == sorted(report.to_dict())
+
+
+def test_readme_names_every_flag():
+    # the section writes a current flag as `flags.name`: a deleted one left
+    # in that form, or an emitted one it never names, fails here
+    named = set(re.findall(r"`flags\.(\w+)", _report_section()))
+    emitted = set()
+    for alpha, beta in ((5.0, 3.0), (1.0, 3.0)):  # a real spectrum, then pairs
+        emitted |= set(run_analyze(AnalysisConfig(model="two-level", alpha=alpha, beta=beta)).flags)
+    assert named == emitted
 
 
 def test_readme_has_command_lines():
