@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidFrame
 from .linalg import (DEFAULT_TOL, EigenSystem, as_matrix, check_tier, degenerate_groups, mat_norm,
-                     quarter_turn, read_only, residual_bound)
+                     quarter_turn, read_only, residual_bound, within)
 from .spectra import SpectrumClass, SpectrumKind
 
 
@@ -57,8 +57,8 @@ def make_frame(p, u_t, tol: float = DEFAULT_TOL) -> PTFrame:
         "[P, T] = 0": mat_norm(u_pt - u_t @ np.conj(p)),
         "(PT)^2 = I": mat_norm(u_pt @ np.conj(u_pt) - eye),
     }
-    bound = residual_bound(tol, max(mat_norm(p), mat_norm(u_t)))
-    bad = {k: v for k, v in checks.items() if v > bound}
+    scale = max(mat_norm(p), mat_norm(u_t))
+    bad = {k: v for k, v in checks.items() if not within(v, tol, scale)}
     if bad:
         detail = ", ".join(f"{k} (residual {v:.3e})" for k, v in bad.items())
         raise InvalidFrame(f"frame constraints violated: {detail}")
@@ -100,7 +100,7 @@ def _pt_plus_basis(a, tol):
     ``sum Re(z_j) c_j = sum Im(z_j) c_j = 0``.
     """
     k = a.shape[0]
-    if mat_norm(a @ np.conj(a) - np.eye(k)) > residual_bound(check_tier(tol), mat_norm(a) ** 2):
+    if not within(mat_norm(a @ np.conj(a) - np.eye(k)), check_tier(tol), mat_norm(a) ** 2):
         raise _NoPTBasis("PT does not square to one on the degenerate subspace")
     m = np.block([[a.real, a.imag], [a.imag, -a.real]])
     vectors, singular, _ = np.linalg.svd(0.5 * (np.eye(2 * k) + m))
@@ -130,7 +130,7 @@ def _recombine_degenerate(frame, es, groups, p_floor, tol) -> np.ndarray:
         images = frame.pt @ np.conj(right[:, idx])
         a = es.left[idx, :] @ images
         leak = images - right[:, idx] @ a
-        if mat_norm(leak) > residual_bound(check_tier(tol), mat_norm(images)):
+        if not within(mat_norm(leak), check_tier(tol), mat_norm(images)):
             raise _NoPTBasis("PT does not preserve a degenerate eigenspace")
         cols = right[:, idx] @ _pt_plus_basis(a, tol)
         form, rotation = np.linalg.eigh((cols.conj().T @ frame.p @ cols).real)
@@ -157,15 +157,15 @@ def pt_eigenstates(frame: PTFrame, es: EigenSystem, tol: float = DEFAULT_TOL) ->
     Returns ``(coeff, residual, bad)``: the coefficients ``c_n = <L_n|PT|R_n>``,
     the residuals ``||PT R_n - c_n R_n||``, and the mask of the states that
     are not PT eigenstates, with ``|c_n|`` below ``_MIN_PT_COEFF`` or a
-    residual above the check-tier bound of ``||PT R_n||``. On a PT-symmetric
+    residual not within the check-tier bound of ``||PT R_n||``. On a PT-symmetric
     H every state of a real spectrum is one; a member of a conjugate pair,
     which PT maps onto its partner, is not.
     """
     images = frame.pt @ np.conj(es.right)
     coeff = np.einsum("ij,ji->i", es.left, images)
     residual = np.linalg.norm(images - coeff * es.right, axis=0)
-    bound = residual_bound(check_tier(tol), np.linalg.norm(images, axis=0))
-    return coeff, residual, (np.abs(coeff) < _MIN_PT_COEFF) | (residual > bound)
+    fixed = within(residual, check_tier(tol), np.linalg.norm(images, axis=0))
+    return coeff, residual, (np.abs(coeff) < _MIN_PT_COEFF) | ~fixed
 
 
 def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,

@@ -90,7 +90,7 @@ def _render_text(report: AnalysisReport) -> None:
     if spectrum["real_indices"]:
         print(f"  real eigenvalue indices: {spectrum['real_indices']}")
     print(f"  eigenvector condition number: {_fmt_res(spectrum['condition'])}"
-          f"  (exceptional beyond {_fmt_res(spectrum['exceptional_threshold'])})")
+          f"  (exceptional beyond {_fmt_res(1.0 / report.provenance['tol'])})")
     _print_section("eigenvalues")
     for re, im in report.eigen["values"]:
         print(f"  {format_complex_cell(complex(re, im))}")

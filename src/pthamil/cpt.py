@@ -18,8 +18,7 @@ import numpy as np
 from .antilinear import PTFrame
 from .errors import NotCommuting, PTHamilError
 from .intertwiner import Intertwiner
-from .linalg import (DEFAULT_TOL, EigenSystem, as_matrix, check_tier, mat_norm, read_only,
-                     residual_bound)
+from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, check_tier, mat_norm, read_only, within
 from .spectra import SpectrumClass, SpectrumKind
 
 
@@ -41,9 +40,9 @@ def check_p_intertwines(h, p, tol: float = DEFAULT_TOL) -> bool:
     h = as_matrix(h, "H")
     p = as_matrix(p, "P")
     eye = np.eye(p.shape[0])
-    if mat_norm(p @ p - eye) > residual_bound(tol, mat_norm(p) ** 2):
+    if not within(mat_norm(p @ p - eye), tol, mat_norm(p) ** 2):
         raise ValueError("P must square to the identity")
-    return mat_norm(p @ h @ p - h.conj().T) <= residual_bound(tol, mat_norm(h))
+    return within(mat_norm(p @ h @ p - h.conj().T), tol, mat_norm(h))
 
 
 def build_pv(frame: PTFrame, itw: Intertwiner, es: EigenSystem,
@@ -60,15 +59,15 @@ def build_pv(frame: PTFrame, itw: Intertwiner, es: EigenSystem,
     """
     pv = frame.p @ itw.v
     comm = mat_norm(pv @ es.h - es.h @ pv)
-    if comm > residual_bound(tol, mat_norm(pv) * mat_norm(es.h)):
+    if not within(comm, tol, mat_norm(pv) * mat_norm(es.h)):
         raise NotCommuting(f"[PV, H] residual {comm:.3e} exceeds tolerance")
     alphas = np.diag(es.left @ pv @ es.right).copy()
-    if float(np.abs(alphas.imag).max()) > residual_bound(tol, float(np.abs(alphas).max())):
+    if not within(float(np.abs(alphas.imag).max()), tol, float(np.abs(alphas).max())):
         raise ValueError(
             "PV eigenvalues are not real; this is expected for a "
             "complex-conjugate-pair spectrum, where PV plays no role"
         )
-    squares = mat_norm(pv @ pv - np.eye(es.dim)) <= residual_bound(tol, mat_norm(pv) ** 2)
+    squares = within(mat_norm(pv @ pv - np.eye(es.dim)), tol, mat_norm(pv) ** 2)
     return CommutantOp(pv, alphas.real.astype(complex), squares)
 
 
@@ -98,9 +97,9 @@ def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL
     c = (es.right * weights) @ es.left
     sq = mat_norm(c @ c - np.eye(es.dim))
     comm = mat_norm(c @ es.h - es.h @ c)
-    if sq > residual_bound(check_tier(tol), mat_norm(c) ** 2):
+    if not within(sq, check_tier(tol), mat_norm(c) ** 2):
         raise PTHamilError(f"constructed C fails C^2 = I (residual {sq:.3e})")
-    if comm > residual_bound(check_tier(tol), mat_norm(c) * mat_norm(es.h)):
+    if not within(comm, check_tier(tol), mat_norm(c) * mat_norm(es.h)):
         raise PTHamilError(f"constructed C fails [C, H] = 0 (residual {comm:.3e})")
     return read_only(c)
 
@@ -114,4 +113,4 @@ def c_commutes_with_pt(c: np.ndarray, frame: PTFrame, tol: float = DEFAULT_TOL) 
     """
     u = frame.pt
     residual = mat_norm(c @ u @ np.conj(c) - u)
-    return residual <= residual_bound(tol, mat_norm(u) * mat_norm(c) ** 2)
+    return within(residual, tol, mat_norm(u) * mat_norm(c) ** 2)

@@ -33,7 +33,8 @@ class Intertwiner:
 
 @dataclass(frozen=True)
 class Flag:
-    """A check's residual and threshold; it passes when ``residual <= threshold`` (NaN fails)."""
+    """A check's residual and threshold; it passes when ``residual <= threshold``,
+    the rule of :func:`~pthamil.linalg.within` (NaN fails)."""
 
     residual: float
     threshold: float

@@ -24,6 +24,12 @@ def residual_bound(tol, scale):
     return tol * (np.maximum(1.0, scale) if isinstance(scale, np.ndarray) else max(1.0, scale))
 
 
+def within(residual, tol, scale):
+    """``residual <= residual_bound(tol, scale)``, the pass/fail rule of every
+    residual check: elementwise for arrays, and a NaN never passes."""
+    return residual <= residual_bound(tol, scale)
+
+
 def gram_tier(tol: float) -> float:
     """``tol`` floored at 1e-9: the tolerance of the Gram-matrix and metric flags."""
     return max(tol, 1e-9)

@@ -327,14 +327,13 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
             "tol": tol,
             "p": p_spec,
             "t": t_spec,
-            "schema": 6,  # version of the report layout
+            "schema": 7,  # version of the report layout
         },
         spectrum={
             "kind": cls.kind.value,
             "pairs": [list(pair) for pair in cls.pairs],
             "real_indices": list(cls.real_indices),
             "condition": es.condition,
-            "exceptional_threshold": 1.0 / tol,
         },
         eigen={
             "values": _complex_list(es.values),

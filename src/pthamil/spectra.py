@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import UnpairedComplexEigenvalue
-from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm, residual_bound, spectral_scale
+from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm, spectral_scale, within
 
 
 class SpectrumKind(str, Enum):
@@ -98,4 +98,4 @@ def antilinear_symmetry_check(h, u, tol: float = DEFAULT_TOL) -> bool:
     tested as ``u conj(H) == H u``: no inverse, and the same residual for a unitary u."""
     h = as_matrix(h, "H")
     u = as_matrix(u, "U")
-    return mat_norm(u @ np.conj(h) - h @ u) <= residual_bound(tol, mat_norm(h))
+    return within(mat_norm(u @ np.conj(h) - h @ u), tol, mat_norm(h))

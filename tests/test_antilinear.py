@@ -4,10 +4,26 @@ normalization and intrinsic phase fixing."""
 import numpy as np
 import pytest
 
-from pthamil.antilinear import PTFrame, calibrate, make_frame, parity_overlaps
+from pthamil.antilinear import (
+    PTFrame,
+    _pt_plus_basis,
+    _recombine_degenerate,
+    calibrate,
+    make_frame,
+    parity_overlaps,
+)
 from pthamil.errors import InvalidFrame
 from pthamil.intertwiner import build_metric, v_gram
-from pthamil.linalg import SIGMA1, SIGMA2, SIGMA3, EigenSystem, eigendecompose, identity
+from pthamil.linalg import (
+    DEFAULT_TOL,
+    SIGMA1,
+    SIGMA2,
+    SIGMA3,
+    EigenSystem,
+    degenerate_groups,
+    eigendecompose,
+    identity,
+)
 from pthamil.spectra import SpectrumClass, classify
 from pthamil.twolevel import TwoLevelModel, hamiltonian
 from testutil import (
@@ -53,6 +69,14 @@ class TestTwoLevelFrame:
     def test_make_frame_rejects_broken_pair(self):
         with pytest.raises(InvalidFrame):
             make_frame(np.diag([1.0, 2.0]), identity(2))
+
+    def test_make_frame_rejects_a_nan_residual(self):
+        # P = 1e300 [[1, 1], [1, -1]] is Hermitian, but P^2 overflows to
+        # inf - inf: a NaN residual, which fails like any other
+        p = 1e300 * np.array([[1.0, 1.0], [1.0, -1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidFrame) as info:
+            make_frame(p, identity(2))
+        assert "P^2 = I (residual nan), (PT)^2 = I (residual nan)" in str(info.value)
 
     @pytest.mark.parametrize("p, u_t, broken", [
         # a Kramers-type T = K sigma_2 squares to minus one
@@ -216,6 +240,35 @@ class TestFixPTPhases:
         # the recombined basis comes back unphased: its fixes make the PT eigenstates
         assert np.allclose(frame.pt @ np.conj(rephased.right), rephased.right * phases.eta,
                            atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pt_plus_basis_is_an_orthonormal_fixed_basis(self, seed):
+        # a complex symmetric unitary u (W W^T) squares to one as c -> u conj(c)
+        generator = rng(seed)
+        w = random_unitary(generator, 1 + seed % 4)
+        u = w @ w.T
+        q = _pt_plus_basis(u, DEFAULT_TOL)
+        assert q.shape == u.shape
+        assert np.allclose(u @ np.conj(q), q, atol=1e-12)  # every column is PT-fixed
+        assert np.allclose(q.conj().T @ q, identity(len(u)), atol=1e-12)
+
+    @pytest.mark.parametrize("scales", [(2.5, 0.4), (1.0, 3.0), (0.01, 0.01)])
+    def test_recombined_group_is_unit_norm_where_its_parity_form_is_singular(self, scales):
+        # P = sigma_1 (+) sigma_1 vanishes on the span of e0 and e2, a level of
+        # H that PT = K (T = P) preserves: the fallback gives unit-norm columns
+        # whatever the group's own scale
+        p = np.kron(identity(2), SIGMA1)
+        frame = make_frame(p, p)
+        es = eigendecompose(np.diag([1.0, 2.0, 1.0, 3.0]))
+        groups = degenerate_groups(es.values)
+        assert groups == [[2, 3]]
+        es = es.rescaled(np.array([1.0, 1.0, *scales]))
+        right = _recombine_degenerate(frame, es, groups, DEFAULT_TOL, DEFAULT_TOL)
+        cols = right[:, groups[0]]
+        assert np.allclose(np.linalg.norm(cols, axis=0), 1.0, rtol=0, atol=1e-14)
+        assert np.allclose(frame.pt @ np.conj(cols), cols, atol=1e-14)  # still PT-fixed
+        assert np.allclose(cols.conj().T @ p @ cols, 0.0, atol=1e-14)  # the singular form
+        assert np.array_equal(right[:, :2], es.right[:, :2])
 
 
 class TestPTConjugateNorm:

@@ -49,6 +49,11 @@ class TestCheckPIntertwines:
         with pytest.raises(ValueError):
             check_p_intertwines(identity(2), np.diag([1.0, 2.0]))
 
+    def test_nan_square_residual_is_no_involution(self):
+        p = 1e300 * np.array([[1.0, 1.0], [1.0, -1.0]])  # P^2 overflows to inf - inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            check_p_intertwines(identity(2), p)
+
 
 class TestBuildPV:
     def test_two_level_closed_form(self):

@@ -24,6 +24,8 @@ from pthamil.linalg import (
     identity,
     mat_norm,
     quarter_turn,
+    residual_bound,
+    within,
 )
 from pthamil.spectra import classify
 from pthamil.twolevel import TwoLevelModel, closed_forms, hamiltonian as two_level_hamiltonian
@@ -392,3 +394,19 @@ def test_result_arrays_are_read_only(results, kernel):
 ])
 def test_flag_passes_when_residual_is_at_most_threshold(residual, passed):
     assert Flag(residual, 1.0).passed is passed
+
+
+@pytest.mark.parametrize("tol,scale", [(1e-10, 0.25), (1e-10, 7.0), (1e-8, 3.0e5)])
+def test_within_passes_exactly_up_to_the_bound(tol, scale):
+    bound = residual_bound(tol, scale)
+    for residual, passed in [(bound, True), (0.0, True), (np.nextafter(bound, np.inf), False),
+                             (np.nan, False)]:
+        assert within(residual, tol, scale) == passed, residual
+        assert Flag(residual, bound).passed is passed, residual  # the same rule
+    # an array is decided entry by entry, each against the bound of its own scale
+    scales = np.array([scale, 2.0 * scale, 2.0 * scale, scale])
+    bounds = residual_bound(tol, scales)
+    residuals = np.array([bounds[0], bounds[1], np.nextafter(bounds[2], np.inf), np.nan])
+    assert within(residuals, tol, scales).tolist() == [True, True, False, False]
+    # an overflowed scale admits an infinite residual
+    assert within(np.inf, tol, np.inf)

@@ -342,7 +342,7 @@ class TestDegenerateSpectrum:
 
 class TestOneCondition:
     """``spectrum.condition`` is the cond(R) that ``eigendecompose`` tested
-    against ``exceptional_threshold``, whatever the frame: calibration
+    against ``1 / provenance.tol``, whatever the frame: calibration
     rescales and recombines the basis without measuring it again."""
 
     @pytest.mark.parametrize("source", ["two-level", "pa"])
@@ -572,7 +572,7 @@ class TestRoundTrip:
         assert isinstance(payload, dict)
         assert set(payload) == {"provenance", "spectrum", "eigen", "V", "gram", "pt",
                                 "pv", "c", "diagnostic", "flags"}
-        assert payload["provenance"]["schema"] == 6
+        assert payload["provenance"]["schema"] == 7
         assert set(payload["V"]) == {"dim", "re", "im", "positive"}
         assert set(payload["eigen"]) == {"values", "right", "left"}
         assert "gram" not in payload["pt"]

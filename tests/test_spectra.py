@@ -132,6 +132,16 @@ class TestClassify:
         else:
             assert classify(es, tol).pairs == tuple(expected)
 
+    @pytest.mark.parametrize("condition,kind", [
+        (1.0, SpectrumKind.CONJUGATE_PAIRS), (1e6, SpectrumKind.ALL_REAL),
+    ])
+    def test_slack_is_floored_at_the_eigenvalue_resolution(self, condition, kind):
+        # Im = 1e-12 is above tol = 1e-14 but below eps * cond = 2.2e-10 at
+        # cond 1e6, where the eigenvalues are determined only to that resolution
+        values = np.array([1.0 + 1e-12j, 1.0 - 1e-12j])
+        es = EigenSystem(values, identity(2), identity(2), condition, np.diag(values))
+        assert classify(es, tol=1e-14).kind is kind
+
     def test_best_mismatch_in_message(self):
         es = EigenSystem(np.array([1 + 1j, 3 - 1j]), identity(2), identity(2), 1.0, np.diag([1 + 1j, 3 - 1j]))
         with pytest.raises(UnpairedComplexEigenvalue, match=r"\(best mismatch 2\.000e\+00\)"):
