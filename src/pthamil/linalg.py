@@ -19,14 +19,14 @@ DEFAULT_TOL = 1e-10
 
 
 def residual_bound(tol, scale):
-    """``tol * max(1.0, scale)``, the bound of every scaled residual; an array
-    scale gives one bound per entry (``np.maximum``: a NaN scale stays NaN)."""
-    return tol * (np.maximum(1.0, scale) if isinstance(scale, np.ndarray) else max(1.0, scale))
+    """``tol * max(1.0, scale)``, the bound of every scaled residual, one per entry of an
+    array scale; a NaN scale gives a NaN bound (``max`` keeps a NaN that comes first)."""
+    return tol * (np.maximum(1.0, scale) if isinstance(scale, np.ndarray) else max(scale, 1.0))
 
 
 def within(residual, tol, scale):
     """``residual <= residual_bound(tol, scale)``, the pass/fail rule of every
-    residual check: elementwise for arrays, and a NaN never passes."""
+    residual check: elementwise for arrays, and a NaN residual or scale never passes."""
     return residual <= residual_bound(tol, scale)
 
 

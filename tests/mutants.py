@@ -3,7 +3,7 @@
 Run by hand from the repository root; pytest does not collect this file:
 
     python tests/mutants.py --list              # every mutant, one a line
-    python tests/mutants.py [--workers 2] [--workdir DIR] [NAME ...]
+    python tests/mutants.py [--workdir DIR] [NAME ...]
 
 A mutant changes one operator of one of ``MODULES``: a comparison flips
 between strict and non-strict (``<``/``<=``, ``>``/``>=``), or an arithmetic
@@ -13,10 +13,11 @@ change, so every other line of the source stays as it is. A mutant is named
 function (``module.<module>#k`` outside any function), so an edit to one
 function leaves the names of every other function's mutants alone.
 
-Each worker runs the tier-1 suite with ``-x`` in its own copy of the
-repository, with one module mutated; a mutant is killed when the suite
-fails or times out. The run prints one line per mutant and a summary, and
-exits 1 when a mutant that ``EQUIVALENT`` does not list survives.
+Each of ``WORKERS`` workers runs the tier-1 suite with ``-x`` in its own
+copy of the repository, with one module mutated; a mutant is killed when the
+suite fails or runs longer than ``TIMEOUT`` seconds. The run prints one line
+per mutant and a summary, and exits 1 when a mutant that ``EQUIVALENT`` does
+not list survives.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
            ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+WORKERS = 2  # copies of the tree, each running one tier-1 suite at a time
+TIMEOUT = 600.0  # seconds of one mutant's tier-1 run before it counts as killed
 
 #: mutants that no input can tell from the original, each with the reason
 EQUIVALENT = {
@@ -137,7 +140,7 @@ def all_mutants(root: str = ROOT) -> list:
     return mutants
 
 
-def _run(mutant: Mutant, copy: str, timeout: float) -> tuple:
+def _run(mutant: Mutant, copy: str) -> tuple:
     """Run tier-1 in ``copy`` with ``mutant`` applied; ``(killed, detail)``."""
     path = os.path.join(copy, PACKAGE, f"{mutant.module}.py")
     with open(path, "rb") as fh:
@@ -148,7 +151,7 @@ def _run(mutant: Mutant, copy: str, timeout: float) -> tuple:
         with open(path, "wb") as fh:
             fh.write(mutant.apply(original))
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-                              cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
+                              cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return True, "timeout"
     finally:
@@ -164,8 +167,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="run only these mutants")
     parser.add_argument("--list", action="store_true", help="print every mutant and exit")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
     parser.add_argument("--workdir", help="where the copies go (default: a temporary directory)")
     args = parser.parse_args(argv)
 
@@ -181,7 +182,7 @@ def main(argv=None) -> int:
         mutants = [m for m in mutants if m.name in args.names]
 
     base = tempfile.mkdtemp(prefix="pthamil-mutants-", dir=args.workdir)
-    copies = [os.path.join(base, f"w{i}") for i in range(max(1, args.workers))]
+    copies = [os.path.join(base, f"w{i}") for i in range(WORKERS)]
     free = queue.SimpleQueue()  # one copy of the tree per worker thread
     for copy in copies:
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
     def job(mutant):
         copy = free.get()
         try:
-            return mutant, *_run(mutant, copy, args.timeout)
+            return mutant, *_run(mutant, copy)
         finally:
             free.put(copy)
 

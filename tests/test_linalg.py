@@ -408,5 +408,12 @@ def test_within_passes_exactly_up_to_the_bound(tol, scale):
     bounds = residual_bound(tol, scales)
     residuals = np.array([bounds[0], bounds[1], np.nextafter(bounds[2], np.inf), np.nan])
     assert within(residuals, tol, scales).tolist() == [True, True, False, False]
-    # an overflowed scale admits an infinite residual
-    assert within(np.inf, tol, np.inf)
+    # a NaN scale gives a NaN bound, which no residual is within, scalar or array
+    assert not within(0.0, tol, np.nan)
+    assert within(np.zeros(2), tol, np.array([scale, np.nan])).tolist() == [True, False]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: an overflowed scale gives an infinite "
+                                       "bound, which admits an infinite residual")
+def test_an_infinite_residual_fails_against_an_overflowed_scale():
+    assert not within(np.inf, DEFAULT_TOL, np.inf)
