@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidFrame
-from .linalg import (DEFAULT_TOL, EigenSystem, as_matrix, check_tier, degenerate_groups, mat_norm,
-                     quarter_turn, read_only, residual_bound, within)
+from .linalg import (DEFAULT_TOL, EigenSystem, as_matrix, degenerate_groups, mat_norm, quarter_turn,
+                     read_only, residual_bound, within)
 from .spectra import SpectrumClass, SpectrumKind
 
 
@@ -41,7 +41,7 @@ def make_frame(p, u_t, tol: float = DEFAULT_TOL) -> PTFrame:
     Enforces ``P^2 = I``, ``P = P^dagger``, ``T^2 = I``, ``[P, T] = 0`` and
     ``(PT)^2 = I``; with ``T = u_T K`` these are the matrix identities
     ``u_T conj(u_T) = I``, ``P u_T = u_T conj(P)`` and ``u_PT conj(u_PT) = I``
-    for ``u_PT = P u_T``.
+    for ``u_PT = P u_T``, each decided by :func:`~pthamil.linalg.within` at ``tol``.
     """
     p = as_matrix(p, "P")
     u_t = as_matrix(u_t, "u")
@@ -100,7 +100,7 @@ def _pt_plus_basis(a, tol):
     ``sum Re(z_j) c_j = sum Im(z_j) c_j = 0``.
     """
     k = a.shape[0]
-    if not within(mat_norm(a @ np.conj(a) - np.eye(k)), check_tier(tol), mat_norm(a) ** 2):
+    if not within(mat_norm(a @ np.conj(a) - np.eye(k)), tol, mat_norm(a) ** 2):
         raise _NoPTBasis("PT does not square to one on the degenerate subspace")
     m = np.block([[a.real, a.imag], [a.imag, -a.real]])
     vectors, singular, _ = np.linalg.svd(0.5 * (np.eye(2 * k) + m))
@@ -130,7 +130,7 @@ def _recombine_degenerate(frame, es, groups, p_floor, tol) -> np.ndarray:
         images = frame.pt @ np.conj(right[:, idx])
         a = es.left[idx, :] @ images
         leak = images - right[:, idx] @ a
-        if not within(mat_norm(leak), check_tier(tol), mat_norm(images)):
+        if not within(mat_norm(leak), tol, mat_norm(images)):
             raise _NoPTBasis("PT does not preserve a degenerate eigenspace")
         cols = right[:, idx] @ _pt_plus_basis(a, tol)
         form, rotation = np.linalg.eigh((cols.conj().T @ frame.p @ cols).real)
@@ -147,7 +147,7 @@ _PAIRS = ("complex-pair spectrum: PT maps each state onto its partner, "
           "so per-state PT phases do not exist")
 #: ``|<L_n|PT|R_n>|`` of a PT eigenstate is one; below this it is none
 _MIN_PT_COEFF = 0.5
-#: a phase is real when its imaginary part is below this fraction of its modulus
+#: a parity overlap is real when its imaginary part is below this fraction of its modulus
 _REAL_PHASE_TOL = 1e-6
 
 
@@ -164,7 +164,7 @@ def pt_eigenstates(frame: PTFrame, es: EigenSystem, tol: float = DEFAULT_TOL) ->
     images = frame.pt @ np.conj(es.right)
     coeff = np.einsum("ij,ji->i", es.left, images)
     residual = np.linalg.norm(images - coeff * es.right, axis=0)
-    fixed = within(residual, check_tier(tol), np.linalg.norm(images, axis=0))
+    fixed = within(residual, tol, np.linalg.norm(images, axis=0))
     return coeff, residual, (np.abs(coeff) < _MIN_PT_COEFF) | ~fixed
 
 
@@ -232,10 +232,4 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
     angles = np.angle(eta_raw) - np.angle(targets)
     turns = angles / np.pi
     fixes = np.where(turns % 1 == 0, quarter_turn(1.0, turns.astype(int)), np.exp(0.5j * angles))
-    rephased = basis.rescaled(fixes)
-
-    coeff, _, bad = pt_eigenstates(frame, rephased, tol)  # re-read every phase as the final check
-    bad |= np.abs(coeff - np.abs(coeff) * targets) > _REAL_PHASE_TOL * np.abs(coeff)
-    if bad.any():
-        return unavailable(f"phase fix failed to land state {int(np.argmax(bad))} on a real branch")
     return basis, PTPhases(targets, fixes, tuple(tuple(g) for g in groups)), None, uncalibrated

@@ -18,7 +18,7 @@ import numpy as np
 from .antilinear import PTFrame
 from .errors import NotCommuting, PTHamilError
 from .intertwiner import Intertwiner
-from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, check_tier, mat_norm, read_only, within
+from .linalg import DEFAULT_TOL, EigenSystem, as_matrix, mat_norm, read_only, within
 from .spectra import SpectrumClass, SpectrumKind
 
 
@@ -36,7 +36,8 @@ class CommutantOp:
 
 
 def check_p_intertwines(h, p, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``P^-1 H P == H^dagger`` (with ``P^2 = I`` required)."""
+    """True iff ``P^-1 H P == H^dagger`` (with ``P^2 = I`` required), each
+    decided by :func:`~pthamil.linalg.within` at ``tol``."""
     h = as_matrix(h, "H")
     p = as_matrix(p, "P")
     eye = np.eye(p.shape[0])
@@ -55,7 +56,8 @@ def build_pv(frame: PTFrame, itw: Intertwiner, es: EigenSystem,
     (equivalently ``P V P == V^-1``, stated without inverting V, whose
     condition number is the square of the eigenvector one). The reciprocity
     ``alpha_n <R_n|P|R_n> = 1`` holds for any eigenvector scaling; the alphas
-    are +-1 exactly when the states are parity-calibrated.
+    are +-1 exactly when the states are parity-calibrated. Each check is
+    decided by :func:`~pthamil.linalg.within` at ``tol``.
     """
     pv = frame.p @ itw.v
     comm = mat_norm(pv @ es.h - es.h @ pv)
@@ -97,9 +99,9 @@ def build_c(es: EigenSystem, cls: SpectrumClass, signs, tol: float = DEFAULT_TOL
     c = (es.right * weights) @ es.left
     sq = mat_norm(c @ c - np.eye(es.dim))
     comm = mat_norm(c @ es.h - es.h @ c)
-    if not within(sq, check_tier(tol), mat_norm(c) ** 2):
+    if not within(sq, tol, mat_norm(c) ** 2):
         raise PTHamilError(f"constructed C fails C^2 = I (residual {sq:.3e})")
-    if not within(comm, check_tier(tol), mat_norm(c) * mat_norm(es.h)):
+    if not within(comm, tol, mat_norm(c) * mat_norm(es.h)):
         raise PTHamilError(f"constructed C fails [C, H] = 0 (residual {comm:.3e})")
     return read_only(c)
 
@@ -109,7 +111,8 @@ def c_commutes_with_pt(c: np.ndarray, frame: PTFrame, tol: float = DEFAULT_TOL) 
 
     ``[C, PT] = 0`` reduces to ``C u conj(C) = u``; it holds exactly when the
     spectrum is real and fails for conjugate pairs, as far as its bound, which
-    grows as ``||C||^2``, can resolve.
+    grows as ``||C||^2``, can resolve, decided by
+    :func:`~pthamil.linalg.within` at ``tol``.
     """
     u = frame.pt
     residual = mat_norm(c @ u @ np.conj(c) - u)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .antilinear import PTFrame, PTPhases
-from .linalg import DEFAULT_TOL, EigenSystem, check_tier, mat_norm, read_only, residual_bound
+from .linalg import DEFAULT_TOL, EigenSystem, check_tier, gram_tier, mat_norm, read_only, residual_bound
 from .spectra import SpectrumClass, SpectrumKind
 
 
@@ -82,22 +82,22 @@ def v_gram(es: EigenSystem, itw: Intertwiner, cls: SpectrumClass, frame: PTFrame
            phases: PTPhases | None = None, tol: float = DEFAULT_TOL,
            p_intertwines: bool = False) -> NormReport:
     """Gram matrices of the Dirac, V, parity and PT-conjugate inner products,
-    with the flags of their structure under ``cls``.
+    with the flags of their structure under ``cls``, each at ``gram_tier(tol)``
+    for the analysis tolerance ``tol`` (``v_gram_entries`` at the check tier).
 
     The V Gram is checked against ``I[partner]``: the identity
     (``v_gram_identity``) or the pair swap (``v_gram_pair_swap``, whose
     residual bounds the diagonal on the paired states), and entry by entry
-    (``v_gram_entries``, against the check tier). Each entry ``(n, m)`` of
-    the V Gram moves under ``exp(-iHt)`` by ``exp(i (conj(E_n) - E_m) t)``,
-    so these flags and ``metric_intertwines`` (``itw.residual`` against
-    ``tol``) are what certify that the V norm is constant in time. The Dirac,
-    V and (given a ``frame``) parity Grams are evaluated on the given
-    eigensystem. The PT-conjugate Gram, formed when that frame's ``phases``
-    are given too, is the parity Gram of the PT eigenstates
-    ``R_n phase_fix[n]``, row ``n`` over ``eta[n]``. The identities of the
-    parity and PT Grams, ``p_gram_real`` and ``pt_gram_equals_v_gram``, are
-    checked only where P intertwines H: ``p_intertwines``, which the caller
-    decides.
+    (``v_gram_entries``). Each entry ``(n, m)`` of the V Gram moves under
+    ``exp(-iHt)`` by ``exp(i (conj(E_n) - E_m) t)``, so these flags and
+    ``metric_intertwines`` (``itw.residual``) are what certify that the V
+    norm is constant in time. The Dirac, V and (given a ``frame``) parity
+    Grams are evaluated on the given eigensystem. The PT-conjugate Gram,
+    formed when that frame's ``phases`` are given too, is the parity Gram of
+    the PT eigenstates ``R_n phase_fix[n]``, row ``n`` over ``eta[n]``. The
+    identities of the parity and PT Grams, ``p_gram_real`` and
+    ``pt_gram_equals_v_gram``, are checked only where P intertwines H:
+    ``p_intertwines``, which the caller decides.
     """
     r = es.right
     dirac = r.conj().T @ r
@@ -108,6 +108,7 @@ def v_gram(es: EigenSystem, itw: Intertwiner, cls: SpectrumClass, frame: PTFrame
         fix = phases.phase_fix
         ptnorm = (np.conj(fix) / phases.eta)[:, np.newaxis] * pnorm * fix
 
+    tol = gram_tier(tol)
     bound = tol * es.dim
     deviation = vnorm - np.eye(es.dim)[cls.partner]
     name = "v_gram_pair_swap" if cls.pairs else "v_gram_identity"

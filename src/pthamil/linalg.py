@@ -25,9 +25,10 @@ def residual_bound(tol, scale):
 
 
 def within(residual, tol, scale):
-    """``residual <= residual_bound(tol, scale)``, the pass/fail rule of every
-    residual check: elementwise for arrays, and a NaN residual or scale never passes."""
-    return residual <= residual_bound(tol, scale)
+    """``residual <= residual_bound(check_tier(tol), scale)`` for the analysis
+    tolerance ``tol``: the pass/fail rule of every residual check, elementwise
+    for arrays, and a NaN residual or scale never passes."""
+    return residual <= residual_bound(check_tier(tol), scale)
 
 
 def gram_tier(tol: float) -> float:

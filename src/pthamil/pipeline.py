@@ -32,7 +32,7 @@ from .errors import (
 from .fockdemo import truncated_position_matrix
 from .intertwiner import build_metric, v_gram
 from .jsontext import dumps
-from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, check_tier, eigendecompose, gram_tier, identity
+from .linalg import DEFAULT_TOL, SIGMA1, SIGMA2, SIGMA3, eigendecompose, identity
 from .matio import load_matrix
 from .spectra import SpectrumKind, antilinear_symmetry_check, classify
 from .twolevel import TwoLevelModel, hamiltonian as two_level_hamiltonian
@@ -140,14 +140,14 @@ def _default_frame_specs(cfg: AnalysisConfig):
     return p_spec, t_spec
 
 
-def _build_frame(p_spec, t_spec, dim: int, check_tol: float):
+def _build_frame(p_spec, t_spec, dim: int, tol: float):
     if p_spec is None:
         return None
     p = _P_BUILTINS[p_spec](dim) if p_spec in _P_BUILTINS else load_matrix(p_spec)
     if p.shape[0] != dim:
         raise InvalidFrame(f"P is {p.shape[0]}x{p.shape[0]} but H is {dim}x{dim}")
     u = _T_BUILTINS[t_spec](dim) if t_spec in _T_BUILTINS else load_matrix(t_spec)
-    return make_frame(p, u, check_tol)
+    return make_frame(p, u, tol)
 
 
 #: built-in frames are constants: one entry per (names, dim, tol), shared
@@ -155,15 +155,15 @@ def _build_frame(p_spec, t_spec, dim: int, check_tol: float):
 _builtin_frame = functools.lru_cache(maxsize=32)(_build_frame)
 
 
-def _resolve_frame(p_spec, t_spec, dim: int, check_tol: float):
+def _resolve_frame(p_spec, t_spec, dim: int, tol: float):
     """The :class:`PTFrame` of specs that are each a built-in name or a file
     path, or None when both specs are None. A built-in frame comes from the
     per-process cache; a file is read and its frame validated on every call,
     so a rewritten file takes effect. Either way the frame is its matrices:
     the same P and T give the same analysis however spelled."""
     if p_spec in _P_BUILTINS and t_spec in _T_BUILTINS:
-        return _builtin_frame(p_spec, t_spec, dim, check_tol)
-    return _build_frame(p_spec, t_spec, dim, check_tol)
+        return _builtin_frame(p_spec, t_spec, dim, tol)
+    return _build_frame(p_spec, t_spec, dim, tol)
 
 
 def _complex_list(values) -> list:
@@ -262,19 +262,18 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     first.
     """
     tol = resolve_tol(cfg)
-    gram_tol, check_tol = gram_tier(tol), check_tier(tol)
     h, source_info = _load_hamiltonian(cfg)
 
     p_spec, t_spec = _default_frame_specs(cfg)
-    frame = _resolve_frame(p_spec, t_spec, h.shape[0], check_tol)
+    frame = _resolve_frame(p_spec, t_spec, h.shape[0], tol)
     es = eigendecompose(h, tol)  # may raise NonDiagonalizable
     cls = classify(es, tol)      # may raise UnpairedComplexEigenvalue
 
-    p_intertwines = frame is not None and check_p_intertwines(h, frame.p, check_tol)
+    p_intertwines = frame is not None and check_p_intertwines(h, frame.p, tol)
     # on a recombined degenerate group every later section uses the new basis
     es, phases, pt_skipped, uncalibrated = calibrate(es, cls, frame, p_intertwines, tol)
 
-    pt_symmetric = frame is not None and antilinear_symmetry_check(h, frame.pt, check_tol)
+    pt_symmetric = frame is not None and antilinear_symmetry_check(h, frame.pt, tol)
     pt_section: dict = {} if frame is None else {"symmetry_check": pt_symmetric}
     if frame is None:
         diagnostic = {"skipped": "no parity/time-reversal frame supplied"}
@@ -292,7 +291,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         )
 
     itw = build_metric(es, cls)
-    norm_report = v_gram(es, itw, cls, frame, phases, gram_tol, p_intertwines)
+    norm_report = v_gram(es, itw, cls, frame, phases, tol, p_intertwines)
 
     if not p_intertwines:
         reason = ("P does not intertwine H with its adjoint"
@@ -301,7 +300,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     elif cls.kind is not SpectrumKind.ALL_REAL:
         pv_section = {"skipped": "complex-pair spectrum: PV plays no role"}
     else:
-        pv = build_pv(frame, itw, es, check_tol)
+        pv = build_pv(frame, itw, es, tol)
         pv_section = {
             "matrix": _matrix(pv.matrix),
             "alphas": _complex_list(pv.alphas),
@@ -317,7 +316,7 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
         c = build_c(es, cls, cfg.c_signs, tol)
         c_section = {"matrix": _matrix(c), "signs": [int(s) for s in cfg.c_signs]}
         if pt_symmetric:
-            c_section["commutes_with_pt"] = c_commutes_with_pt(c, frame, check_tol)
+            c_section["commutes_with_pt"] = c_commutes_with_pt(c, frame, tol)
 
     return AnalysisReport(
         provenance={

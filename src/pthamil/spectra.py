@@ -95,7 +95,8 @@ def classify(es: EigenSystem, tol: float = DEFAULT_TOL) -> SpectrumClass:
 
 def antilinear_symmetry_check(h, u, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``A H A^-1 == H`` for the antilinear ``A``, ``v -> u conj(v)``,
-    tested as ``u conj(H) == H u``: no inverse, and the same residual for a unitary u."""
+    tested as ``u conj(H) == H u``: no inverse, and the same residual for a unitary u,
+    decided by :func:`~pthamil.linalg.within` at ``tol``."""
     h = as_matrix(h, "H")
     u = as_matrix(u, "U")
     return within(mat_norm(u @ np.conj(h) - h @ u), tol, mat_norm(h))

@@ -12,10 +12,10 @@ from pthamil.cpt import (
 )
 from pthamil.errors import NotCommuting
 from pthamil.intertwiner import Intertwiner, build_metric, v_gram
-from pthamil.linalg import SIGMA1, eigendecompose, identity
+from pthamil.linalg import DEFAULT_TOL, SIGMA1, check_tier, eigendecompose, identity, mat_norm
 from pthamil.spectra import SpectrumClass, SpectrumKind, classify
 from pthamil.twolevel import TwoLevelModel, hamiltonian
-from testutil import canonical_two_level_frame, rng
+from testutil import canonical_two_level_frame, pa_matrix, rng
 
 FRAME = canonical_two_level_frame()  # P = sigma_1
 
@@ -138,6 +138,17 @@ class TestBuildC:
         assert abs(weighted[0, 0]) <= 1e-12
         assert abs(weighted[1, 1]) <= 1e-12
 
+    def test_accepts_every_power_of_two_scale(self):
+        # [C, H] is read against ||C|| ||H||, so the units of H cannot decide it
+        signs = [1, -1, 1, -1, 1, -1]
+        for seed in range(3):
+            h = pa_matrix(rng(seed), 6, definite=True)
+            es = eigendecompose(h)
+            c = build_c(es, classify(es), signs)
+            assert mat_norm(c @ h - h @ c) > 0.0  # rounding, which grows with H
+            big = eigendecompose(2.0 ** 40 * h)
+            assert np.allclose(build_c(big, classify(big), signs), c, atol=1e-9)
+
     def test_sign_validation(self):
         h, es, cls, _ = _real_system()
         with pytest.raises(ValueError):
@@ -167,6 +178,18 @@ class TestDiagnostic:
         c = build_c(es, cls, [1, 1])
         # C = I commutes with everything, so its [C, PT] carries no information
         assert np.allclose(c, np.eye(2), atol=1e-12)
+        assert c_commutes_with_pt(c, frame) is True
+
+    def test_bound_grows_with_the_norm_of_c(self):
+        # 1e-10 above an exceptional point ||C|| is 3e4, and [C, PT] = 0
+        # holds to rounding of order eps ||C||^2, above the check tier itself
+        p = np.diag([1.0, -1.0, 1.0, -1.0])
+        h = pa_matrix(rng(3), 4, definite=False) + 0.9931345443030108 * p
+        frame = make_frame(p, identity(4))
+        es = eigendecompose(h)
+        c = build_c(es, classify(es), [1, -1, 1, -1])
+        assert mat_norm(c) > 1e4
+        assert mat_norm(c @ frame.pt @ np.conj(c) - frame.pt) > check_tier(DEFAULT_TOL)
         assert c_commutes_with_pt(c, frame) is True
 
     def test_sampled_family(self):

@@ -1,6 +1,8 @@
 """Tests for the matrix primitives and the eigendecomposition."""
 
+import ast
 import math
+import pathlib
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pthamil
 from pthamil.antilinear import calibrate
 from pthamil.cpt import build_c, build_pv
 from pthamil.errors import NonDiagonalizable
@@ -19,6 +22,7 @@ from pthamil.linalg import (
     _real_turns,
     as_matrix,
     canonical_order,
+    check_tier,
     degenerate_groups,
     eigendecompose,
     identity,
@@ -264,6 +268,11 @@ def test_quarter_turn_places_parts_exactly():
     assert units.tolist() == [1.0, 1j, -1.0, -1j]
     zeros = np.concatenate([units.real[units.real == 0.0], units.imag[units.imag == 0.0]])
     assert zeros.size == 4 and not np.signbit(zeros).any()
+    # a positive real or imaginary number turned onto the other axis keeps
+    # +0.0 in the part it leaves
+    for m, part in ((2.0, "real"), (2.0j, "imag")):
+        left = [getattr(quarter_turn(m, turns), part) for turns in (1, 3)]
+        assert left == [0.0, 0.0] and not np.signbit(left).any(), (m, left)
 
 
 def _pt_symmetric(generator, n, definite):
@@ -396,21 +405,56 @@ def test_flag_passes_when_residual_is_at_most_threshold(residual, passed):
     assert Flag(residual, 1.0).passed is passed
 
 
-@pytest.mark.parametrize("tol,scale", [(1e-10, 0.25), (1e-10, 7.0), (1e-8, 3.0e5)])
+@pytest.mark.parametrize("tol,scale", [(1e-10, 0.25), (1e-10, 7.0), (1e-8, 3.0e5), (1e-6, 40.0)])
 def test_within_passes_exactly_up_to_the_bound(tol, scale):
-    bound = residual_bound(tol, scale)
+    # the analysis tolerance, floored at the check tier
+    bound = residual_bound(check_tier(tol), scale)
     for residual, passed in [(bound, True), (0.0, True), (np.nextafter(bound, np.inf), False),
                              (np.nan, False)]:
         assert within(residual, tol, scale) == passed, residual
         assert Flag(residual, bound).passed is passed, residual  # the same rule
     # an array is decided entry by entry, each against the bound of its own scale
     scales = np.array([scale, 2.0 * scale, 2.0 * scale, scale])
-    bounds = residual_bound(tol, scales)
+    bounds = residual_bound(check_tier(tol), scales)
     residuals = np.array([bounds[0], bounds[1], np.nextafter(bounds[2], np.inf), np.nan])
     assert within(residuals, tol, scales).tolist() == [True, True, False, False]
     # a NaN scale gives a NaN bound, which no residual is within, scalar or array
     assert not within(0.0, tol, np.nan)
     assert within(np.zeros(2), tol, np.array([scale, np.nan])).tolist() == [True, False]
+
+
+class _Calls(ast.NodeVisitor):
+    """Every call of a module, each with its enclosing function as ``module.function``."""
+
+    def __init__(self, module):
+        self.scope, self.found = [module], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        self.found.append((f"{self.scope[0]}.{self.scope[-1]}", name, node))
+        self.generic_visit(node)
+
+
+def test_the_tiers_are_applied_only_in_within_and_v_gram():
+    # every other tol in the package is the analysis tolerance
+    tiers = {"check_tier", "gram_tier"}
+    calls = []
+    for path in sorted(pathlib.Path(pthamil.__file__).parent.glob("*.py")):
+        visitor = _Calls(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        calls += visitor.found
+    callers = {where for where, name, _ in calls if name in tiers}
+    assert "linalg.within" in callers
+    assert {where for where in callers if not where.startswith("linalg.")} == {"intertwiner.v_gram"}
+    tiered = [where for where, name, node in calls if name == "within"
+              and any(getattr(sub.func, "id", None) in tiers | {"max"}
+                      for arg in node.args for sub in ast.walk(arg) if isinstance(sub, ast.Call))]
+    assert not tiered
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: an overflowed scale gives an infinite "

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pthamil.antilinear import make_frame
+from pthamil.cpt import check_p_intertwines
 from pthamil.errors import InvalidFrame, NonDiagonalizable, ParseError, UnpairedComplexEigenvalue
 from pthamil import pipeline
-from pthamil.linalg import (SIGMA1, _real_turns, check_tier, eigendecompose, mat_norm, quarter_turn,
-                            residual_bound)
+from pthamil.linalg import (SIGMA1, _real_turns, check_tier, eigendecompose, identity, mat_norm,
+                            quarter_turn, residual_bound)
 from pthamil.matio import save_matrix
 from pthamil.pipeline import (
     AnalysisConfig,
@@ -26,6 +28,7 @@ from pthamil.pipeline import (
     run_analyze,
     run_batch,
 )
+from pthamil.spectra import antilinear_symmetry_check
 from pthamil.twolevel import TwoLevelModel, hamiltonian
 from testutil import (BLAS_VARS, env_with_src, ix3_hamiltonian, pa_matrix, random_unitary,
                       selection_rule_violations)
@@ -251,6 +254,30 @@ class TestFrameCache:
         assert np.allclose(_matrix_from(second.gram["p"]), r.conj().T @ SIGMA1 @ r, atol=1e-12)
 
 
+class TestDirectCallsAgree:
+    """A kernel called on its own at the default ``tol`` decides as the
+    pipeline does, since every ``tol`` is the analysis tolerance: here on a
+    residual between the default ``tol`` and the check tier."""
+
+    @staticmethod
+    def _report(tmp_path, h):
+        path = tmp_path / "h.json"
+        save_matrix(str(path), h)
+        return run_analyze(AnalysisConfig(source_path=str(path), p_spec="sigma1", t_spec="k"))
+
+    def test_check_p_intertwines(self, tmp_path):
+        h = np.array([[3e-9, 8.0], [2.0, 0.0]])  # P H P - H^dagger is 5.1e-10 ||H||
+        report = self._report(tmp_path, h)
+        assert "matrix" in report.pv  # PV is built: P intertwines H
+        assert check_p_intertwines(h, SIGMA1)
+
+    def test_antilinear_symmetry_check(self, tmp_path):
+        h = np.array([[1j, 8.0], [8.0, 3e-9 - 1j]])  # PT H - H PT is 3.7e-10 ||H||
+        report = self._report(tmp_path, h)
+        assert report.pt["symmetry_check"] is True
+        assert antilinear_symmetry_check(h, make_frame(SIGMA1, identity(2)).pt)
+
+
 class TestFockModel:
     def test_hermitian_position_operator(self):
         report = run_analyze(AnalysisConfig(model="fock-x", nmax=8))
@@ -367,7 +394,8 @@ def _assert_phase_contract(report):
     ``n`` over ``eta[n]``; both within the check tier."""
     tol = check_tier(report.provenance["tol"])
     right = _matrix_from(report.eigen["right"])
-    frame = pipeline._resolve_frame(report.provenance["p"], report.provenance["t"], len(right), tol)
+    frame = pipeline._resolve_frame(report.provenance["p"], report.provenance["t"], len(right),
+                                    report.provenance["tol"])
     fix, eta = (np.array([complex(*z) for z in report.pt[key]]) for key in ("phase_fix", "eta"))
     states = right * fix
     residual = np.linalg.norm(frame.pt @ np.conj(states) - eta * states, axis=0)

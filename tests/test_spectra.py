@@ -142,6 +142,13 @@ class TestClassify:
         es = EigenSystem(values, identity(2), identity(2), condition, np.diag(values))
         assert classify(es, tol=1e-14).kind is kind
 
+    def test_unpaired_count_in_message(self):
+        values = np.array([1 + 1j, 1 - 1j, 2 + 1j])
+        es = EigenSystem(values, identity(3), identity(3), 1.0, np.diag(values))
+        with pytest.raises(UnpairedComplexEigenvalue,
+                           match=r"^1 complex eigenvalue\(s\) lack conjugate partners$"):
+            classify(es)
+
     def test_best_mismatch_in_message(self):
         es = EigenSystem(np.array([1 + 1j, 3 - 1j]), identity(2), identity(2), 1.0, np.diag([1 + 1j, 3 - 1j]))
         with pytest.raises(UnpairedComplexEigenvalue, match=r"\(best mismatch 2\.000e\+00\)"):
