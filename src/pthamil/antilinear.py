@@ -145,8 +145,6 @@ def _recombine_degenerate(frame, es, groups, p_floor, tol) -> np.ndarray:
 _NO_FRAME = "no parity/time-reversal frame supplied"
 _PAIRS = ("complex-pair spectrum: PT maps each state onto its partner, "
           "so per-state PT phases do not exist")
-#: ``|<L_n|PT|R_n>|`` of a PT eigenstate is one; below this it is none
-_MIN_PT_COEFF = 0.5
 #: a parity overlap is real when its imaginary part is below this fraction of its modulus
 _REAL_PHASE_TOL = 1e-6
 
@@ -155,17 +153,16 @@ def pt_eigenstates(frame: PTFrame, es: EigenSystem, tol: float = DEFAULT_TOL) ->
     """Whether each state of ``es`` is a PT eigenstate, ``PT R_n = c_n R_n``.
 
     Returns ``(coeff, residual, bad)``: the coefficients ``c_n = <L_n|PT|R_n>``,
-    the residuals ``||PT R_n - c_n R_n||``, and the mask of the states that
-    are not PT eigenstates, with ``|c_n|`` below ``_MIN_PT_COEFF`` or a
-    residual not within the check-tier bound of ``||PT R_n||``. On a PT-symmetric
-    H every state of a real spectrum is one; a member of a conjugate pair,
-    which PT maps onto its partner, is not.
+    the residuals ``||PT R_n - c_n R_n||``, and the mask of the states that are
+    not PT eigenstates: one rule, a residual not :func:`~pthamil.linalg.within`
+    ``tol`` of ``||PT R_n||`` (as ``(PT)^2 = I``, a state that passes has
+    ``|c_n| = 1``). On a PT-symmetric H every state of a real spectrum is one;
+    a member of a conjugate pair, which PT maps onto its partner, is not.
     """
     images = frame.pt @ np.conj(es.right)
     coeff = np.einsum("ij,ji->i", es.left, images)
     residual = np.linalg.norm(images - coeff * es.right, axis=0)
-    fixed = within(residual, tol, np.linalg.norm(images, axis=0))
-    return coeff, residual, (np.abs(coeff) < _MIN_PT_COEFF) | ~fixed
+    return coeff, residual, ~within(residual, tol, np.linalg.norm(images, axis=0))
 
 
 def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
@@ -189,9 +186,11 @@ def calibrate(es: EigenSystem, cls: SpectrumClass, frame: PTFrame | None,
 
     ``system``, the basis every later section uses, is the parity-calibrated
     one with its degenerate groups recombined; it is never rephased, so
-    ``phases.phase_fix`` is always still to apply. Where no phases exist,
-    ``phases`` is None and ``skipped`` the reason; without a frame, or on a
-    conjugate-pair spectrum, ``es`` comes back unchanged.
+    ``phases.phase_fix`` is always still to apply. Given a frame, ``phases``
+    exists exactly where every state is a PT eigenstate (:func:`pt_eigenstates`,
+    asked here alone; the report's ``diagnostic``). Else it is None and
+    ``skipped`` the reason; without a frame, or on a conjugate-pair spectrum,
+    ``es`` comes back unchanged.
     """
     if frame is None:
         return es, None, _NO_FRAME, []

@@ -71,7 +71,7 @@ def identity(dim: int) -> np.ndarray:
 def quarter_turn(m, turns) -> np.ndarray:
     """``m * 1j ** turns`` (integer ``turns``, broadcast): each part of a finite
     result is exactly a part of ``m`` or its negative (``+0.0`` for a zero)."""
-    return np.asarray(m) * (np.array([1.0, 1.0j, -1.0, -1.0j]) + 0.0)[np.asarray(turns) % 4]
+    return np.asarray(m) * np.array([1.0, 1.0j, -1.0, -1.0j])[np.asarray(turns) % 4] + 0.0
 
 
 def mat_norm(a) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .antilinear import calibrate, make_frame, pt_eigenstates
+from .antilinear import _NO_FRAME, calibrate, make_frame
 from .cpt import build_c, build_pv, c_commutes_with_pt, check_p_intertwines
 from .entry import blas_caps
 from .errors import (
@@ -244,10 +244,10 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     """Run the full pipeline: classify, build the metric and its Gram matrices,
     then the parity-dependent sections and the diagnostic.
 
-    The diagnostic is read from PT itself: ``real_spectrum`` when every state
-    of the calibrated basis is a PT eigenstate (:func:`pt_eigenstates`),
-    ``complex_pairs`` when some state is not, and skipped without a frame or
-    when H is not PT symmetric under it. C is built only from the signs
+    The diagnostic is :func:`calibrate`'s verdict, read from PT itself:
+    ``real_spectrum`` where it fixed PT phases (every calibrated state is a PT
+    eigenstate), ``complex_pairs`` where it fixed none, and skipped without a
+    frame or when H is not PT symmetric under it. C is built only from the signs
     ``cfg.c_signs``; without them its section is skipped, and C is tested
     against PT only where PT is a symmetry of H.
 
@@ -276,11 +276,11 @@ def run_analyze(cfg: AnalysisConfig) -> AnalysisReport:
     pt_symmetric = frame is not None and antilinear_symmetry_check(h, frame.pt, tol)
     pt_section: dict = {} if frame is None else {"symmetry_check": pt_symmetric}
     if frame is None:
-        diagnostic = {"skipped": "no parity/time-reversal frame supplied"}
+        diagnostic = {"skipped": _NO_FRAME}
     elif not pt_symmetric:
         diagnostic = {"skipped": "H is not PT symmetric under the supplied frame"}
     else:
-        diagnostic = "complex_pairs" if pt_eigenstates(frame, es, tol)[2].any() else "real_spectrum"
+        diagnostic = "complex_pairs" if phases is None else "real_spectrum"
     if phases is None:
         pt_section["skipped"] = pt_skipped
     else:

@@ -92,6 +92,11 @@ class TestBuildMetric:
         itw = build_metric(es, classify(es))
         assert np.allclose(itw.v, identity(2), atol=1e-10)
 
+    def test_zero_hamiltonian_intertwines_with_zero_residual(self):
+        es = eigendecompose(np.zeros((2, 2)))
+        itw = build_metric(es, classify(es))
+        assert itw.residual == 0.0 and itw.positive
+
     @pytest.mark.parametrize("pa", [True, False], ids=["pa", "random"])
     def test_pair_metric_matches_outer_products(self, pa):
         # reference: one outer product of left vectors per state and pair member

@@ -29,6 +29,7 @@ from pthamil.linalg import (
     mat_norm,
     quarter_turn,
     residual_bound,
+    spectral_scale,
     within,
 )
 from pthamil.spectra import classify
@@ -219,6 +220,11 @@ def test_degenerate_groups_are_equal_eigenvalue_runs(drawn):
     assert all(len({tie[k] for k in group}) == 1 for group in groups)
 
 
+def test_spectral_scale_is_one_for_the_zero_spectrum():
+    assert spectral_scale(np.zeros(3)) == 1.0
+    assert spectral_scale(np.array([0.0, -2.0, 1j])) == 2.0
+
+
 def test_as_matrix_rejects_nonfinite():
     for entry in (np.nan, np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)):
         with pytest.raises(ValueError, match="matrix contains non-finite entries"):
@@ -268,11 +274,13 @@ def test_quarter_turn_places_parts_exactly():
     assert units.tolist() == [1.0, 1j, -1.0, -1j]
     zeros = np.concatenate([units.real[units.real == 0.0], units.imag[units.imag == 0.0]])
     assert zeros.size == 4 and not np.signbit(zeros).any()
-    # a positive real or imaginary number turned onto the other axis keeps
-    # +0.0 in the part it leaves
-    for m, part in ((2.0, "real"), (2.0j, "imag")):
-        left = [getattr(quarter_turn(m, turns), part) for turns in (1, 3)]
-        assert left == [0.0, 0.0] and not np.signbit(left).any(), (m, left)
+    # the zero part is +0.0 whatever the signs of m's parts (-2j is -0.0 - 2j)
+    for m in (2.0, -2.0, 2j, -2j):
+        for k in range(4):
+            z = quarter_turn(m, k)
+            assert z == m * 1j ** k, (m, k)
+            zero = [part for part in (z.real, z.imag) if part == 0.0]
+            assert len(zero) == 1 and not np.signbit(zero).any(), (m, k, z)
 
 
 def _pt_symmetric(generator, n, definite):

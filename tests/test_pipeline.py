@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pthamil import antilinear
 from pthamil.antilinear import make_frame
 from pthamil.cpt import check_p_intertwines
 from pthamil.errors import InvalidFrame, NonDiagonalizable, ParseError, UnpairedComplexEigenvalue
@@ -276,6 +277,40 @@ class TestDirectCallsAgree:
         report = self._report(tmp_path, h)
         assert report.pt["symmetry_check"] is True
         assert antilinear_symmetry_check(h, make_frame(SIGMA1, identity(2)).pt)
+
+
+def _pt_eigenstates_calls(cfg) -> tuple:
+    """The report of ``run_analyze(cfg)`` and how many times it ran
+    ``antilinear.pt_eigenstates``, by whatever name it was called."""
+    code, calls = antilinear.pt_eigenstates.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        report = run_analyze(cfg)
+    finally:
+        sys.setprofile(None)
+    return report, len(calls)
+
+
+@pytest.mark.parametrize("case,calls", [("two-level-5-3", 1), ("pa-alternating-k", 1),
+                                        ("two-level-3-5", 0), ("pa-no-frame", 0)])
+def test_pt_decides_once_and_the_diagnostic_is_its_verdict(tmp_path, case, calls):
+    """Only ``calibrate`` asks PT whether each state is its eigenstate, and
+    only on a real spectrum in a frame; the diagnostic reads its phases."""
+    path = str(tmp_path / "h.json")
+    save_matrix(path, pa_matrix(np.random.default_rng(4), 6, definite=True))
+    cfg = {"two-level-5-3": AnalysisConfig(model="two-level", alpha=5.0, beta=3.0),
+           "two-level-3-5": AnalysisConfig(model="two-level", alpha=3.0, beta=5.0),
+           "pa-alternating-k": AnalysisConfig(source_path=path, p_spec="alternating", t_spec="k"),
+           "pa-no-frame": AnalysisConfig(source_path=path)}[case]
+    report, found = _pt_eigenstates_calls(cfg)
+    assert found == calls
+    assert ("eta" in report.pt) == (report.diagnostic == "real_spectrum") == (calls == 1)
+    assert not hasattr(pipeline, "pt_eigenstates")
 
 
 class TestFockModel:

@@ -22,6 +22,7 @@ import math
 import os
 import re
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +51,23 @@ def _kron(models, **kw):
     return dict(source_path=h, p_spec=p, t_spec=u_t, **kw)
 
 
+@dataclass(frozen=True)
+class RawFile:
+    """An input file's exact bytes, for the files no matrix writer makes."""
+
+    suffix: str
+    data: bytes
+
+
+_BOM = "\ufeff".encode()
+_UNITS_CSV = b"0,8\n2,0\n"
+
+#: ROADMAP item 18's draws: ``pa-k`` for k in ``_SHIFTED`` (one of them a pair
+#: spectrum) plus ``c * rho * I`` for c in ``_SHIFTS``, rho the spectral radius
+_SHIFTED = (0, 1, 10, 14)
+_SHIFTS = (1e6, 1e8)
+
+_ITEM18 = "ROADMAP item 18: the real shift c * rho * I moves this draw's verdicts"
 _ITEM15 = "ROADMAP item 15: eig returns nearly parallel vectors for a degenerate level"
 
 #: the cases whose verdicts are wrong today, each with the ROADMAP item that will mend it
@@ -60,12 +78,16 @@ WRONG = {
     "units-1e+300": "ROADMAP item 4: mat_norm overflows, and inf <= tol * inf lets P = I "
                     "intertwine H",
     "ix3-80": "ROADMAP item 4: at cond 1.3e8 the Gram flags ask for more than float64 holds",
+    "pa-0-alternating-shift-1e+08": _ITEM18,
+    "pa-10-alternating-shift-1e+06": _ITEM18,
+    "pa-10-alternating-shift-1e+08": _ITEM18,
+    "pa-14-alternating-shift-1e+08": _ITEM18 + ", and joins two of its levels",
 }
 
 
 def cases() -> dict:
     """``{name: config}``: the :class:`AnalysisConfig` fields of each case,
-    with a matrix in place of each file path."""
+    with a matrix or a :class:`RawFile` in place of each file path."""
     out = {
         "two-level-real": _two_level(5.0, 3.0, c_signs=(1, -1)),
         "two-level-real-no-c": _two_level(3.0, 1.0),
@@ -93,6 +115,12 @@ def cases() -> dict:
         "jordan": dict(source_path=np.array([[1.0, 1.0], [0.0, 1.0]])),
         "unpaired": dict(source_path=np.diag([1j, 2.0])),
         "bad-frame": dict(source_path=_UNITS, p_spec=np.diag([1.0, 2.0]), t_spec="k"),
+        "file-ragged-csv": dict(source_path=RawFile(".csv", b"0,8\n2\n")),
+        "file-bom-json": dict(source_path=RawFile(".json", _BOM + b'{"re": [[0, 8], [2, 0]]}\n'),
+                              p_spec="identity", t_spec="k"),
+        "file-bom-csv": dict(source_path=RawFile(".csv", _BOM + _UNITS_CSV), p_spec="identity",
+                             t_spec="k"),
+        "file-not-utf8": dict(source_path=RawFile(".csv", _UNITS_CSV + b"\xe9\n")),
     })
     for k in range(16):
         h = pa_matrix(rng(k), 3 + k, definite=k % 2 == 0)
@@ -103,6 +131,11 @@ def cases() -> dict:
             count = len(h) if k % 2 == 0 else int((values.imag > 1e-6 * np.abs(values).max()).sum())
             out[f"pa-{k}-alternating-c"] = dict(source_path=h, p_spec="alternating", t_spec="k",
                                                 c_signs=tuple((-1) ** j for j in range(count)))
+        if k in _SHIFTED:
+            rho = np.abs(np.linalg.eigvals(h)).max()
+            for c in _SHIFTS:
+                out[f"pa-{k}-alternating-shift-{c:g}"] = dict(
+                    source_path=h + c * rho * np.eye(len(h)), p_spec="alternating", t_spec="k")
     return out
 
 
@@ -137,10 +170,14 @@ def corpus(directory) -> dict:
     for name, fields in cases().items():
         fields = dict(fields)
         for key in ("source_path", "p_spec", "t_spec"):
-            if isinstance(fields.get(key), np.ndarray):
-                path = os.path.join(directory, f"{name}.{key}.json")
-                save_matrix(path, fields[key])
-                fields[key] = path
+            value = fields.get(key)
+            if isinstance(value, np.ndarray):
+                fields[key] = os.path.join(directory, f"{name}.{key}.json")
+                save_matrix(fields[key], value)
+            elif isinstance(value, RawFile):
+                fields[key] = os.path.join(directory, f"{name}.{key}{value.suffix}")
+                with open(fields[key], "wb") as fh:
+                    fh.write(value.data)
         out[name] = {"verdict": verdict(AnalysisConfig(**fields)), "wrong": WRONG.get(name)}
     return out
 
@@ -163,6 +200,16 @@ def test_every_failed_flag_is_marked_wrong():
     unmarked = [name for name, entry in entries.items()
                 if "FAIL" in entry["verdict"].get("flags", {}).values() and not entry["wrong"]]
     assert not unmarked
+
+
+def test_a_shift_that_moves_a_verdict_is_marked_wrong():
+    with open(CORPUS, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    moved = {f"pa-{k}-alternating-shift-{c:g}" for k in _SHIFTED for c in _SHIFTS
+             if entries[f"pa-{k}-alternating-shift-{c:g}"]["verdict"]
+             != entries[f"pa-{k}-alternating"]["verdict"]}
+    assert moved
+    assert moved == {name for name, why in WRONG.items() if why.startswith(_ITEM18)}
 
 
 if __name__ == "__main__":
